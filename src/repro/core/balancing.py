@@ -81,10 +81,13 @@ class TagMatrix:
             raise IndexError(f"tag row {index} out of range")
         return self._rows[index]
 
+    def rows(self, members) -> np.ndarray:
+        """The members' tag rows, one per member (a copy)."""
+        return self._rows[np.asarray(members, dtype=np.int64)]
+
     def dots(self, members: list[int], signature: np.ndarray) -> np.ndarray:
         """Dot product of each member's tag with a cluster signature."""
-        idx = np.asarray(members, dtype=np.int64)
-        return self._rows[idx] @ signature
+        return self.rows(members) @ signature
 
     def __len__(self) -> int:
         return self._n

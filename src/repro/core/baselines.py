@@ -15,6 +15,8 @@
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -25,13 +27,15 @@ from repro.hierarchy.topology import CacheHierarchy
 from repro.polyhedral.arrays import DataSpace
 from repro.polyhedral.dependence import find_dependences
 from repro.polyhedral.nest import LoopNest
-from repro.polyhedral.transforms import (
-    legal_permutations,
-    permute_iterations,
-    tile_iterations,
-)
+from repro.polyhedral.transforms import legal_permutations
 
-__all__ = ["OriginalMapper", "IntraProcessorMapper", "block_partition"]
+__all__ = [
+    "OriginalMapper",
+    "IntraProcessorMapper",
+    "block_partition",
+    "permuted_ranks",
+    "tiled_ranks",
+]
 
 #: Tile-size candidates searched by the Intra-processor mapper (0 = untiled).
 DEFAULT_TILE_CANDIDATES = (0, 4, 8, 16, 32, 64)
@@ -78,7 +82,9 @@ class IntraProcessorMapper:
     name = "intra"
 
     def __init__(self, tile_candidates: Sequence[int] = DEFAULT_TILE_CANDIDATES):
-        self.tile_candidates = tuple(tile_candidates)
+        if any(int(t) < 0 for t in tile_candidates):
+            raise ValueError("tile candidates must be >= 0 (0 = untiled)")
+        self.tile_candidates = tuple(dict.fromkeys(int(t) for t in tile_candidates))
 
     def map(
         self,
@@ -103,6 +109,7 @@ class IntraProcessorMapper:
             [ref.touched_chunks(iterations, data_space) for ref in nest.references],
             axis=1,
         )
+        del iterations
 
         deps = find_dependences(nest)
         distances = [d.distance for d in deps]
@@ -113,45 +120,80 @@ class IntraProcessorMapper:
             dist is not None and all(c >= 0 for c in dist) for dist in distances
         )
         tile_candidates = self.tile_candidates if can_tile else (0,)
+        shape = nest.space.shape
 
-        best_cost = None
-        best_order = iterations
-        candidates_tried = 0
-        for perm in perms:
-            permuted = permute_iterations(iterations, perm)
+        # Candidates in the order the search has always visited them: every
+        # legal permutation, untiled; the tiled orders only with the first
+        # permutation.  Tiling ignores the permutation (it sorts on tile
+        # coordinates, then full coordinates), so each later permutation
+        # would rescore the same tiled orders, and a repeat never wins
+        # under the strict ``<``.
+        candidates = []
+        for k, perm in enumerate(perms):
             for tile in tile_candidates:
                 if tile == 0:
-                    candidate = permuted
-                else:
-                    if tile >= max(nest.space.shape):
-                        continue  # tile larger than every extent: same as untiled
-                    candidate = tile_iterations(
-                        permuted, [tile] * nest.depth, nest.space
-                    )
-                candidates_tried += 1
-                cost = self._transition_cost(candidate, nest, chunk_matrix)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_order = candidate
-        get_registry().counter("baselines.intra.candidates").inc(candidates_tried)
-        ranks = nest.space.linearize(best_order)
-        order = block_partition(ranks, hierarchy.num_clients)
+                    candidates.append(partial(permuted_ranks, shape, perm))
+                elif k == 0 and tile < max(shape):
+                    # (a tile >= every extent is the untiled order)
+                    candidates.append(partial(tiled_ranks, shape, tile))
+
+        best_cost = None
+        best_ranks = None
+        for build in candidates:
+            ranks = build()
+            cost = self._transition_cost(ranks, chunk_matrix)
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_ranks = ranks
+        if best_ranks is None:
+            best_ranks = np.arange(nest.num_iterations, dtype=np.int64)
+        get_registry().counter("baselines.intra.candidates").inc(len(candidates))
+        order = block_partition(best_ranks, hierarchy.num_clients)
         return Mapping(self.name, order)
 
     @staticmethod
-    def _transition_cost(
-        ordered_iterations: np.ndarray, nest: LoopNest, chunk_matrix: np.ndarray
-    ) -> int:
-        """Block requests this execution order issues.
+    def _transition_cost(ranks: np.ndarray, chunk_matrix: np.ndarray) -> int:
+        """Block requests the execution order ``ranks`` issues.
 
         Counts per-reference block transitions — exactly the number of
         storage-cache requests after request coalescing, i.e. the
         compulsory load the order puts on the private cache.
         """
-        ranks = nest.space.linearize(ordered_iterations)
         rows = chunk_matrix[ranks]
         if len(rows) < 2:
             return int(rows.shape[1])
         return int(
             rows.shape[1] + np.count_nonzero(rows[1:] != rows[:-1])
         )
+
+
+def permuted_ranks(shape: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Lexicographic ranks in the execution order of a loop permutation.
+
+    Rank-space form of ``space.linearize(permute_iterations(its, perm))``:
+    ``perm[k]`` is the original loop that runs k-th (outermost first).
+    """
+    grid = np.arange(math.prod(shape), dtype=np.int64).reshape(shape)
+    return grid.transpose(perm).ravel()
+
+
+def tiled_ranks(shape: Sequence[int], tile: int) -> np.ndarray:
+    """Lexicographic ranks in the blocked order of ``tile``-sized tiles.
+
+    Rank-space form of ``space.linearize(tile_iterations(its, [tile] *
+    depth, space))``: the grid is padded with -1 to whole tiles, split
+    into ``(nt0, t0, nt1, t1, …)``, walked tile coordinates first, and
+    the padding dropped.  A loop whose extent the tile covers keeps one
+    tile of its full extent.
+    """
+    depth = len(shape)
+    sizes = [min(int(tile), n) for n in shape]
+    counts = [-(-n // t) for n, t in zip(shape, sizes)]
+    padded = np.full([c * t for c, t in zip(counts, sizes)], -1, dtype=np.int64)
+    padded[tuple(slice(0, n) for n in shape)] = np.arange(
+        math.prod(shape), dtype=np.int64
+    ).reshape(shape)
+    split = padded.reshape([d for pair in zip(counts, sizes) for d in pair])
+    walk = split.transpose(list(range(0, 2 * depth, 2)) + list(range(1, 2 * depth, 2)))
+    flat = walk.ravel()
+    return flat[flat >= 0]

@@ -4,8 +4,8 @@ Every iteration gets an *r*-bit tag (bit k set iff the iteration touches
 data chunk ``π_k``); iterations with identical tags form an *iteration
 chunk* ``γ_Λ``.  Formation is fully vectorised: all references evaluate
 over the whole iteration matrix at once, per-iteration chunk-id rows are
-canonicalised (sorted, in-row duplicates masked), and ``np.unique`` over
-rows yields the grouping.
+canonicalised (sorted, in-row duplicates masked), and a row lexsort with
+a boundary diff yields the grouping.
 
 Iterations are stored as **lexicographic ranks** into the nest's
 iteration space, so a chunk is just an int64 vector; the explicit
@@ -140,6 +140,22 @@ class IterationChunkSet:
         )
 
 
+def _group_rows(canon: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct rows and each one's ascending row indices, by first appearance.
+
+    A stable lexsort (column 0 primary) keeps every group's indices
+    ascending; a row differing from its sorted predecessor opens a group.
+    """
+    order = np.lexsort(canon.T[::-1])
+    ordered = canon[order]
+    opens = np.ones(len(canon), dtype=bool)
+    opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(opens)
+    groups = np.split(order, starts[1:])
+    appearance = np.argsort(order[starts])
+    return ordered[starts[appearance]], [groups[g] for g in appearance]
+
+
 def form_iteration_chunks(nest: LoopNest, data_space: DataSpace) -> IterationChunkSet:
     """Group the nest's iterations into iteration chunks by tag (§4.2).
 
@@ -164,23 +180,12 @@ def form_iteration_chunks(nest: LoopNest, data_space: DataSpace) -> IterationChu
     canon = np.where(dup, _PAD, rows)
     canon = np.sort(canon, axis=1)
 
-    uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-
-    # Group iteration ranks by tag id, ordering groups by first appearance.
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=len(uniq))
-    boundaries = np.cumsum(counts)[:-1]
-    groups = np.split(order, boundaries)
-    first_rank = np.asarray([g[0] for g in groups])
-    appearance = np.argsort(first_rank, kind="stable")
-
+    distinct, groups = _group_rows(canon)
     r = data_space.num_chunks
-    chunks: list[IterationChunk] = []
-    for gi in appearance:
-        row = uniq[gi]
-        tag = Tag(row[row != _PAD].tolist(), r)
-        chunks.append(IterationChunk(tag, np.sort(groups[gi])))
+    chunks = [
+        IterationChunk(Tag(row[row != _PAD].tolist(), r), ranks)
+        for row, ranks in zip(distinct, groups)
+    ]
 
     chunk_set = IterationChunkSet(nest, data_space, chunks, chunk_matrix)
     assert chunk_set.total_iterations == n_iters

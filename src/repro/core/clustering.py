@@ -80,12 +80,14 @@ class DistributionResult:
     """Output of Fig. 5: per-client iteration-chunk assignments.
 
     ``pool`` is the final chunk list (including split-off chunks);
-    ``assignment[c]`` lists pool indices owned by client ``c``.
+    ``assignment[c]`` lists pool indices owned by client ``c``;
+    ``tags`` holds the pool's tag rows, kept in sync through splits.
     """
 
     pool: list[IterationChunk]
     assignment: dict[int, list[int]]
     chunk_set: IterationChunkSet
+    tags: TagMatrix
 
     @property
     def num_clients(self) -> int:
@@ -365,7 +367,7 @@ def distribute_iterations(
     # so fill any absentee with an empty list for safety.
     for c in range(hierarchy.num_clients):
         assignment.setdefault(c, [])
-    return DistributionResult(pool, assignment, chunk_set)
+    return DistributionResult(pool, assignment, chunk_set, tags)
 
 
 def flat_distribution(
@@ -393,4 +395,4 @@ def flat_distribution(
     assignment = {c: list(cluster.members) for c, cluster in enumerate(clusters)}
     for c in range(k):
         assignment.setdefault(c, [])
-    return DistributionResult(pool, assignment, chunk_set)
+    return DistributionResult(pool, assignment, chunk_set, tags)

@@ -30,11 +30,13 @@ paper's pseudo-code leaves implicit.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.balancing import TagMatrix
 from repro.core.chunking import IterationChunk
 from repro.core.clustering import DistributionResult
 from repro.hierarchy.topology import CacheHierarchy, CacheNode
 from repro.telemetry import get_registry
-from repro.util.bitset import Tag
 
 __all__ = ["schedule_clients", "schedule_group"]
 
@@ -62,78 +64,89 @@ def schedule_group(
     pool: list[IterationChunk],
     alpha: float,
     beta: float,
+    tags: TagMatrix | None = None,
 ) -> list[list[int]]:
     """Schedule one I/O-cache group of clients (Fig. 15 inner loop).
 
     ``client_chunks[i]`` is the unordered pool-index set of the group's
-    i-th client; the return value is the ordered schedules.
+    i-th client; the return value is the ordered schedules.  ``tags``
+    holds the pool's tag rows (clustering keeps one in sync with the
+    pool); it is built from the pool when omitted.
+
+    Each pick scores all of a client's unscheduled chunks at once:
+    ``Λa • Λx`` is one matvec of 0/1 tag rows, exact in float64, and the
+    weighted score is evaluated in the paper's operation order.  Members
+    are held in ascending pool-index order, so ``argmax``/``argmin``
+    break ties by lowest pool index.
     """
     n = len(client_chunks)
-    remaining: list[list[int]] = [list(c) for c in client_chunks]
+    members = [np.sort(np.asarray(c, dtype=np.int64)) for c in client_chunks]
+    if tags is None:
+        tags = TagMatrix(pool, pool[0].tag.nbits if pool else 1)
+    if len(tags) != len(pool):
+        raise ValueError("tag matrix out of sync with pool")
+    rows = [tags.rows(idx) for idx in members]
+    popcounts = [r.sum(axis=1) for r in rows]
+    alive = [np.ones(len(idx), dtype=bool) for idx in members]
+    left = [len(idx) for idx in members]
     schedules: list[list[int]] = [[] for _ in range(n)]
     counts = [0] * n
 
-    def tag(m: int) -> Tag:
-        return pool[m].tag
-
-    def take(i: int, m: int) -> None:
-        remaining[i].remove(m)
+    def take(i: int, k: int) -> None:
+        alive[i][k] = False
+        left[i] -= 1
+        m = int(members[i][k])
         schedules[i].append(m)
         counts[i] += pool[m].size
 
-    def best(i: int, score) -> int:
-        # max score; ties by lowest pool index for determinism
-        return min(remaining[i], key=lambda m: (-score(m), m))
+    def shared(i: int, m: int) -> np.ndarray:
+        """``Λa • Λm`` for every member a of client i."""
+        return rows[i] @ tags.row(m)
 
-    while any(remaining):
+    def best(i: int, score: np.ndarray) -> int:
+        # max score; ties by lowest pool index for determinism
+        return int(np.argmax(np.where(alive[i], score, -np.inf)))
+
+    def fewest(i: int) -> int:
+        # Fewest data chunks (least "1" bits), ties by lowest pool index.
+        return int(np.argmin(np.where(alive[i], popcounts[i], np.inf)))
+
+    while any(left):
         progressed = False
         for i in range(n):
-            if not remaining[i]:
+            if not left[i]:
                 continue
             if i == 0 and not schedules[i]:
-                # Fewest data chunks first (least "1" bits).
-                take(i, min(remaining[i], key=lambda m: (tag(m).popcount(), m)))
+                take(i, fewest(i))
                 progressed = True
             elif i > 0 and not schedules[i]:
                 prev = schedules[i - 1]
                 if prev:
-                    x = tag(prev[-1])
-                    take(i, best(i, lambda m: alpha * tag(m).dot(x)))
+                    take(i, best(i, alpha * shared(i, prev[-1])))
                 else:  # previous client had nothing at all
-                    take(i, min(remaining[i], key=lambda m: (tag(m).popcount(), m)))
+                    take(i, fewest(i))
                 progressed = True
             elif i == 0:
                 # Catch up circularly to the last client of the previous round.
-                while remaining[i] and counts[i] < counts[n - 1]:
-                    y = tag(schedules[i][-1])
-                    take(i, best(i, lambda m: beta * tag(m).dot(y)))
+                while left[i] and counts[i] < counts[n - 1]:
+                    take(i, best(i, beta * shared(i, schedules[i][-1])))
                     progressed = True
             else:
-                while remaining[i] and counts[i] < counts[i - 1]:
-                    y = tag(schedules[i][-1])
+                while left[i] and counts[i] < counts[i - 1]:
+                    y = shared(i, schedules[i][-1])
                     prev = schedules[i - 1]
-                    x = tag(prev[-1]) if prev else y
-                    take(
-                        i,
-                        best(
-                            i,
-                            lambda m: alpha * tag(m).dot(x) + beta * tag(m).dot(y),
-                        ),
-                    )
+                    x = shared(i, prev[-1]) if prev else y
+                    take(i, best(i, alpha * x + beta * y))
                     progressed = True
         if not progressed:
             # All catch-up conditions already met (equal counts) but chunks
             # remain: force one onto the least-loaded non-empty client.
             get_registry().counter("scheduling.forced").inc()
-            i = min(
-                (j for j in range(n) if remaining[j]),
-                key=lambda j: counts[j],
-            )
+            i = min((j for j in range(n) if left[j]), key=lambda j: counts[j])
             if schedules[i]:
-                y = tag(schedules[i][-1])
-                take(i, best(i, lambda m: beta * tag(m).dot(y)))
+                take(i, best(i, beta * shared(i, schedules[i][-1])))
             else:
-                take(i, min(remaining[i], key=lambda m: (tag(m).popcount(), m)))
+                take(i, fewest(i))
     return schedules
 
 
@@ -155,7 +168,9 @@ def schedule_clients(
     get_registry().counter("scheduling.groups").inc(len(groups))
     for group in groups:
         chunks = [distribution.assignment[c] for c in group]
-        scheduled = schedule_group(chunks, distribution.pool, alpha, beta)
+        scheduled = schedule_group(
+            chunks, distribution.pool, alpha, beta, distribution.tags
+        )
         for client, order in zip(group, scheduled):
             out[client] = order
     return out

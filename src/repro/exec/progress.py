@@ -14,6 +14,7 @@ at a glance.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from typing import TextIO
@@ -47,7 +48,9 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval_s = min_interval_s
         self._start = time.monotonic()
-        self._last_emit = 0.0
+        # No emission yet: -inf, not 0.0 — the monotonic clock's origin is
+        # arbitrary (often boot), so 0.0 can lie within one interval of now.
+        self._last_emit = -math.inf
         self._done = 0
         self._total = 0
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())

@@ -50,6 +50,10 @@ __all__ = [
 #: unknown-direction dependence is conservatively assumed.
 EXACT_TEST_LIMIT = 200_000
 
+#: Index boxes with at least this many cells are not encoded as int64
+#: codes (``np.ravel_multi_index`` needs the product to fit).
+_MAX_CODES = 1 << 62
+
 
 @dataclass(frozen=True)
 class Dependence:
@@ -149,9 +153,25 @@ def _exact_or_conservative(
     its = space.enumerate()
     ia = ref_a.indices(its)
     ib = ref_b.indices(its)
-    # Compare the full touched-index sets (element granularity).
-    set_a = {tuple(int(v) for v in row) for row in np.atleast_2d(ia)}
-    set_b = {tuple(int(v) for v in row) for row in np.atleast_2d(ib)}
+    if ia.shape[1] != ib.shape[1]:
+        return False  # index tuples of different lengths never coincide
+    # Compare the full touched-index sets (element granularity): encode
+    # every index row as one int64 over the joint bounding box of both
+    # references, then test the two code sets for overlap.
+    lo = np.minimum(ia.min(axis=0), ib.min(axis=0))
+    hi = np.maximum(ia.max(axis=0), ib.max(axis=0))
+    box = tuple(int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist()))
+    if math.prod(box) >= _MAX_CODES:
+        return _overlap_by_tuples(ia, ib)
+    code_a = np.ravel_multi_index(tuple((ia - lo).T), box)
+    code_b = np.ravel_multi_index(tuple((ib - lo).T), box)
+    return bool(np.isin(code_a, code_b).any())
+
+
+def _overlap_by_tuples(ia: np.ndarray, ib: np.ndarray) -> bool:
+    """Index-set overlap for boxes too large to encode in an int64."""
+    set_a = {tuple(int(v) for v in row) for row in ia}
+    set_b = {tuple(int(v) for v in row) for row in ib}
     return not set_a.isdisjoint(set_b)
 
 

@@ -129,7 +129,8 @@ class AsyncHttpServer:
         self.ready = threading.Event()
         self._busy = 0
         self._draining = False
-        self._started_monotonic = 0.0
+        self._cutting_idle = False
+        self._started_monotonic: float | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._connections: set[asyncio.Task] = set()
@@ -152,6 +153,8 @@ class AsyncHttpServer:
 
     @property
     def uptime_s(self) -> float:
+        if self._started_monotonic is None:
+            return 0.0  # not started: the clock has no origin yet
         return time.monotonic() - self._started_monotonic
 
     async def _startup(self) -> None:
@@ -205,6 +208,7 @@ class AsyncHttpServer:
         deadline = time.monotonic() + self.drain_grace_s
         while self._busy and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
+        self._cutting_idle = True
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -239,7 +243,11 @@ class AsyncHttpServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
-            raise
+            if not self._cutting_idle:
+                raise
+            # Our own drain cut this connection: end the handler normally.
+            # A cancelled handler task makes Python 3.11's stream callback
+            # call ``task.exception()`` and log a CancelledError traceback.
         except Exception:  # noqa: BLE001 - one bad connection never kills the server
             _LOG.exception("connection handler failed")
         finally:
