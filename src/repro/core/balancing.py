@@ -56,15 +56,25 @@ class TagMatrix:
     """A growable dense ``(len(pool), r)`` matrix of chunk tag vectors.
 
     Kept in sync with the chunk pool so eviction scoring is one
-    fancy-indexed matmul instead of per-chunk Python loops.
+    fancy-indexed matmul instead of per-chunk Python loops.  ``rows``,
+    when given, holds the pool's tag rows already (e.g. the chunk set's
+    ``incidence``) and is copied instead of re-reading every tag.
     """
 
-    def __init__(self, pool: list[IterationChunk], r: int):
+    def __init__(
+        self, pool: list[IterationChunk], r: int, rows: np.ndarray | None = None
+    ):
         self.r = r
         self._rows = np.zeros((max(len(pool), 16), r), dtype=np.float64)
         self._n = 0
-        for chunk in pool:
-            self.append(chunk)
+        if rows is None:
+            for chunk in pool:
+                self.append(chunk)
+            return
+        if rows.shape != (len(pool), r):
+            raise ValueError(f"tag rows must be ({len(pool)}, {r}), got {rows.shape}")
+        self._rows[: len(pool)] = rows
+        self._n = len(pool)
 
     def append(self, chunk: IterationChunk) -> None:
         if self._n == len(self._rows):
@@ -146,25 +156,40 @@ def _drain(
     """Move best-affinity chunks donor -> recipient until one side is done.
 
     The recipient is filled to the mean (not ULim) so the donor's excess
-    spreads over several recipients instead of ping-ponging.
+    spreads over several recipients instead of ping-ponging.  The moves
+    are picked on sizes alone, then applied at once: one member filter,
+    one signature update per side (exact: sums of 0/1 rows).
     """
     if len(donor.members) < 2:
         return False
     support = (recipient.signature > 0).astype(np.float64)
     order = np.argsort(-tags.dots(donor.members, support), kind="stable")
-    candidates = [donor.members[i] for i in order]
-    moved_any = False
-    for m in candidates:
-        if donor.size <= ulim or recipient.size >= mean:
+    donor_size, recipient_size = donor.size, recipient.size
+    moved: list[int] = []
+    for i in order.tolist():
+        if donor_size <= ulim or recipient_size >= mean:
             break
+        if len(donor.members) - len(moved) < 2:
+            break
+        m = donor.members[i]
         s = pool[m].size
-        if len(donor.members) < 2:
-            break
-        if donor.size - s < llim or recipient.size + s > ulim:
+        if donor_size - s < llim or recipient_size + s > ulim:
             continue
-        _move(m, donor, recipient, pool, tags)
-        moved_any = True
-    return moved_any
+        moved.append(m)
+        donor_size -= s
+        recipient_size += s
+    if not moved:
+        return False
+    get_registry().counter("balancing.moves").inc(len(moved))
+    gone = set(moved)
+    donor.members[:] = [m for m in donor.members if m not in gone]
+    v = tags.rows(moved).sum(axis=0)
+    donor.signature -= v
+    donor.size = donor_size
+    recipient.members.extend(moved)
+    recipient.signature += v
+    recipient.size = recipient_size
+    return True
 
 
 def _split_and_evict(

@@ -5,7 +5,9 @@ data chunk ``π_k``); iterations with identical tags form an *iteration
 chunk* ``γ_Λ``.  Formation is fully vectorised: all references evaluate
 over the whole iteration matrix at once, per-iteration chunk-id rows are
 canonicalised (sorted, in-row duplicates masked), and a row lexsort with
-a boundary diff yields the grouping.
+a boundary diff yields the grouping.  The distinct rows are scattered
+once into a ``(chunks, r)`` 0/1 incidence matrix, which the affinity
+graph and the clustering stage read instead of the per-chunk tags.
 
 Iterations are stored as **lexicographic ranks** into the nest's
 iteration space, so a chunk is just an int64 vector; the explicit
@@ -69,7 +71,7 @@ class IterationChunk:
 class IterationChunkSet:
     """All iteration chunks of one nest plus shared context."""
 
-    __slots__ = ("nest", "data_space", "chunks", "ref_chunk_matrix")
+    __slots__ = ("nest", "data_space", "chunks", "ref_chunk_matrix", "incidence")
 
     def __init__(
         self,
@@ -77,6 +79,7 @@ class IterationChunkSet:
         data_space: DataSpace,
         chunks: Sequence[IterationChunk],
         ref_chunk_matrix: np.ndarray | None = None,
+        incidence: np.ndarray | None = None,
     ):
         self.nest = nest
         self.data_space = data_space
@@ -84,6 +87,19 @@ class IterationChunkSet:
         #: Optional (N, R) matrix of the data chunk touched by each
         #: iteration through each reference — kept for stream generation.
         self.ref_chunk_matrix = ref_chunk_matrix
+        #: (num_chunks, r) 0/1 float64 tag incidence matrix: row i has a
+        #: 1 at every data chunk chunk i's tag touches.  Chunk formation
+        #: scatters it in one pass; otherwise it is built from the tags.
+        if incidence is None:
+            incidence = np.zeros((len(self.chunks), self.tag_width))
+            for i, chunk in enumerate(self.chunks):
+                incidence[i, list(chunk.tag.chunks)] = 1.0
+        elif incidence.shape != (len(self.chunks), self.tag_width):
+            raise ValueError(
+                f"incidence must be ({len(self.chunks)}, {self.tag_width}), "
+                f"got {incidence.shape}"
+            )
+        self.incidence = incidence
 
     @property
     def num_chunks(self) -> int:
@@ -114,14 +130,9 @@ class IterationChunkSet:
     def signature_matrix(self) -> np.ndarray:
         """Dense (num_chunks, r) 0/1 int64 matrix of chunk tags.
 
-        Row i is the tag vector of chunk i — the raw material for the
-        clustering stage's vectorised dot products.
+        Row i is the tag vector of chunk i: :attr:`incidence` as integers.
         """
-        S = np.zeros((self.num_chunks, self.tag_width), dtype=np.int64)
-        for i, chunk in enumerate(self.chunks):
-            for c in chunk.tag.chunks:
-                S[i, c] = 1
-        return S
+        return self.incidence.astype(np.int64)
 
     def validate_partition(self) -> None:
         """Assert the chunks exactly partition the nest's iterations."""
@@ -183,10 +194,16 @@ def form_iteration_chunks(nest: LoopNest, data_space: DataSpace) -> IterationChu
     distinct, groups = _group_rows(canon)
     r = data_space.num_chunks
     chunks = [
-        IterationChunk(Tag(row[row != _PAD].tolist(), r), ranks)
-        for row, ranks in zip(distinct, groups)
+        IterationChunk(Tag([c for c in row if c != _PAD], r), ranks)
+        for row, ranks in zip(distinct.tolist(), groups)
     ]
+    # Scatter the canonical rows into the (chunks, r) 0/1 incidence matrix.
+    incidence = np.zeros((len(distinct), r))
+    owner = np.repeat(np.arange(len(distinct)), distinct.shape[1])
+    cols = distinct.ravel()
+    real = cols != _PAD
+    incidence[owner[real], cols[real]] = 1.0
 
-    chunk_set = IterationChunkSet(nest, data_space, chunks, chunk_matrix)
+    chunk_set = IterationChunkSet(nest, data_space, chunks, chunk_matrix, incidence)
     assert chunk_set.total_iterations == n_iters
     return chunk_set

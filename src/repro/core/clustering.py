@@ -21,10 +21,11 @@ Stage 1 specifics, following the paper:
   the count matches (splitting a single iteration chunk in half when a
   cluster has only one member).
 
-Merging is vectorised: supports live in an ``(n, r)`` matrix ``S``, the
-pairwise dot products ``W = S @ S.T`` are maintained under merges with
-one matvec per step, and a per-row best-partner cache (valid by the
-monotonicity of OR-dots) avoids full rescans.
+Merging runs on arrays: the initial clusters are rows of an ``(n, r)``
+support matrix gathered from the tag rows, each merge step is one
+matvec against it plus an update of a per-row best-partner cache (valid
+by the monotonicity of OR-dots), and ``Cluster`` objects are built only
+for the survivors.
 """
 
 from __future__ import annotations
@@ -174,13 +175,14 @@ def cluster_into(
     else:
         initial = [[m] for m in member_ids]
 
-    clusters = [_make_cluster(members, pool, r, tags) for members in initial]
     registry = get_registry()
-    if len(clusters) > num_clusters:
+    if len(initial) > num_clusters:
         registry.counter("clustering.merges", level=level or "all").inc(
-            len(clusters) - num_clusters
+            len(initial) - num_clusters
         )
-        clusters = _merge_down(clusters, num_clusters, r)
+        clusters = _merge_down(initial, pool, tags, num_clusters)
+    else:
+        clusters = [_make_cluster(members, pool, r, tags) for members in initial]
     if len(clusters) < num_clusters:
         registry.counter("clustering.splits", level=level or "all").inc(
             num_clusters - len(clusters)
@@ -190,8 +192,19 @@ def cluster_into(
     return clusters
 
 
-def _merge_down(clusters: list[Cluster], target: int, r: int) -> list[Cluster]:
+def _merge_down(
+    members: list[list[int]],
+    pool: list[IterationChunk],
+    tags: TagMatrix,
+    target: int,
+) -> list[Cluster]:
     """Greedy pairwise merging by maximal signature dot product.
+
+    ``members`` lists the initial clusters' pool indices (singletons or
+    forced groups); the lists are merged in place.  The loop carries
+    only arrays — supports, sizes, the best-partner cache — and
+    ``Cluster`` objects, with their count signatures, are built once for
+    the ``target`` survivors, ordered by smallest member pool index.
 
     A cluster's merge signature is the *support* (bitwise OR) of its
     member tags: the dot product then counts the distinct data chunks
@@ -200,59 +213,65 @@ def _merge_down(clusters: list[Cluster], target: int, r: int) -> list[Cluster]:
     window of Fig. 6 — and merge unrelated clusters, contradicting the
     paper's own Fig. 9 outcome.)
 
-    The pairwise matrix ``W`` is maintained with a per-row best-partner
-    cache.  OR-dots are monotone under support growth, so after merging
-    q into p every cached best only improves at column p and rows that
-    pointed at q can safely repoint to p (``p ⊇ q``); only row p itself
-    recomputes, with one matvec.
+    Supports live in an ``(n, r)`` 0/1 matrix ``S``.  The pairwise dot
+    products ``S @ S.T`` are needed once, to seed a per-row best-partner
+    cache ``best``/``bestw``; after that every dot a step reads is at the
+    merged cluster ``p``, which is the fresh ``row = S @ S[p]``, so no
+    pairwise matrix is kept.  OR-dots are monotone under support growth,
+    so after merging q into p a cached best only changes where it pointed
+    at q (p ⊇ q now beats it) or where column p now beats it: one mask,
+    ``(best == q) | (row > bestw)``, repoints both to p.  Row p itself
+    rescans ``row``.
+
+    Dead rows are kept out by two invariants.  An absorbed q gets
+    ``bestw[q] = -inf`` at once: the mask never reaches row q, whose
+    cached best is not q and whose fresh dot is ``-inf``, so without it
+    a stale ``bestw[q]`` would let q be picked again.  And a ``-inf``
+    penalty vector, added to every fresh row, keeps dead columns from
+    being chosen or from repointing live rows; dead rows the mask does
+    reach only receive ``-inf``.  Ties break by lowest index: ``argmax``
+    over ``bestw`` picks p (dead rows sit at ``-inf``, live ones at
+    >= 0), and ``argmax`` over p's row picks its partner.
     """
-    n = len(clusters)
-    # Support (0/1) matrix for merge decisions.
-    S = np.stack([(c.signature > 0).astype(np.float64) for c in clusters])
+    n = len(members)
+    # One gather of the members' 0/1 tag rows; forced groups OR theirs.
+    flat = [m for group in members for m in group]
+    S = tags.rows(flat)
+    sizes = [pool[m].size for m in flat]
+    if len(flat) > n:
+        starts = np.cumsum([0] + [len(group) for group in members[:-1]])
+        S = np.maximum.reduceat(S, starts, axis=0)
+        sizes = np.add.reduceat(sizes, starts).tolist()
     W = S @ S.T
     np.fill_diagonal(W, -np.inf)
-    best = np.argmax(W, axis=1)
+    best = W.argmax(axis=1)
     bestw = W[np.arange(n), best]
-    alive = np.ones(n, dtype=bool)
-    remaining = n
-    while remaining > target:
-        masked = np.where(alive, bestw, -np.inf)
-        p = int(np.argmax(masked))
+    del W
+    penalty = np.zeros(n)  # 0 for live clusters, -inf once absorbed
+    for _ in range(n - target):
+        p = int(bestw.argmax())
         q = int(best[p])
-        # Merge q into p (counts add; support ORs).
-        clusters[p].members.extend(clusters[q].members)
-        clusters[p].signature += clusters[q].signature
-        clusters[p].size += clusters[q].size
+        # Merge q into p (members and sizes add; support ORs).
+        members[p] += members[q]
+        sizes[p] += sizes[q]
         np.maximum(S[p], S[q], out=S[p])
-        alive[q] = False
+        penalty[q] = -np.inf
         bestw[q] = -np.inf
-        W[q, :] = -np.inf
-        W[:, q] = -np.inf
-        # Exact new row for p: one matvec against the alive supports.
         row = S @ S[p]
-        row[~alive] = -np.inf
+        row += penalty
         row[p] = -np.inf
-        W[p, :] = row
-        W[:, p] = row
-        # Rows pointing at p or q: p absorbed q, so p is at least as good
-        # as the stale cached partner (support monotonicity).
-        repoint = alive & ((best == q) | (best == p))
-        if repoint.any():
-            best[repoint] = p
-            bestw[repoint] = W[repoint, p]
-        # Every other row may only have improved at column p.
-        better = alive & (W[:, p] > bestw)
-        if better.any():
-            best[better] = p
-            bestw[better] = W[better, p]
-        # Row p itself rescans its fresh row.
-        best[p] = int(np.argmax(W[p]))
-        bestw[p] = W[p, best[p]]
-        remaining -= 1
-    ordered = [clusters[i] for i in range(n) if alive[i]]
-    # Deterministic child order: by smallest member pool index.
-    ordered.sort(key=lambda c: min(c.members))
-    return ordered
+        repoint = (best == q) | (row > bestw)
+        np.copyto(best, p, where=repoint)
+        np.copyto(bestw, row, where=repoint)
+        b = int(row.argmax())
+        best[p] = b
+        bestw[p] = row[b]
+    alive = np.flatnonzero(penalty == 0).tolist()
+    survivors = sorted(alive, key=lambda i: min(members[i]))
+    return [
+        Cluster(members[i], tags.rows(members[i]).sum(axis=0), sizes[i])
+        for i in survivors
+    ]
 
 
 def _split_largest(
@@ -277,7 +296,8 @@ def _split_largest(
                 break  # leave at least one chunk behind
             taken.append(m)
             acc += pool[m].size
-        rest = [m for m in cluster.members if m not in set(taken)]
+        moved = set(taken)
+        rest = [m for m in cluster.members if m not in moved]
         clusters[big] = _make_cluster(taken, pool, r, tags)
         clusters.append(_make_cluster(rest, pool, r, tags))
         return
@@ -336,7 +356,7 @@ def distribute_iterations(
     check_in_range("balance_threshold", balance_threshold, 0.0, 1.0)
     pool: list[IterationChunk] = list(chunk_set.chunks)
     r = chunk_set.tag_width
-    tags = TagMatrix(pool, r)
+    tags = TagMatrix(pool, r, chunk_set.incidence)
     forced = graph.forced_pairs if graph is not None else None
     assignment: dict[int, list[int]] = {}
 
@@ -386,7 +406,7 @@ def flat_distribution(
     check_in_range("balance_threshold", balance_threshold, 0.0, 1.0)
     pool: list[IterationChunk] = list(chunk_set.chunks)
     r = chunk_set.tag_width
-    tags = TagMatrix(pool, r)
+    tags = TagMatrix(pool, r, chunk_set.incidence)
     k = hierarchy.num_clients
     clusters = cluster_into(
         list(range(len(pool))), pool, k, r, None, tags, level="flat"

@@ -119,6 +119,6 @@ class AffinityGraph:
 
 def build_affinity_graph(chunk_set: IterationChunkSet) -> AffinityGraph:
     """Initialization step of Fig. 5: ``ω(γΛi, γΛj) = popcount(Λi ∧ Λj)``."""
-    S = chunk_set.signature_matrix().astype(np.float64)
+    S = chunk_set.incidence
     W = S @ S.T
     return AffinityGraph(chunk_set, W)

@@ -75,9 +75,16 @@ def combine_nests(
     """
     combined = CombinedNest(nests)
     chunks: list[IterationChunk] = []
+    incidence: list[np.ndarray] = []
     for nest, offset in zip(combined.nests, combined.offsets):
         sub = form_iteration_chunks(nest, data_space)
         for ch in sub.chunks:
             chunks.append(IterationChunk(ch.tag, ch.iterations + offset))
-    chunk_set = IterationChunkSet(combined, data_space, chunks)  # type: ignore[arg-type]
+        incidence.append(sub.incidence)
+    chunk_set = IterationChunkSet(
+        combined,  # type: ignore[arg-type]
+        data_space,
+        chunks,
+        incidence=np.vstack(incidence),
+    )
     return combined, chunk_set

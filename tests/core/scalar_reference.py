@@ -2,10 +2,12 @@
 
 The mapper front end runs on arrays: an int64-encoded dependence
 overlap test, rank-space Intra-processor candidates, lexsort chunk
-grouping and one vectorized score per scheduling pick.  These are the
-scalar forms they replaced — Python tuple sets, the per-permutation
-re-tiling search, ``np.unique(axis=0)`` grouping and ``Tag.dot``
-scoring — which the differential tests compare them against.
+grouping, one vectorized score per scheduling pick and an array-only
+Stage 1 merge loop.  These are the scalar forms they replaced — Python
+tuple sets, the per-permutation re-tiling search, ``np.unique(axis=0)``
+grouping, ``Tag.dot`` scoring and the ``Cluster``-object merge loop that
+kept a full pairwise matrix ``W`` — which the differential tests compare
+them against.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.baselines import block_partition
+from repro.core.clustering import Cluster
 from repro.polyhedral.dependence import EXACT_TEST_LIMIT, find_dependences
 from repro.polyhedral.transforms import (
     legal_permutations,
@@ -146,3 +149,68 @@ def schedule_group(client_chunks, pool, alpha, beta):
             else:
                 take(i, fewest(i))
     return schedules
+
+
+def merge_down(clusters: list[Cluster], target: int, r: int) -> list[Cluster]:
+    """Greedy pairwise merging by maximal signature dot product.
+
+    A cluster's merge signature is the *support* (bitwise OR) of its
+    member tags: the dot product then counts the distinct data chunks
+    two clusters share.  (A count-weighted signature would snowball
+    through any data chunk every iteration touches — e.g. the ``A[i%d]``
+    window of Fig. 6 — and merge unrelated clusters, contradicting the
+    paper's own Fig. 9 outcome.)
+
+    The pairwise matrix ``W`` is maintained with a per-row best-partner
+    cache.  OR-dots are monotone under support growth, so after merging
+    q into p every cached best only improves at column p and rows that
+    pointed at q can safely repoint to p (``p ⊇ q``); only row p itself
+    recomputes, with one matvec.
+    """
+    n = len(clusters)
+    # Support (0/1) matrix for merge decisions.
+    S = np.stack([(c.signature > 0).astype(np.float64) for c in clusters])
+    W = S @ S.T
+    np.fill_diagonal(W, -np.inf)
+    best = np.argmax(W, axis=1)
+    bestw = W[np.arange(n), best]
+    alive = np.ones(n, dtype=bool)
+    remaining = n
+    while remaining > target:
+        masked = np.where(alive, bestw, -np.inf)
+        p = int(np.argmax(masked))
+        q = int(best[p])
+        # Merge q into p (counts add; support ORs).
+        clusters[p].members.extend(clusters[q].members)
+        clusters[p].signature += clusters[q].signature
+        clusters[p].size += clusters[q].size
+        np.maximum(S[p], S[q], out=S[p])
+        alive[q] = False
+        bestw[q] = -np.inf
+        W[q, :] = -np.inf
+        W[:, q] = -np.inf
+        # Exact new row for p: one matvec against the alive supports.
+        row = S @ S[p]
+        row[~alive] = -np.inf
+        row[p] = -np.inf
+        W[p, :] = row
+        W[:, p] = row
+        # Rows pointing at p or q: p absorbed q, so p is at least as good
+        # as the stale cached partner (support monotonicity).
+        repoint = alive & ((best == q) | (best == p))
+        if repoint.any():
+            best[repoint] = p
+            bestw[repoint] = W[repoint, p]
+        # Every other row may only have improved at column p.
+        better = alive & (W[:, p] > bestw)
+        if better.any():
+            best[better] = p
+            bestw[better] = W[better, p]
+        # Row p itself rescans its fresh row.
+        best[p] = int(np.argmax(W[p]))
+        bestw[p] = W[p, best[p]]
+        remaining -= 1
+    ordered = [clusters[i] for i in range(n) if alive[i]]
+    # Deterministic child order: by smallest member pool index.
+    ordered.sort(key=lambda c: min(c.members))
+    return ordered

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.chunking import IterationChunk, form_iteration_chunks
+from repro.core.chunking import IterationChunk, IterationChunkSet, form_iteration_chunks
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.arrays import DataSpace, DiskArray
 from repro.polyhedral.iterspace import IterationSpace
@@ -104,6 +104,20 @@ class TestFormIterationChunks:
         S = cs.signature_matrix()
         assert S.shape == (2, ds.num_chunks)
         assert S.sum() == 2
+
+    def test_incidence_matches_tags(self):
+        # Two references, so each row is a multi-chunk tag.
+        refs = [ArrayRef("A", [AffineExpr([1])]), ArrayRef("A", [AffineExpr([1], 16)])]
+        nest, ds = simple_nest(n=64, d=8, refs=refs)
+        cs = form_iteration_chunks(nest, ds)
+        expected = np.stack([c.tag.to_vector() for c in cs.chunks]).astype(np.float64)
+        assert cs.incidence.dtype == np.float64
+        assert np.array_equal(cs.incidence, expected)
+        # Built from the tags when the caller does not supply it.
+        rebuilt = IterationChunkSet(nest, ds, cs.chunks)
+        assert np.array_equal(rebuilt.incidence, expected)
+        with pytest.raises(ValueError):
+            IterationChunkSet(nest, ds, cs.chunks, incidence=expected[1:])
 
     def test_ref_chunk_matrix_cached(self):
         nest, ds = simple_nest(n=16, d=8)

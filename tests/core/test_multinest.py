@@ -64,6 +64,12 @@ class TestCombineNests:
         ranks = np.concatenate([c.iterations for c in cs.chunks])
         assert sorted(ranks.tolist()) == list(range(128))
 
+    def test_incidence_stacks_both_nests(self, two_nests):
+        nests, ds = two_nests
+        _, cs = combine_nests(nests, ds)
+        expected = np.stack([c.tag.to_vector() for c in cs.chunks])
+        assert np.array_equal(cs.incidence, expected)
+
     def test_same_tag_chunks_not_premerged(self, two_nests):
         nests, ds = two_nests
         # Make both nests touch the same chunks.
