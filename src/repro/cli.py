@@ -92,7 +92,8 @@ def _cache_max_bytes(args: argparse.Namespace) -> int | None:
 
     Threaded into every :class:`ResultStore` the CLI opens, so one
     environment variable caps the store for cron jobs and CI without
-    touching each command line.
+    touching each command line.  An environment value that is not a
+    positive integer is ignored with a warning.
     """
     value = getattr(args, "cache_max_bytes", None)
     if value is not None:
@@ -101,10 +102,13 @@ def _cache_max_bytes(args: argparse.Namespace) -> int | None:
     if not env:
         return None
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
-        _LOG.warning("ignoring non-integer REPRO_CACHE_MAX_BYTES=%r", env)
+        value = 0
+    if value <= 0:
+        _LOG.warning("ignoring REPRO_CACHE_MAX_BYTES=%r: not a positive integer", env)
         return None
+    return value
 
 
 def _invoke(args: argparse.Namespace) -> int:
@@ -1987,10 +1991,10 @@ def _run_traced(args: argparse.Namespace, run) -> int:
 
     The whole invocation becomes a single trace rooted at
     ``cli.<command>`` — the CLI analogue of a serve request id — with
-    the profiler's phases (and any pool workers' repatriated spans)
-    underneath; the finished spans land at PATH as JSONL for
-    ``repro obs``.  (serve's ``--trace`` is a boolean handled by the
-    server itself.)
+    a span per :func:`~repro.telemetry.phase` (and any pool workers'
+    repatriated spans) underneath; the finished spans land at PATH as
+    JSONL for ``repro obs``.  (serve's ``--trace`` is a boolean handled
+    by the server itself.)
     """
     trace_path = getattr(args, "trace", "")
     if not trace_path or not isinstance(trace_path, str):
@@ -2018,6 +2022,13 @@ def main(argv: list[str] | None = None) -> int:
         args, "log_level", "info"
     )
     configure_logging(level)
+    for flag in ("cache_max_bytes", "max_bytes"):
+        budget = getattr(args, flag, None)
+        if budget is not None and budget <= 0:
+            return _fail(
+                f"--{flag.replace('_', '-')} must be a positive byte count, "
+                f"got {budget}"
+            )
     start = time.perf_counter()
     try:
         if getattr(args, "telemetry", ""):

@@ -35,7 +35,6 @@ it came from a worker, the store, or an in-process run.
 from repro.exec.context import ExecutionContext, get_execution, use_execution
 from repro.exec.executor import (
     ExperimentExecutor,
-    SerialExecutor,
     TaskError,
     run_payload,
     task_payload,
@@ -64,7 +63,6 @@ __all__ = [
     "MemoryStore",
     "StoreStats",
     "ExperimentExecutor",
-    "SerialExecutor",
     "TaskError",
     "task_payload",
     "run_payload",

@@ -43,7 +43,6 @@ from repro.util.log import get_logger
 __all__ = [
     "TaskError",
     "ExperimentExecutor",
-    "SerialExecutor",
     "task_payload",
     "run_payload",
 ]
@@ -124,8 +123,9 @@ def _execute_traced(payload: dict[str, Any]):
     The payload's ``trace`` entry (``{"trace_id", "parent_id"}``) is the
     requester's span context; the worker reattaches to it with an
     explicit-parent ``exec.task`` root span, collects every span the run
-    produces (the profiler's phases become mapper/simulate/store leaves)
-    into a thread-scoped private tracer, and ships them home beside the
+    produces (each :func:`~repro.telemetry.phase` opens one, so the
+    prepare/mapping/simulate phases become its leaves) into a
+    thread-scoped private tracer, and ships them home beside the
     metrics snapshot — the same piggyback path ``merge_snapshot`` uses.
     Returns ``(result, span_dicts, task_span_id)``.
     """
@@ -179,29 +179,6 @@ def run_payload(payload: dict[str, Any]) -> dict[str, Any]:
         out["spans"] = spans
         out["span_id"] = span_id
     return out
-
-
-class SerialExecutor:
-    """In-process execution with the executor interface (the default)."""
-
-    workers = 1
-
-    def run_payloads(
-        self, payloads: list[dict[str, Any]], on_result=None
-    ) -> list[dict[str, Any]]:
-        out = []
-        for i, p in enumerate(payloads):
-            out.append(run_payload(p))
-            if on_result is not None:
-                on_result(i)
-        return out
-
-    def pop_events(self) -> list[dict[str, Any]]:
-        """Serial execution has no degradation events; interface parity."""
-        return []
-
-    def __repr__(self) -> str:
-        return "SerialExecutor()"
 
 
 def _pick_context(mp_context):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.exec.context import get_execution
-from repro.exec.executor import SerialExecutor, task_payload
+from repro.exec.executor import ExperimentExecutor, task_payload
 from repro.exec.keys import ExperimentKey, experiment_key
 from repro.obs.tracer import get_tracer, span
 from repro.simulator.metrics import ExperimentResult
@@ -183,7 +183,7 @@ def execute_plan(
             )
             for t in misses
         ]
-        ex = executor if executor is not None else SerialExecutor()
+        ex = executor if executor is not None else ExperimentExecutor()
         _LOG.debug(
             "executing %d/%d tasks (%d store hits) on %r",
             len(misses),

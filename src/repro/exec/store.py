@@ -319,6 +319,8 @@ class ResultStore:
         entries.  Defaults to the store's ``size_cap_bytes``; a no-op
         when neither is set.  Returns the number of entries evicted.
         """
+        if max_bytes is not None and max_bytes <= 0:
+            raise ValueError("max_bytes must be positive (or None)")
         cap = self.size_cap_bytes if max_bytes is None else max_bytes
         if cap is None:
             return 0

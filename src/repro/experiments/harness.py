@@ -1,24 +1,23 @@
 """Shared sweep driver for the figure/table experiments.
 
 Runs versions over the suite and computes the paper's normalized
-values and average improvements.  Execution is delegated to the
-:mod:`repro.exec` layer when an executor and/or result store is
-supplied (directly, or via the active
-:func:`repro.exec.use_execution` context): the sweep becomes a
-deduplicated :class:`~repro.exec.plan.SweepPlan` whose tasks consult
-the content-addressed store first and fan the misses out over the
-process pool, so each unique (workload, config, version) key — the
-store's cache key — simulates at most once per sweep *and* across
-sweeps sharing a store.  With neither (and by default), the classic
-serial in-process loop runs unchanged.
+values and average improvements.  Every sweep is a deduplicated
+:class:`~repro.exec.plan.SweepPlan` run by
+:func:`~repro.exec.plan.execute_plan`: tasks consult the active
+content-addressed store first (when there is one) and the misses run on
+the active executor — serially in-process by default, or fanned out
+over the process pool — so each unique (workload, config, version) key,
+the store's cache key, simulates at most once per sweep *and* across
+sweeps sharing a store.  Every result passes through the same
+serialisation round-trip, so output is identical on every path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.simulator.metrics import ExperimentResult
-from repro.simulator.runner import VERSIONS, run_experiment
+from repro.simulator.runner import VERSIONS
 from repro.workloads.base import Workload
 from repro.workloads.suite import SUITE
 
@@ -29,7 +28,6 @@ def run_suite(
     config,
     versions: Sequence[str] = VERSIONS,
     workloads: Iterable[Workload] | None = None,
-    recorder_factory: Callable[[str, str], object] | None = None,
     executor=None,
     store=None,
 ) -> dict[str, dict[str, ExperimentResult]]:
@@ -41,47 +39,11 @@ def run_suite(
     caches per-(workload, config, version) results within and across
     sweeps.  Both default from the active execution context
     (:func:`repro.exec.use_execution`); with neither, runs execute
-    serially in-process exactly as before.
-
-    ``recorder_factory(workload_name, version)`` may return a fresh
-    :class:`repro.trace.recorder.TraceRecorder` per run; the recorder
-    receives that run's event trace and is attached to the result as
-    ``extra["trace"]``.  Recorders capture live engine state, so a
-    recorded sweep always runs serially in-process and bypasses the
-    store.
+    serially in-process.
     """
-    workloads = list(workloads) if workloads is not None else list(SUITE)
-    if recorder_factory is None:
-        from repro.exec.context import get_execution
-
-        ctx = get_execution()
-        executor = executor if executor is not None else ctx.executor
-        store = store if store is not None else ctx.store
-        if executor is not None or store is not None:
-            return _run_suite_planned(config, versions, workloads, executor, store)
-    out: dict[str, dict[str, ExperimentResult]] = {}
-    for w in workloads:
-        per_version: dict[str, ExperimentResult] = {}
-        for v in versions:
-            recorder = recorder_factory(w.name, v) if recorder_factory else None
-            result = run_experiment(w, config, v, recorder=recorder)
-            if recorder is not None:
-                result.extra["trace"] = recorder
-            per_version[v] = result
-        out[w.name] = per_version
-    return out
-
-
-def _run_suite_planned(
-    config,
-    versions: Sequence[str],
-    workloads: list[Workload],
-    executor,
-    store,
-) -> dict[str, dict[str, ExperimentResult]]:
-    """The exec-layer path: plan, dedupe, store-first, fan out."""
     from repro.exec.plan import SweepPlan, execute_plan
 
+    workloads = list(workloads) if workloads is not None else list(SUITE)
     plan = SweepPlan()
     keys = {
         (w.name, v): plan.add(w, config, v) for w in workloads for v in versions

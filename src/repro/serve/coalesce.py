@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.exec.executor import SerialExecutor, task_payload
+from repro.exec.executor import ExperimentExecutor, task_payload
 from repro.exec.plan import ExperimentTask
 from repro.obs.context import SpanContext, current_context
 from repro.obs.tracer import get_tracer, span
@@ -60,7 +60,8 @@ class Coalescer:
     """Deduplicate, batch and execute experiment tasks for the server.
 
     ``executor`` is any object with the exec layer's ``run_payloads``
-    interface (defaults to :class:`~repro.exec.executor.SerialExecutor`);
+    interface (defaults to a serial
+    :class:`~repro.exec.executor.ExperimentExecutor`);
     ``store`` is an optional Result/MemoryStore consulted first and
     written back after every simulation.
     """
@@ -76,7 +77,7 @@ class Coalescer:
             raise ValueError("max_batch must be at least 1")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be non-negative")
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor if executor is not None else ExperimentExecutor()
         self.store = store
         self.max_batch = max_batch
         self.max_wait_s = max_wait_ms / 1000.0

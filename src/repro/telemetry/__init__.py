@@ -3,10 +3,11 @@
 The measurement substrate for the whole pipeline: a
 :class:`MetricsRegistry` of counters/gauges/histograms with
 hierarchical names and labels (``clustering.merges{level=L2}``), a
-nesting :func:`phase` profiler that times every pipeline stage, and two
-exporters — structured JSON run manifests (config fingerprint, git/
-seed/versions, all metrics, per-phase timings, experiment summaries)
-and Prometheus text exposition.
+nesting :func:`phase` timer that records every pipeline stage into the
+``phase.duration_seconds{phase=<path>}`` histogram, and two exporters
+— structured JSON run manifests (config fingerprint, git/seed/versions,
+all metrics, the phase tree derived from that histogram, experiment
+summaries) and Prometheus text exposition.
 
 Disabled by default: the active registry starts as
 :data:`NULL_REGISTRY`, whose instruments are shared no-ops, so
@@ -34,7 +35,7 @@ from repro.telemetry.manifest import (
     save_manifest,
     validate_manifest,
 )
-from repro.telemetry.profiler import PhaseProfiler, PhaseRecord, phase
+from repro.telemetry.profiler import phase
 from repro.telemetry.prometheus import manifest_to_prometheus, to_prometheus_text
 from repro.telemetry.registry import (
     NULL_REGISTRY,
@@ -63,8 +64,6 @@ __all__ = [
     "use_registry",
     "thread_registry",
     "phase",
-    "PhaseProfiler",
-    "PhaseRecord",
     "MANIFEST_SCHEMA_VERSION",
     "build_manifest",
     "save_manifest",

@@ -3,7 +3,8 @@
 A manifest freezes everything needed to interpret (and later diff) a
 run: the config fingerprint (shared with the trace artifacts), git
 commit, seed and library versions, every metric in the registry, the
-phase-timing tree, and the machine-readable ``summary`` of each
+phase-timing tree (a view of the ``phase.duration_seconds``
+histogram), and the machine-readable ``summary`` of each
 :class:`~repro.experiments.report.ExperimentReport` produced — so a
 figure/table run's numbers are consumable without scraping rendered
 tables.
@@ -75,6 +76,40 @@ def _versions() -> dict[str, str]:
     }
 
 
+def _phase_tree(registry: MetricsRegistry | NullRegistry) -> list[dict[str, Any]]:
+    """The ``phases`` tree, derived from ``phase.duration_seconds``.
+
+    Each series' ``phase`` label is a ``/``-joined path; a node's
+    ``calls`` and ``elapsed_s`` are the count and sum of every series
+    at its path, summed over any other label (e.g. ``shard``).
+    Siblings are in name order.
+    """
+    root: dict[str, dict[str, Any]] = {}
+    for name, labels, hist in registry.histograms():
+        if name != "phase.duration_seconds":
+            continue
+        siblings = root
+        for part in labels["phase"].split("/"):
+            node = siblings.setdefault(
+                part, {"name": part, "elapsed_s": 0.0, "calls": 0, "children": {}}
+            )
+            siblings = node["children"]
+        node["calls"] += hist.count
+        node["elapsed_s"] += hist.sum
+
+    def emit(nodes: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
+        out = []
+        for part in sorted(nodes):
+            node = dict(nodes[part])
+            children = node.pop("children")
+            if children:
+                node["children"] = emit(children)
+            out.append(node)
+        return out
+
+    return emit(root)
+
+
 def build_manifest(
     registry: MetricsRegistry | NullRegistry,
     *,
@@ -108,9 +143,7 @@ def build_manifest(
         "versions": _versions(),
         "seed": seed,
         "config": fingerprint,
-        "phases": (
-            registry.profiler.as_dict() if registry.profiler is not None else []
-        ),
+        "phases": _phase_tree(registry),
         "metrics": registry.as_dict(),
         "reports": [
             {

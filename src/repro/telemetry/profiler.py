@@ -1,13 +1,16 @@
-"""Phase profiler: a nesting context-manager/decorator wall-clock timer.
+"""Phase timing: a nesting context-manager/decorator wall-clock timer.
 
-``phase("mapping")`` times a pipeline stage.  Nested phases form a tree
-(chunking → tagging → affinity graph → clustering → balancing →
-scheduling → simulation), recorded by the active registry's
-:class:`PhaseProfiler` and exported into the run manifest.
+``phase("mapping")`` times a pipeline stage.  Nested phases form paths
+(``prepare/mapping/clustering``) that label the active registry's
+``phase.duration_seconds`` histogram; that histogram is the only phase
+record, and the run manifest's phase tree is derived from it
+(:func:`repro.telemetry.manifest.build_manifest`).  Histograms merge
+exactly across private and pool-worker registries, so phases a worker
+runs reach the parent's tree too.
 
 The timer itself always runs — callers like the mappers read
 ``.elapsed`` to populate ``mapping_time_s`` regardless of telemetry —
-but tree bookkeeping and histogram recording only happen when the
+but the path stack and histogram recording only happen when the
 active registry is enabled, so the disabled cost is two
 ``perf_counter`` calls per phase (phases wrap whole pipeline stages,
 never per-access work).
@@ -17,111 +20,13 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.obs.tracer import get_tracer
 from repro.obs.tracer import span as _obs_span
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import MetricsRegistry, get_registry
 
-__all__ = ["PhaseRecord", "PhaseProfiler", "phase"]
-
-
-@dataclass
-class PhaseRecord:
-    """One timed phase: name, duration, nested sub-phases."""
-
-    name: str
-    elapsed_s: float = 0.0
-    calls: int = 1
-    children: list["PhaseRecord"] = field(default_factory=list)
-
-    def child(self, name: str) -> "PhaseRecord | None":
-        for ch in self.children:
-            if ch.name == name:
-                return ch
-        return None
-
-    def self_s(self) -> float:
-        """Time not attributed to any child phase."""
-        return max(0.0, self.elapsed_s - sum(c.elapsed_s for c in self.children))
-
-    def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "elapsed_s": self.elapsed_s,
-            "calls": self.calls,
-        }
-        if self.children:
-            out["children"] = [c.as_dict() for c in self.children]
-        return out
-
-    @staticmethod
-    def from_dict(d: dict[str, Any]) -> "PhaseRecord":
-        return PhaseRecord(
-            name=d["name"],
-            elapsed_s=float(d["elapsed_s"]),
-            calls=int(d.get("calls", 1)),
-            children=[PhaseRecord.from_dict(c) for c in d.get("children", [])],
-        )
-
-
-class PhaseProfiler:
-    """Accumulates :class:`PhaseRecord` trees across a run.
-
-    Repeated phases with the same name under the same parent accumulate
-    into one record (``calls`` counts the invocations) — a suite run
-    times eight workloads' mapping phases as one "mapping" node, which
-    is the aggregate view the manifest wants.
-    """
-
-    def __init__(self):
-        self.roots: list[PhaseRecord] = []
-        self._stack: list[PhaseRecord] = []
-
-    def _enter(self, name: str) -> PhaseRecord:
-        siblings = self._stack[-1].children if self._stack else self.roots
-        for rec in siblings:
-            if rec.name == name:
-                rec.calls += 1
-                break
-        else:
-            rec = PhaseRecord(name, calls=1)
-            siblings.append(rec)
-        self._stack.append(rec)
-        return rec
-
-    def _exit(self, rec: PhaseRecord, elapsed_s: float) -> None:
-        if self._stack and self._stack[-1] is rec:
-            self._stack.pop()
-        rec.elapsed_s += elapsed_s
-
-    def path(self) -> str:
-        """The currently open phase path, e.g. ``"mapping/clustering"``."""
-        return "/".join(r.name for r in self._stack)
-
-    def flatten(self) -> dict[str, float]:
-        """``{"mapping/clustering": seconds, ...}`` for every tree node."""
-        out: dict[str, float] = {}
-
-        def walk(rec: PhaseRecord, prefix: str) -> None:
-            path = f"{prefix}/{rec.name}" if prefix else rec.name
-            out[path] = out.get(path, 0.0) + rec.elapsed_s
-            for ch in rec.children:
-                walk(ch, path)
-
-        for root in self.roots:
-            walk(root, "")
-        return out
-
-    def total_s(self) -> float:
-        return sum(r.elapsed_s for r in self.roots)
-
-    def as_dict(self) -> list[dict[str, Any]]:
-        return [r.as_dict() for r in self.roots]
-
-    def __repr__(self) -> str:
-        return f"PhaseProfiler({len(self.roots)} roots, open={self.path()!r})"
+__all__ = ["phase"]
 
 
 class phase:
@@ -138,30 +43,31 @@ class phase:
         @phase("simulate")
         def simulate(...): ...
 
-    ``elapsed`` is always measured; the phase tree and the
-    ``phase.duration_seconds`` histogram are only recorded when the
-    active registry is enabled.  When the active *tracer*
+    ``elapsed`` is always measured; the ``phase.duration_seconds``
+    histogram, labelled with the ``/``-joined path of open phases, is
+    only recorded when the active registry is enabled.  Each registry
+    keeps its own stack of open phases, so a private collection
+    registry starts at the root.  When the active *tracer*
     (:func:`repro.obs.tracer.get_tracer`) is enabled, every phase also
     opens a span — independently of the registry — so one traced
     request's tree reaches down into mapper/simulator phases with no
     extra instrumentation at the phase sites.
     """
 
-    __slots__ = ("name", "elapsed", "_start", "_record", "_profiler", "_span")
+    __slots__ = ("name", "elapsed", "_start", "_registry", "_span")
 
     def __init__(self, name: str):
         self.name = name
         self.elapsed = 0.0
         self._start = 0.0
-        self._record: PhaseRecord | None = None
-        self._profiler: PhaseProfiler | None = None
+        self._registry: MetricsRegistry | None = None
         self._span: _obs_span | None = None
 
     def __enter__(self) -> "phase":
         registry = get_registry()
-        if registry.enabled and registry.profiler is not None:
-            self._profiler = registry.profiler
-            self._record = self._profiler._enter(self.name)
+        if registry.enabled:
+            self._registry = registry
+            registry.open_phases.append(self.name)
         if get_tracer().enabled:
             self._span = _obs_span(self.name)
             self._span.__enter__()
@@ -173,15 +79,14 @@ class phase:
         if self._span is not None:
             self._span.__exit__(exc_type, exc, tb)
             self._span = None
-        if self._record is not None and self._profiler is not None:
-            self._profiler._exit(self._record, self.elapsed)
-            path = self._profiler.path()
-            full = f"{path}/{self.name}" if path else self.name
-            get_registry().histogram(
-                "phase.duration_seconds", phase=full
-            ).observe(self.elapsed)
-            self._record = None
-            self._profiler = None
+        registry = self._registry
+        if registry is not None:
+            path = "/".join(registry.open_phases)
+            registry.open_phases.pop()
+            registry.histogram("phase.duration_seconds", phase=path).observe(
+                self.elapsed
+            )
+            self._registry = None
 
     def __call__(self, fn: Callable) -> Callable:
         @functools.wraps(fn)

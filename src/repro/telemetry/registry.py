@@ -273,8 +273,8 @@ def _key(name: str, labels: dict[str, Any]) -> _Key:
 class MetricsRegistry:
     """Hierarchically named counters/gauges/histograms with labels.
 
-    Also owns the run's :class:`~repro.telemetry.profiler.PhaseProfiler`
-    so the phase-timing tree travels with the metrics into the manifest.
+    Also keeps the stack of open :func:`~repro.telemetry.profiler.phase`
+    names that labels this registry's ``phase.duration_seconds`` series.
     """
 
     enabled = True
@@ -284,9 +284,7 @@ class MetricsRegistry:
         self._gauges: dict[_Key, Gauge] = {}
         self._histograms: dict[_Key, Histogram] = {}
         self._kinds: dict[str, str] = {}
-        from repro.telemetry.profiler import PhaseProfiler
-
-        self.profiler = PhaseProfiler()
+        self.open_phases: list[str] = []
 
     def _claim(self, name: str, kind: str) -> None:
         """Validate a new instrument name; one name, one kind (Prometheus rule)."""
@@ -418,7 +416,6 @@ class NullRegistry:
     """The disabled registry: every instrument is a shared no-op."""
 
     enabled = False
-    profiler = None
 
     def counter(self, name: str, **labels) -> _NullInstrument:
         return _NULL_INSTRUMENT

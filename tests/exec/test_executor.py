@@ -4,7 +4,6 @@ import pytest
 
 from repro.exec.executor import (
     ExperimentExecutor,
-    SerialExecutor,
     TaskError,
     run_payload,
     task_payload,
@@ -40,7 +39,7 @@ def _strip_wallclock(doc):
 def serial_docs(payloads):
     return [
         _strip_wallclock(out["result"])
-        for out in SerialExecutor().run_payloads(payloads)
+        for out in ExperimentExecutor(workers=1).run_payloads(payloads)
     ]
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.exec import MemoryStore, SweepPlan, execute_plan
 from repro.exec.executor import (
     ExperimentExecutor,
-    SerialExecutor,
     TaskError,
     task_payload,
 )
@@ -61,7 +60,7 @@ class TestOnResult:
             task_payload("hf", config, v) for v in ("original", "inter")
         ]
         ticks = []
-        SerialExecutor().run_payloads(payloads, on_result=ticks.append)
+        ExperimentExecutor(workers=1).run_payloads(payloads, on_result=ticks.append)
         assert ticks == [0, 1]
 
     def test_pool_executor_callback(self, config):
@@ -83,7 +82,7 @@ class TestExecutorEvents:
         assert ex.pop_events() == []
 
     def test_serial_executor_has_no_events(self):
-        assert SerialExecutor().pop_events() == []
+        assert ExperimentExecutor(workers=1).pop_events() == []
 
     def test_retry_events_recorded(self, config):
         bad = dict(task_payload("hf", config, "original"), workload="no-such")

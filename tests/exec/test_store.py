@@ -215,6 +215,14 @@ class TestGc:
         with pytest.raises(ValueError):
             ResultStore(tmp_path, size_cap_bytes=0)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_bad_gc_budget_rejected(self, tmp_path, config, budget):
+        store = ResultStore(tmp_path)
+        self._fill(store, config, 2)
+        with pytest.raises(ValueError):
+            store.gc(budget)
+        assert store.stats().entries == 2
+
     def test_clear(self, tmp_path, config):
         store = ResultStore(tmp_path)
         self._fill(store, config, 4)

@@ -278,6 +278,35 @@ class TestTelemetryFlag:
         names = {c["name"] for c in doc["metrics"]["counters"]}
         assert {"clustering.merges", "balancing.moves"} <= names
 
+    def test_phase_tree_same_on_every_execution_path(self, tmp_path, capsys):
+        def flatten(nodes, prefix=""):
+            for node in nodes:
+                path = f"{prefix}/{node['name']}" if prefix else node["name"]
+                yield path, node
+                yield from flatten(node.get("children", []), path)
+
+        trees = []
+        for i, flags in enumerate(
+            ([], ["--cache", str(tmp_path / "cache")], ["--workers", "2"])
+        ):
+            path = tmp_path / f"run{i}.json"
+            assert main([
+                "table2", "--scale", "16", "--telemetry", str(path), *flags,
+            ]) == 0
+            doc = json.loads(path.read_text())
+            sums = {
+                h["labels"]["phase"]: h["sum"]
+                for h in doc["metrics"]["histograms"]
+                if h["name"] == "phase.duration_seconds"
+            }
+            nodes = dict(flatten(doc["phases"]))
+            for p, node in nodes.items():
+                assert node["elapsed_s"] == sums[p], p
+            trees.append({p: node["calls"] for p, node in nodes.items()})
+        capsys.readouterr()
+        assert trees[0] == trees[1] == trees[2]
+        assert {"prepare", "prepare/mapping", "simulate"} <= set(trees[0])
+
     def test_manifest_threads_report_summary(self, manifest):
         doc = json.loads(manifest.read_text())
         (entry,) = doc["reports"]
@@ -437,6 +466,29 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--cache", populated]) == 0
         # Everything was over the 1-byte budget.
         assert "entries    0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_gc_rejects_non_positive_budget(self, populated, budget, capsys):
+        assert main(
+            ["cache", "gc", "--cache", populated, "--max-bytes", budget]
+        ) == 2
+        assert "repro: error:" in capsys.readouterr().err
+        assert main(["cache", "stats", "--cache", populated]) == 0
+        assert "entries    0" not in capsys.readouterr().out
+
+    def test_cache_max_bytes_rejects_non_positive(self, tmp_path, capsys):
+        assert main([
+            "table2", "--scale", "16", "--cache", str(tmp_path / "cache"),
+            "--cache-max-bytes", "0",
+        ]) == 2
+        assert "repro: error:" in capsys.readouterr().err
+
+    def test_non_positive_env_budget_ignored(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "-4")
+        cache = str(tmp_path / "cache")
+        assert main(["table2", "--scale", "16", "--cache", cache]) == 0
+        err = capsys.readouterr().err
+        assert "ignoring REPRO_CACHE_MAX_BYTES='-4': not a positive integer" in err
 
     def test_clear(self, populated, capsys):
         assert main(["cache", "clear", "--cache", populated]) == 0

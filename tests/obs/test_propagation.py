@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.exec.executor import ExperimentExecutor, SerialExecutor
+from repro.exec.executor import ExperimentExecutor
 from repro.exec.plan import SweepPlan, execute_plan
 from repro.exec.store import MemoryStore
 from repro.experiments.config import scaled_config
@@ -51,7 +51,7 @@ def _signature(node):
 
 class TestPoolParity:
     def test_workers4_tree_matches_serial(self):
-        serial = _run_plan(SerialExecutor())
+        serial = _run_plan(ExperimentExecutor(workers=1))
         parallel = _run_plan(ExperimentExecutor(workers=4))
 
         serial_roots = build_trees(serial)

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.exec.executor import SerialExecutor
+from repro.exec.executor import ExperimentExecutor
 from repro.exec.store import MemoryStore
 from repro.serve.coalesce import Coalescer, Submitted
 from repro.serve.protocol import MappingRequest
@@ -22,7 +22,7 @@ class GatedExecutor:
     def __init__(self):
         self.gate = threading.Event()
         self.batches = []
-        self._inner = SerialExecutor()
+        self._inner = ExperimentExecutor(workers=1)
 
     def run_payloads(self, payloads):
         assert self.gate.wait(30.0), "test never opened the gate"

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.exec.executor import SerialExecutor
+from repro.exec.executor import ExperimentExecutor
 from repro.exec.store import MemoryStore, ResultStore
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import MappingServer
@@ -31,7 +31,7 @@ class GatedExecutor:
     def __init__(self):
         self.gate = threading.Event()
         self.batches = []
-        self._inner = SerialExecutor()
+        self._inner = ExperimentExecutor(workers=1)
 
     def run_payloads(self, payloads):
         assert self.gate.wait(30.0), "test never opened the gate"

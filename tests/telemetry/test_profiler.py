@@ -1,9 +1,21 @@
-"""Tests for the nesting phase profiler."""
+"""Tests for the nesting phase timer and the manifest tree derived from it."""
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, phase, use_registry
-from repro.telemetry.profiler import PhaseRecord
+from repro.telemetry import MetricsRegistry, build_manifest, phase, use_registry
+
+
+def _tree(reg):
+    return build_manifest(reg)["phases"]
+
+
+def _flatten(nodes, prefix=""):
+    out = {}
+    for node in nodes:
+        path = f"{prefix}/{node['name']}" if prefix else node["name"]
+        out[path] = (node["calls"], node["elapsed_s"])
+        out.update(_flatten(node.get("children", []), path))
+    return out
 
 
 class TestPhaseTree:
@@ -11,14 +23,15 @@ class TestPhaseTree:
         reg = MetricsRegistry()
         with use_registry(reg):
             with phase("mapping"):
-                with phase("chunking"):
-                    pass
                 with phase("clustering"):
                     pass
-        (root,) = reg.profiler.roots
-        assert root.name == "mapping"
-        assert [c.name for c in root.children] == ["chunking", "clustering"]
-        assert root.elapsed_s >= sum(c.elapsed_s for c in root.children)
+                with phase("chunking"):
+                    pass
+        (root,) = _tree(reg)
+        assert root["name"] == "mapping"
+        # Siblings in name order, whatever order they ran in.
+        assert [c["name"] for c in root["children"]] == ["chunking", "clustering"]
+        assert root["elapsed_s"] >= sum(c["elapsed_s"] for c in root["children"])
 
     def test_same_name_siblings_accumulate(self):
         reg = MetricsRegistry()
@@ -27,9 +40,10 @@ class TestPhaseTree:
                 with phase("prepare"):
                     with phase("streams"):
                         pass
-        (root,) = reg.profiler.roots
-        assert root.calls == 3
-        assert root.child("streams").calls == 3
+        (root,) = _tree(reg)
+        assert root["calls"] == 3
+        (streams,) = root["children"]
+        assert (streams["name"], streams["calls"]) == ("streams", 3)
 
     def test_flatten_paths(self):
         reg = MetricsRegistry()
@@ -37,9 +51,9 @@ class TestPhaseTree:
             with phase("mapping"):
                 with phase("clustering"):
                     pass
-        flat = reg.profiler.flatten()
+        flat = _flatten(_tree(reg))
         assert set(flat) == {"mapping", "mapping/clustering"}
-        assert flat["mapping"] >= flat["mapping/clustering"] >= 0.0
+        assert flat["mapping"][1] >= flat["mapping/clustering"][1] >= 0.0
 
     def test_duration_histogram_recorded_per_path(self):
         reg = MetricsRegistry()
@@ -49,17 +63,26 @@ class TestPhaseTree:
                     pass
         h = reg.histogram("phase.duration_seconds", phase="mapping/clustering")
         assert h.count == 1
+        flat = _flatten(_tree(reg))
+        assert flat["mapping/clustering"] == (1, h.sum)
 
-    def test_self_time(self):
-        rec = PhaseRecord("a", elapsed_s=2.0)
-        rec.children.append(PhaseRecord("b", elapsed_s=0.5))
-        assert rec.self_s() == pytest.approx(1.5)
+    def test_other_labels_are_summed(self):
+        # A cluster registry holds per-shard copies of the same path.
+        reg = MetricsRegistry()
+        reg.histogram("phase.duration_seconds", phase="a", shard="s0").observe(1.0)
+        reg.histogram("phase.duration_seconds", phase="a", shard="s1").observe(2.0)
+        reg.histogram("phase.duration_seconds", phase="a/b", shard="s1").observe(0.5)
+        assert _flatten(_tree(reg)) == {"a": (2, 3.0), "a/b": (1, 0.5)}
 
-    def test_record_round_trip(self):
-        rec = PhaseRecord("a", elapsed_s=1.0, calls=2)
-        rec.children.append(PhaseRecord("b", elapsed_s=0.25))
-        again = PhaseRecord.from_dict(rec.as_dict())
-        assert again == rec
+    def test_private_registry_starts_at_root(self):
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        with use_registry(outer):
+            with phase("execute_plan"):
+                with use_registry(inner):
+                    with phase("prepare"):
+                        pass
+        assert set(_flatten(_tree(outer))) == {"execute_plan"}
+        assert set(_flatten(_tree(inner))) == {"prepare"}
 
 
 class TestDisabled:
@@ -72,7 +95,8 @@ class TestDisabled:
         reg = MetricsRegistry()
         with phase("mapping"):
             pass
-        assert reg.profiler.roots == []
+        assert _tree(reg) == []
+        assert reg.open_phases == []
 
 
 class TestDecorator:
@@ -86,9 +110,9 @@ class TestDecorator:
         with use_registry(reg):
             assert work(1) == 2
             assert work(2) == 3
-        (root,) = reg.profiler.roots
-        assert root.name == "work"
-        assert root.calls == 2
+        (root,) = _tree(reg)
+        assert root["name"] == "work"
+        assert root["calls"] == 2
 
     def test_exception_still_closes_phase(self):
         reg = MetricsRegistry()
@@ -99,5 +123,5 @@ class TestDecorator:
             # The stack must be unwound so a new root opens cleanly.
             with phase("simulate"):
                 pass
-        assert [r.name for r in reg.profiler.roots] == ["mapping", "simulate"]
-        assert reg.profiler.path() == ""
+        assert [r["name"] for r in _tree(reg)] == ["mapping", "simulate"]
+        assert reg.open_phases == []
