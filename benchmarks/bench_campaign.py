@@ -11,22 +11,25 @@ Two entry points:
 * ``pytest benchmarks/bench_campaign.py --benchmark-only`` — the usual
   table via ``report_sink``;
 * ``python benchmarks/bench_campaign.py -o BENCH_campaign.json`` —
-  standalone, writing the machine-readable document the CI
-  campaign-smoke job gates on (and the repo pins a copy of).
+  standalone, writing the benchmark record the CI perf-gate job checks
+  with ``gate.py`` against the pinned copy.
 
-Every digest in the document is reproducible bit-for-bit across hosts
-and worker counts; ``check_bench_regression.py`` fails on any drift.
+The record has one row per cell (id: the cell label) plus the rows
+``report`` and ``manifest``, which carry the campaign's report and
+manifest digests and no time.  Every digest is reproducible
+bit-for-bit across hosts and worker counts; ``gate.py`` fails on any
+drift.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
 from typing import Any
 
+import gate
 from repro.campaign import expand_campaign, load_campaign_file, run_campaign
 from repro.exec import MemoryStore
 from repro.exec.plan import execute_plan
@@ -37,6 +40,9 @@ SPEC_PATH = (
     / "examples"
     / "campaign_smoke.json"
 )
+
+#: Perf-gate bounds: only a cell over 1 s *and* 10x its pinned time fails.
+GATE = {"max_slowdown": 10, "floor_s": 1.0}
 
 
 def run_bench() -> dict[str, Any]:
@@ -52,7 +58,7 @@ def run_bench() -> dict[str, Any]:
         seconds = time.perf_counter() - t0
         rows.append(
             {
-                "cell": cell.label,
+                "id": cell.label,
                 "key": cell.key_digest,
                 "digest": result_digest(results[cell.key_digest]),
                 "seconds": round(seconds, 3),
@@ -61,15 +67,15 @@ def run_bench() -> dict[str, Any]:
     # Full campaign over the warm store: zero re-simulation, and the
     # manifest/report identity the CI smoke job pins.
     run = run_campaign(spec, store=store)
-    return {
-        "record": "repro-bench-campaign",
-        "spec": "examples/campaign_smoke.json",
-        "campaign": spec.name,
-        "cells": len(rows),
-        "rows": rows,
-        "manifest_digest": run.manifest["digest"],
-        "report_digest": run.report["digest"],
-    }
+    rows.append({"id": "report", "digest": run.report["digest"]})
+    rows.append({"id": "manifest", "digest": run.manifest["digest"]})
+    return gate.record(
+        "repro-bench-campaign",
+        GATE,
+        rows,
+        spec="examples/campaign_smoke.json",
+        campaign=spec.name,
+    )
 
 
 # -- pytest entry -------------------------------------------------------------------
@@ -82,19 +88,15 @@ def test_campaign_smoke_bench(benchmark, report_sink):
     # The same spec must always reproduce the same identity — the
     # property the CI campaign-smoke job pins one value of.
     again = run_bench()
-    assert again["report_digest"] == doc["report_digest"]
-    assert again["manifest_digest"] == doc["manifest_digest"]
     assert [r["digest"] for r in again["rows"]] == [
         r["digest"] for r in doc["rows"]
     ]
-    table = [
-        [r["cell"], r["digest"][:12], f"{r['seconds']:.2f}"]
-        for r in doc["rows"]
-    ]
+    cells = [r for r in doc["rows"] if "seconds" in r]
+    table = [[r["id"], r["digest"][:12], f"{r['seconds']:.2f}"] for r in cells]
     report_sink(
         ExperimentReport(
             "bench campaign",
-            f"smoke campaign, per-cell ({doc['cells']} cells)",
+            f"smoke campaign, per-cell ({len(cells)} cells)",
             ["cell", "digest", "s"],
             table,
         )
@@ -110,17 +112,15 @@ def main(argv: list[str] | None = None) -> int:
         "-o",
         "--output",
         default="BENCH_campaign.json",
-        help="where to write the benchmark document",
+        help="where to write the benchmark record",
     )
     args = parser.parse_args(argv)
     doc = run_bench()
-    with open(args.output, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    gate.write_record(args.output, doc)
     for row in doc["rows"]:
-        print(f"{row['cell']:<40} {row['digest'][:12]}  {row['seconds']:.2f}s")
-    print(f"report digest: {doc['report_digest']}")
-    print(f"wrote {args.output} ({doc['cells']} cells)")
+        seconds = f"  {row['seconds']:.2f}s" if "seconds" in row else ""
+        print(f"{row['id']:<40} {row['digest'][:12]}{seconds}")
+    print(f"wrote {args.output} ({len(doc['rows'])} rows)")
     return 0
 
 

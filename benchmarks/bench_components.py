@@ -101,7 +101,7 @@ def test_simulation_engine(benchmark, setup):
 def test_simulation_engine_fast(benchmark, setup):
     """The vectorized engine on the same inputs as
     ``test_simulation_engine`` — the two medians are the speedup the
-    engine gate (``bench_engine.py`` / ``check_engine_gate.py``) pins."""
+    engine gate (``bench_engine.py`` / ``gate.py``) pins."""
     from repro.simulator.fast import simulate as fast_simulate
 
     cfg = setup["config"]

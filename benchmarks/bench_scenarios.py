@@ -10,8 +10,9 @@ Two entry points:
 * ``pytest benchmarks/bench_scenarios.py --benchmark-only`` — the usual
   table via ``report_sink``;
 * ``python benchmarks/bench_scenarios.py -o BENCH_scenarios.json`` —
-  standalone, writing the machine-readable document the CI
-  scenario-smoke job uploads (and the repo pins a copy of).
+  standalone, writing the benchmark record (one row per cell, id
+  ``zipf-hot/lru-arc-lru`` or ``zipf-hot/default``) that the CI
+  perf-gate job checks with ``gate.py`` against the pinned copy.
 
 Everything is seeded through the config, so every cell's ``digest`` is
 reproducible bit-for-bit across hosts and worker counts.
@@ -21,11 +22,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from typing import Any
 
+import gate
 from repro.experiments.config import scaled_config
 from repro.scenario.registry import get_scenario
 from repro.scenario.runner import result_digest, run_scenario, scenario_key
@@ -33,14 +34,17 @@ from repro.scenario.runner import result_digest, run_scenario, scenario_key
 SCENARIOS = ("zipf-hot", "zipf-uniform", "onoff-bursty")
 
 #: Per-level policy matrices (L1, L2, L3) — None means the config default
-#: (uniform LRU, the paper's §5.1 setting).
-POLICY_MATRICES: tuple[tuple[str, tuple[str, str, str] | None], ...] = (
-    ("lru (paper)", None),
-    ("arc at L2", ("lru", "arc", "lru")),
-    ("rrip at L2/L3", ("lru", "rrip", "rrip")),
+#: (uniform LRU, the paper's §5.1 setting); then ARC at L2, RRIP at L2/L3.
+POLICY_MATRICES: tuple[tuple[str, str, str] | None, ...] = (
+    None,
+    ("lru", "arc", "lru"),
+    ("lru", "rrip", "rrip"),
 )
 
 SCALE = 8
+
+#: Perf-gate bounds: only a cell over 1 s *and* 10x its pinned time fails.
+GATE = {"max_slowdown": 10, "floor_s": 1.0}
 
 
 def _run_cell(
@@ -64,8 +68,7 @@ def _run_cell(
         for level, stats in sorted(result.sim.level_stats.items())
     }
     return {
-        "scenario": scenario_name,
-        "policies": list(policies) if policies else None,
+        "id": f"{scenario_name}/{'-'.join(policies) if policies else 'default'}",
         "key": key.digest,
         "digest": result_digest(result),
         "levels": levels,
@@ -78,14 +81,15 @@ def run_matrix(config=None) -> dict[str, Any]:
     rows = [
         _run_cell(s, policies, config)
         for s in SCENARIOS
-        for _, policies in POLICY_MATRICES
+        for policies in POLICY_MATRICES
     ]
-    return {
-        "record": "repro-bench-scenarios",
-        "scale": SCALE,
-        "scenarios": list(SCENARIOS),
-        "rows": rows,
-    }
+    return gate.record(
+        "repro-bench-scenarios",
+        GATE,
+        rows,
+        scale=SCALE,
+        scenarios=list(SCENARIOS),
+    )
 
 
 # -- pytest entry -------------------------------------------------------------------
@@ -97,13 +101,9 @@ def test_scenario_policy_matrix(benchmark, small_config, report_sink):
     doc = benchmark.pedantic(
         lambda: run_matrix(small_config), rounds=1, iterations=1
     )
-    labels = {json.dumps(p): label for label, p in POLICY_MATRICES}
     table = []
     for row in doc["rows"]:
-        cells = [
-            row["scenario"],
-            labels[json.dumps(row["policies"])],
-        ]
+        cells = [row["id"]]
         for level in ("L1", "L2", "L3"):
             cells.append(f"{row['levels'][level]['hit_rate']:.3f}")
         cells.append(f"{row['seconds']:.2f}")
@@ -118,7 +118,7 @@ def test_scenario_policy_matrix(benchmark, small_config, report_sink):
         ExperimentReport(
             "bench scenarios",
             f"generator scenarios x policy matrices (scale {SCALE})",
-            ["scenario", "policies", "L1 hit", "L2 hit", "L3 hit", "s"],
+            ["cell", "L1 hit", "L2 hit", "L3 hit", "s"],
             table,
         )
     )
@@ -133,22 +133,17 @@ def main(argv: list[str] | None = None) -> int:
         "-o",
         "--output",
         default="BENCH_scenarios.json",
-        help="where to write the benchmark document",
+        help="where to write the benchmark record",
     )
     args = parser.parse_args(argv)
     doc = run_matrix()
-    with open(args.output, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    gate.write_record(args.output, doc)
     for row in doc["rows"]:
         hit = " ".join(
             f"{lvl}={row['levels'][lvl]['hit_rate']:.3f}"
             for lvl in sorted(row["levels"])
         )
-        print(
-            f"{row['scenario']:<14} {str(row['policies'] or 'lru'):<24} "
-            f"{hit}  {row['seconds']:.2f}s"
-        )
+        print(f"{row['id']:<28} {hit}  {row['seconds']:.2f}s")
     print(f"wrote {args.output} ({len(doc['rows'])} cells)")
     return 0
 

@@ -9,31 +9,31 @@ distinct, so every request simulates) through each:
 * **3 shards** — the ring spreads the keys, three worker processes
   simulate concurrently.
 
-The document records the host's ``cpu_count`` alongside the measured
-throughputs because the speedup claim is a *parallelism* claim: on a
-single-core runner three workers time-share one core and the ratio is
-noise.  ``check_shard_gate.py`` therefore always enforces digest
-identity (routing must never change results) but only enforces the
-speedup floor when the measuring host has enough cores.
+The record has one row per key (id ``hf/original``) with its digest,
+and its ``speedup`` is 3-shard over 1-shard throughput.  Its host block
+carries ``cpu_count`` because the speedup claim is a *parallelism*
+claim: on a single-core runner three workers time-share one core and
+the ratio is noise.  ``gate.py`` therefore always enforces digest
+identity (routing must never change results) but enforces the speedup
+floor only when the measuring host has ``min_cores``.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_shard.py --benchmark-only`` — the usual
   table via ``report_sink``;
 * ``python benchmarks/bench_shard.py -o BENCH_shard.json`` —
-  standalone, writing the machine-readable document the CI perf-gate
-  job compares against the pinned copy.
+  standalone, writing the benchmark record the CI perf-gate job checks
+  with ``gate.py`` against the pinned copy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import threading
 import time
 from typing import Any
 
+import gate
 from repro.serve.client import ServeClient
 
 SCALE = 8
@@ -50,6 +50,9 @@ WORKLOADS = (
 )
 VERSIONS = ("original", "intra", "inter")
 KEYS = [(w, v) for w in WORKLOADS for v in VERSIONS]  # 24 distinct keys
+
+#: Perf-gate bounds: 3 shards must reach 2x one shard, on >= 3 cores.
+GATE = {"min_speedup": 2, "min_cores": 3}
 
 
 def _closed_loop(url: str) -> tuple[float, dict[tuple, str]]:
@@ -129,21 +132,21 @@ def run_bench(tmp_root) -> dict[str, Any]:
         raise AssertionError(
             "sharding changed results: 1-shard and 3-shard digests differ"
         )
-    keys = [
-        {"workload": w, "version": v, "digest": single["digests"][(w, v)]}
+    rows = [
+        {"id": f"{w}/{v}", "digest": single["digests"][(w, v)]}
         for w, v in KEYS
     ]
     for p in (single, triple):
         del p["digests"]
-    return {
-        "record": "repro-bench-shard",
-        "scale": SCALE,
-        "clients": CLIENTS,
-        "cpu_count": os.cpu_count() or 1,
-        "keys": keys,
-        "passes": [single, triple],
-        "speedup": round(triple["rps"] / single["rps"], 3),
-    }
+    return gate.record(
+        "repro-bench-shard",
+        GATE,
+        rows,
+        scale=SCALE,
+        clients=CLIENTS,
+        passes=[single, triple],
+        speedup=round(triple["rps"] / single["rps"], 3),
+    )
 
 
 # -- pytest entry -------------------------------------------------------------------
@@ -164,8 +167,8 @@ def test_shard_scale_out_bench(benchmark, report_sink, tmp_path):
         ExperimentReport(
             "bench shard",
             f"cold closed loop, {doc['clients']} clients, "
-            f"{len(doc['keys'])} distinct keys (scale {doc['scale']}, "
-            f"{doc['cpu_count']} cores)",
+            f"{len(doc['rows'])} distinct keys (scale {doc['scale']}, "
+            f"{doc['host']['cpu_count']} cores)",
             ["shards", "requests", "s", "req/s"],
             rows,
             summary={"speedup": doc["speedup"]},
@@ -182,23 +185,21 @@ def main(argv: list[str] | None = None) -> int:
         "-o",
         "--output",
         default="BENCH_shard.json",
-        help="where to write the benchmark document",
+        help="where to write the benchmark record",
     )
     args = parser.parse_args(argv)
     import tempfile
 
     with tempfile.TemporaryDirectory(prefix="bench-shard-") as td:
         doc = run_bench(td)
-    with open(args.output, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    gate.write_record(args.output, doc)
     for p in doc["passes"]:
         print(
             f"{p['shards']} shard(s): {p['requests']} requests in "
             f"{p['seconds']:.2f}s = {p['rps']:.1f} req/s"
         )
     print(
-        f"speedup {doc['speedup']:.2f}x on {doc['cpu_count']} core(s) "
+        f"speedup {doc['speedup']:.2f}x on {doc['host']['cpu_count']} core(s) "
         f"-> {args.output}"
     )
     return 0

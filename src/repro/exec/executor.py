@@ -303,7 +303,7 @@ class ExperimentExecutor:
             return _serial()
         out: list[dict[str, Any] | None] = [None] * len(payloads)
         failed: list[tuple[int, BaseException]] = []
-        timed_out = False
+        timed_out = broken = False
         try:
             start = time.perf_counter()
             futures = [pool.submit(run_payload, p) for p in payloads]
@@ -332,10 +332,17 @@ class ExperimentExecutor:
                     )
                     failed.append((i, exc))
                 except BrokenExecutor as exc:
-                    _LOG.warning(
-                        "process pool broke (%s); degrading to in-process", exc
-                    )
-                    self._event("broken-pool", error=str(exc) or type(exc).__name__)
+                    # One dead worker breaks every pending future: say so
+                    # once per batch, not once per task.
+                    if not broken:
+                        broken = True
+                        _LOG.warning(
+                            "process pool broke (%s); degrading to in-process",
+                            exc,
+                        )
+                        self._event(
+                            "broken-pool", error=str(exc) or type(exc).__name__
+                        )
                     failed.append((i, exc))
                 except Exception as exc:  # noqa: BLE001 - retried below
                     failed.append((i, exc))

@@ -1,7 +1,12 @@
 """Tests for the process-pool executor and its degradation paths."""
 
+import logging
+import multiprocessing
+import os
+
 import pytest
 
+from repro.exec import executor as executor_module
 from repro.exec.executor import (
     ExperimentExecutor,
     TaskError,
@@ -26,6 +31,7 @@ def payloads(config):
         task_payload("hf", config, "original"),
         task_payload("hf", config, "inter"),
         task_payload("sar", config, "original"),
+        task_payload("sar", config, "inter"),
     ]
 
 
@@ -33,6 +39,18 @@ def _strip_wallclock(doc):
     doc = dict(doc)
     doc.pop("mapping_time_s")
     return doc
+
+
+_TEST_PID = os.getpid()
+
+
+def _exit_in_worker(payload):
+    """``run_payload``, except that a pool worker given hf/original dies."""
+    if os.getpid() != _TEST_PID and payload["workload"] == "hf" and (
+        payload["version"] == "original"
+    ):
+        os._exit(1)
+    return run_payload(payload)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +153,37 @@ class TestDegradation:
         timeouts = registry.counter("exec.timeouts").value
         assert timeouts >= 1
         assert registry.counter("exec.retries").value == timeouts
+
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_dead_worker_degrades_once_per_batch(
+        self, payloads, serial_docs, monkeypatch
+    ):
+        # The pool pickles executor.run_payload by reference; the forked
+        # worker resolves it to _exit_in_worker and dies on one payload,
+        # which breaks every future still pending in the batch.
+        monkeypatch.setattr(executor_module, "run_payload", _exit_in_worker)
+        warnings: list[logging.LogRecord] = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = warnings.append
+        log = logging.getLogger("repro.exec.executor")
+        level = log.level
+        log.addHandler(handler)
+        log.setLevel(logging.WARNING)
+        try:
+            ex = ExperimentExecutor(workers=2, backoff_s=0.0, mp_context="fork")
+            outs = ex.run_payloads(payloads)
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(level)
+        assert [_strip_wallclock(o["result"]) for o in outs] == serial_docs
+        kinds = [e["kind"] for e in ex.pop_events()]
+        assert kinds.count("broken-pool") == 1
+        assert len(warnings) == 1
+        assert "process pool broke" in warnings[0].getMessage()
 
 
 class TestValidation:
