@@ -935,8 +935,14 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
             if len(parts) != 3:
                 return _fail("--cache-elems expects exactly three comma-separated sizes")
             cache_elems = parts
-        config = with_cache_overrides(artifact, cache_elems, args.policy or None)
-    sim = replay(artifact, config=config, prefetch_degree=args.prefetch_degree)
+        try:
+            config = with_cache_overrides(artifact, cache_elems, args.policy or None)
+        except ValueError as exc:
+            return _fail(str(exc))
+    try:
+        sim = replay(artifact, config=config, prefetch_degree=args.prefetch_degree)
+    except ValueError as exc:
+        return _fail(str(exc))
     _print_sim_summary(
         sim, f"Replay: {artifact.workload}/{artifact.mapper_version}"
     )

@@ -9,8 +9,7 @@ contract:
 * ``fast`` — the vectorized engine of :mod:`repro.simulator.fast`;
   bit-identical results (proven by the differential-equivalence suite)
   at roughly an order of magnitude less wall time for LRU/FIFO
-  hierarchies, with segment-wise fallback to the reference path
-  otherwise.
+  hierarchies; any other run falls back, whole, to the reference path.
 
 The selector threads through every :class:`SimulationResult` producer:
 :func:`repro.simulator.runner.run_experiment`,

@@ -15,26 +15,29 @@ which may alter a single observable bit:
   exactly the mechanics of :class:`~repro.hierarchy.policies.LRUPolicy`
   and :class:`~repro.hierarchy.policies.FIFOPolicy`, minus every method
   call, stats object and recorder check of the reference hot loop);
-* **derived statistics** — on the dominant topology (three levels, one
-  parent per cache) the loop counts only hits; misses, cold misses,
-  fills and evictions are recovered exactly afterwards from per-level
-  flow conservation (``misses = lookups - hits`` propagated down the
-  tree, ``fills = misses`` under inclusive fill, ``evictions = fills -
-  final occupancy``);
+* **derived statistics** — the tree loop (three levels, one parent per
+  cache, write-through, no prefetching: the paper's machine and all
+  measured traffic) counts only hits; misses, cold misses, fills and
+  evictions are recovered exactly afterwards from per-level flow
+  conservation (``misses = lookups - hits`` propagated down the tree,
+  ``fills = misses`` under inclusive fill, ``evictions = fills - final
+  occupancy``).  Everything else — other level counts, prefetching,
+  write-back — runs the general loop, which counts every statistic
+  in place;
 * **constant-folded disk model** — with per-access latency constants
   precomputed per disk, a miss costs two list lookups instead of the
   reference's ``ParallelFileSystem → StripingLayout → DiskModel`` call
   chain (float accumulation order is preserved, so ``busy_ms`` and
   ``per_client_io_ms`` stay bit-identical).
 
-Segment-wise fallback: replacement policies that are not vectorized yet
-(CLOCK/LFU/MQ/RRIP/ARC) and recorder-enabled runs route to the reference
-engine unchanged — same inputs, same objects, same result.  After a fast
-run the hierarchy's caches and the filesystem's disks are left in the
-same externally observable state the reference engine leaves them in
-(stats, residency order, disk counters, last-block positions), so
-callers that inspect the machine afterwards cannot tell the engines
-apart either.
+Whole-run fallback: replacement policies that are not vectorized yet
+(CLOCK/LFU/MQ/RRIP/ARC) and recorder-enabled runs route the entire run
+to the reference engine unchanged — same inputs, same objects, same
+result.  After a fast run the hierarchy's caches and the filesystem's
+disks are left in the same externally observable state the reference
+engine leaves them in (stats, residency order, disk counters,
+last-block positions), so callers that inspect the machine afterwards
+cannot tell the engines apart either.
 
 The differential-equivalence suite
 (``tests/simulator/test_engine_equivalence.py``) holds the two engines
@@ -170,8 +173,10 @@ def simulate(
     """Run the interleaved simulation on the vectorized engine.
 
     Same parameters, validation and semantics as
-    :func:`repro.simulator.engine.simulate`; recorder-enabled runs and
-    non-LRU/FIFO policies fall back to the reference path.
+    :func:`repro.simulator.engine.simulate`.  Read-only runs without
+    prefetching on a three-level tree take the lean tree loop; every
+    other vectorizable run takes :func:`_general_loop`.  Recorder-enabled
+    runs and non-LRU/FIFO policies fall back to the reference path.
     """
     latency = latency or LatencyModel()
     k = hierarchy.num_clients
@@ -192,7 +197,7 @@ def simulate(
     rec = recorder if recorder is not None and getattr(recorder, "enabled", True) else None
     static = _static(hierarchy)
     if rec is not None or not static["vectorizable"]:
-        # Segment-wise fallback: the reference path is the only one that
+        # Whole-run fallback: the reference path is the only one that
         # feeds recorders or runs the exotic policies.
         return _reference_simulate(
             streams,
@@ -239,8 +244,6 @@ def simulate(
     fills = [0] * ncaches
     evs = [0] * ncaches
     wbs = [0] * ncaches
-    pf_fills = [0] * ncaches  # bottom-level prefetch stages (tree loop)
-    cold_hits = [0] * ncaches  # cold accesses served by prefetched chunks
 
     # -- constant-folded disk model ------------------------------------------------
     chunk_bytes = filesystem.chunk_bytes
@@ -262,8 +265,7 @@ def simulate(
     lengths = [len(streams[c]) for c in range(k)]
     client_arr, pos_arr = _interleave(lengths)
     n = int(client_arr.shape[0])
-    cold_arr = None
-    tree_loop = False
+    tree_loop = bool(n) and write_masks is None and not prefetch_degree and static["tree"]
     if n:
         # Vectorized gather of the whole access sequence: chunk ids,
         # write bits, cold flags and the striping arithmetic per access.
@@ -284,126 +286,46 @@ def simulate(
         cold_arr = np.zeros(n, dtype=bool)
         cold_arr[first_idx] = True
 
-        pf = prefetch_degree
-
-        # Invariant shared by every fill below: a chunk being filled at a
-        # level just missed its lookup there, and nothing since can have
-        # inserted it (prefetch only stages strictly larger ids, dirty
-        # propagation never inserts), so — unlike ChunkCache.fill — no
-        # already-resident recheck is needed.
-        if write_masks is not None:
-            _masked_loop(
-                cl_list, chunk_list,
-                (chunk_arr % stride).tolist(), (chunk_arr // stride).tolist(),
-                cold_arr.tolist(),
-                np.concatenate(
-                    [np.asarray(write_masks[c], dtype=bool) for c in range(k)]
-                )[gather].tolist(),
-                path_idx, res, caps, lru, hits, misses, colds, fills, evs, wbs,
-                hit_cost, miss_base, num_levels, pf, max_chunk, stride,
-                dlast, dseq, dbusy, dreads, dwrites, dlat_full, dlat_seq, io,
-            )
-        elif static["tree"]:
+        if tree_loop:
             # The production topology: unrolled walk, early-continue hit
             # paths, and no counter bookkeeping beyond hits — misses,
-            # colds, fills and evictions are derived afterwards.
-            tree_loop = True
+            # colds, fills and evictions are derived afterwards.  Without
+            # prefetching no cold access can ever hit (nothing stages
+            # ahead of first use), so cold flags stay out of the loop, and
+            # the striping arithmetic is only done on the full misses.
             ctx = [
                 (i0, i1, i2, res[i0], res[i1], res[i2])
                 for i0, i1, i2 in path_idx
             ]
             hc0, hc1, hc2 = hit_cost
-            if pf == 0:
-                # Leanest variant: without prefetching no cold access can
-                # ever hit (nothing stages ahead of first use), so cold
-                # flags stay out of the loop entirely, and the striping
-                # arithmetic is only done on the full misses that need it.
-                for c, chunk in zip(cl_list, chunk_list):
-                    i0, i1, i2, d0, d1, d2 = ctx[c]
-                    if chunk in d0:
-                        hits[i0] += 1
-                        if lru[i0]:
-                            del d0[chunk]
-                            d0[chunk] = None
-                        io[c] += hc0
-                        continue
-                    if chunk in d1:
-                        hits[i1] += 1
-                        if lru[i1]:
-                            del d1[chunk]
-                            d1[chunk] = None
-                        io[c] += hc1
-                        if len(d0) >= caps[i0]:
-                            del d0[next(iter(d0))]
+            for c, chunk in zip(cl_list, chunk_list):
+                i0, i1, i2, d0, d1, d2 = ctx[c]
+                if chunk in d0:
+                    hits[i0] += 1
+                    if lru[i0]:
+                        del d0[chunk]
                         d0[chunk] = None
-                        continue
-                    if chunk in d2:
-                        hits[i2] += 1
-                        if lru[i2]:
-                            del d2[chunk]
-                            d2[chunk] = None
-                        io[c] += hc2
-                    else:
-                        node = chunk % stride
-                        block = chunk // stride
-                        if block == dlast[node] + 1:
-                            dseq[node] += 1
-                            lat = dlat_seq[node]
-                        else:
-                            lat = dlat_full[node]
-                        dlast[node] = block
-                        dbusy[node] += lat
-                        dreads[node] += 1
-                        io[c] += miss_base + lat
-                        if len(d2) >= caps[i2]:
-                            del d2[next(iter(d2))]
-                        d2[chunk] = None
-                    # Shared tail of the L2-hit-or-below cases.
-                    if len(d1) >= caps[i1]:
-                        del d1[next(iter(d1))]
-                    d1[chunk] = None
+                    io[c] += hc0
+                    continue
+                if chunk in d1:
+                    hits[i1] += 1
+                    if lru[i1]:
+                        del d1[chunk]
+                        d1[chunk] = None
+                    io[c] += hc1
                     if len(d0) >= caps[i0]:
                         del d0[next(iter(d0))]
                     d0[chunk] = None
-            else:
-                node_list = (chunk_arr % stride).tolist()
-                block_list = (chunk_arr // stride).tolist()
-                cold_list = cold_arr.tolist()
-                _tree_prefetch_loop(
-                    cl_list, chunk_list, node_list, block_list, cold_list,
-                    ctx, caps, lru, hits, cold_hits, pf_fills, hit_cost,
-                    miss_base, pf, max_chunk, stride,
-                    dlast, dseq, dbusy, dreads, dlat_full, dlat_seq, io,
-                )
-        else:
-            # Generic topology/level count (read-only): full in-loop
-            # counting, no flow-conservation assumptions.
-            node_list = (chunk_arr % stride).tolist()
-            block_list = (chunk_arr // stride).tolist()
-            cold_list = cold_arr.tolist()
-            for c, chunk, node, block, cold in zip(
-                cl_list, chunk_list, node_list, block_list, cold_list
-            ):
-                pidx = path_idx[c]
-                hit_level = -1
-                l = 0
-                for ci in pidx:
-                    d = res[ci]
-                    if chunk in d:
-                        hits[ci] += 1
-                        if lru[ci]:
-                            del d[chunk]
-                            d[chunk] = None
-                        hit_level = l
-                        break
-                    misses[ci] += 1
-                    if cold:
-                        colds[ci] += 1
-                    l += 1
-                if hit_level >= 0:
-                    io[c] += hit_cost[hit_level]
-                    fill_to = hit_level
+                    continue
+                if chunk in d2:
+                    hits[i2] += 1
+                    if lru[i2]:
+                        del d2[chunk]
+                        d2[chunk] = None
+                    io[c] += hc2
                 else:
+                    node = chunk % stride
+                    block = chunk // stride
                     if block == dlast[node] + 1:
                         dseq[node] += 1
                         lat = dlat_seq[node]
@@ -413,64 +335,50 @@ def simulate(
                     dbusy[node] += lat
                     dreads[node] += 1
                     io[c] += miss_base + lat
-                    fill_to = num_levels
-                    if pf:
-                        bi = pidx[-1]
-                        bd = res[bi]
-                        nxt = chunk
-                        nb = block
-                        for _ in range(pf):
-                            nxt += stride
-                            nb += 1
-                            if nxt > max_chunk:
-                                break
-                            if nxt in bd:
-                                continue
-                            if nb == dlast[node] + 1:
-                                dseq[node] += 1
-                                lat = dlat_seq[node]
-                            else:
-                                lat = dlat_full[node]
-                            dlast[node] = nb
-                            dbusy[node] += lat
-                            dreads[node] += 1
-                            if len(bd) >= caps[bi]:
-                                del bd[next(iter(bd))]
-                                evs[bi] += 1
-                            bd[nxt] = None
-                            fills[bi] += 1
-                # Inclusive fill of every level that missed, top down.
-                for l in range(fill_to):
-                    ci = pidx[l]
-                    d = res[ci]
-                    if len(d) >= caps[ci]:
-                        del d[next(iter(d))]
-                        evs[ci] += 1
-                    d[chunk] = None
-                    fills[ci] += 1
+                    if len(d2) >= caps[i2]:
+                        del d2[next(iter(d2))]
+                    d2[chunk] = None
+                # Shared tail of the L2-hit-or-below cases.
+                if len(d1) >= caps[i1]:
+                    del d1[next(iter(d1))]
+                d1[chunk] = None
+                if len(d0) >= caps[i0]:
+                    del d0[next(iter(d0))]
+                d0[chunk] = None
+        else:
+            if write_masks is None:
+                wbit_list = [False] * n  # write-through: nothing turns dirty
+            else:
+                wbit_list = np.concatenate(
+                    [np.asarray(write_masks[c], dtype=bool) for c in range(k)]
+                )[gather].tolist()
+            _general_loop(
+                cl_list, chunk_list,
+                (chunk_arr % stride).tolist(), (chunk_arr // stride).tolist(),
+                cold_arr.tolist(), wbit_list,
+                path_idx, res, caps, lru, hits, misses, colds, fills, evs, wbs,
+                hit_cost, miss_base, num_levels, prefetch_degree, max_chunk,
+                stride, dlast, dseq, dbusy, dreads, dwrites, dlat_full,
+                dlat_seq, io,
+            )
 
     if tree_loop:
         # Flow conservation recovers everything the loop did not count:
         # L1 lookups are the clients' stream lengths; a cache's misses
         # drain into its unique parent as lookups; under inclusive fill
         # every miss is a fill; evictions are fills minus what is still
-        # resident; cold accesses miss every level (a prefetched chunk's
-        # first access is the one exception, counted as a cold L3 hit).
+        # resident; without prefetching every cold access misses every
+        # level.
         parent = static["parent"]
         lookups = [0] * ncaches
-        coldflow = [0] * ncaches
-        cold_per_client = (
-            np.bincount(client_arr[cold_arr], minlength=k).tolist()
-            if n
-            else [0] * k
-        )
+        cold_per_client = np.bincount(client_arr[cold_arr], minlength=k).tolist()
         for c in range(k):
             i0, i1, i2 = path_idx[c]
             lookups[i0] += lengths[c]
             cc = cold_per_client[c]
-            coldflow[i0] += cc
-            coldflow[i1] += cc
-            coldflow[i2] += cc
+            colds[i0] += cc
+            colds[i1] += cc
+            colds[i2] += cc
         # Walk strictly level by level: a parent's lookup count is only
         # complete once every child at the level above has drained.
         for l in range(3):
@@ -483,8 +391,7 @@ def simulate(
                 misses[i] = lookups[i] - hits[i]
                 if i in parent:
                     lookups[parent[i]] += misses[i]
-                colds[i] = coldflow[i] - cold_hits[i]
-                fills[i] = misses[i] + pf_fills[i]
+                fills[i] = misses[i]
                 evs[i] = fills[i] - len(res[i])
 
     # -- stats land on the cache objects, exactly as the reference leaves them -----
@@ -549,103 +456,28 @@ def simulate(
     )
 
 
-def _tree_prefetch_loop(
-    cl_list, chunk_list, node_list, block_list, cold_list,
-    ctx, caps, lru, hits, cold_hits, pf_fills, hit_cost,
-    miss_base, pf, max_chunk, stride,
-    dlast, dseq, dbusy, dreads, dlat_full, dlat_seq, io,
-):
-    """Tree-topology hot loop with sequential prefetch at the bottom.
-
-    Same derived-statistics contract as the lean loop: only hits (plus
-    the prefetch-specific cold-hit and stage counters) are counted here;
-    everything else is recovered by flow conservation afterwards.
-    """
-    hc0, hc1, hc2 = hit_cost
-    for c, chunk, node, block, cold in zip(
-        cl_list, chunk_list, node_list, block_list, cold_list
-    ):
-        i0, i1, i2, d0, d1, d2 = ctx[c]
-        if chunk in d0:
-            hits[i0] += 1
-            if lru[i0]:
-                del d0[chunk]
-                d0[chunk] = None
-            io[c] += hc0
-            continue
-        if chunk in d1:
-            hits[i1] += 1
-            if lru[i1]:
-                del d1[chunk]
-                d1[chunk] = None
-            io[c] += hc1
-            if len(d0) >= caps[i0]:
-                del d0[next(iter(d0))]
-            d0[chunk] = None
-            continue
-        if chunk in d2:
-            hits[i2] += 1
-            if cold:
-                cold_hits[i2] += 1
-            if lru[i2]:
-                del d2[chunk]
-                d2[chunk] = None
-            io[c] += hc2
-        else:
-            if block == dlast[node] + 1:
-                dseq[node] += 1
-                lat = dlat_seq[node]
-            else:
-                lat = dlat_full[node]
-            dlast[node] = block
-            dbusy[node] += lat
-            dreads[node] += 1
-            io[c] += miss_base + lat
-            nxt = chunk
-            nb = block
-            for _ in range(pf):
-                nxt += stride
-                nb += 1
-                if nxt > max_chunk:
-                    break  # strictly increasing: nothing later fits
-                if nxt in d2:
-                    continue
-                if nb == dlast[node] + 1:
-                    dseq[node] += 1
-                    lat = dlat_seq[node]
-                else:
-                    lat = dlat_full[node]
-                dlast[node] = nb
-                dbusy[node] += lat
-                dreads[node] += 1  # disk busy, no client stall
-                if len(d2) >= caps[i2]:
-                    del d2[next(iter(d2))]
-                d2[nxt] = None
-                pf_fills[i2] += 1
-            if len(d2) >= caps[i2]:
-                del d2[next(iter(d2))]
-            d2[chunk] = None
-        # Shared tail of the L2-hit-or-below cases: fill L2, L1.
-        if len(d1) >= caps[i1]:
-            del d1[next(iter(d1))]
-        d1[chunk] = None
-        if len(d0) >= caps[i0]:
-            del d0[next(iter(d0))]
-        d0[chunk] = None
-
-
-def _masked_loop(
+def _general_loop(
     cl_list, chunk_list, node_list, block_list, cold_list, wbit_list,
     path_idx, res, caps, lru, hits, misses, colds, fills, evs, wbs,
     hit_cost, miss_base, num_levels, pf, max_chunk, stride,
     dlast, dseq, dbusy, dreads, dwrites, dlat_full, dlat_seq, io,
 ):
-    """The write-back variant of the hot loop (any level count).
+    """The hot loop for every run the tree loop does not take.
 
-    Mirrors the reference engine's dirty-chunk bookkeeping: a write
-    dirties the chunk in the private cache; evicting a dirty chunk is
-    absorbed by the first lower level holding the victim, else charged
-    as a disk write to the client whose fill triggered the eviction.
+    Any level count, sequential prefetch at the bottom level, and
+    write-back; every statistic is counted in place.  Mirrors the
+    reference engine's dirty-chunk bookkeeping: a write dirties the
+    chunk in the private cache; evicting a dirty chunk is absorbed by
+    the first lower level holding the victim, else charged as a disk
+    write to the client whose fill triggered the eviction.  With
+    all-false write bits the dirty sets stay empty and no write-back
+    ever happens.
+
+    As in the tree loop, a chunk being filled at a level just missed
+    its lookup there, and nothing since can have inserted it (prefetch
+    only stages strictly larger ids, dirty propagation never inserts),
+    so — unlike ``ChunkCache.fill`` — no already-resident recheck is
+    needed.
     """
     ncaches = len(res)
     dirty: list[set[int]] = [set() for _ in range(ncaches)]

@@ -174,13 +174,20 @@ class TestTraceCommands:
         ]) == 0
         assert "Replay" in capsys.readouterr().out
 
-    def test_replay_bad_cache_elems_exit_code(self, recorded, capsys):
-        assert main([
-            "trace", "replay", str(recorded), "--cache-elems", "1,2",
-        ]) == 2
-        assert main([
-            "trace", "replay", str(recorded), "--cache-elems", "a,b,c",
-        ]) == 2
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cache-elems", "1,2"],
+            ["--cache-elems", "a,b,c"],
+            ["--cache-elems", "0,0,0"],
+            ["--policy", "bogus"],
+            ["--prefetch-degree", "-1"],
+        ],
+        ids=["short", "nonint", "zero", "policy", "prefetch"],
+    )
+    def test_replay_bad_cache_elems_exit_code(self, recorded, capsys, flags):
+        assert main(["trace", "replay", str(recorded), *flags]) == 2
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_replay_missing_artifact_exit_code(self, tmp_path, capsys):
         assert main(["trace", "replay", str(tmp_path / "missing.npz")]) == 2

@@ -187,8 +187,9 @@ class TestFallback:
 
 
 class TestTopologies:
-    """Non-three-level trees take the generic vectorized loop."""
+    """Non-three-level trees take the general vectorized loop."""
 
+    @pytest.mark.parametrize("prefetch_degree", [0, 2])
     @pytest.mark.parametrize(
         "fanouts,caps",
         [
@@ -196,7 +197,9 @@ class TestTopologies:
             ((1, 2, 2, 2), (32, 16, 8, 2)),  # four levels
         ],
     )
-    def test_deep_and_shallow_trees_match_reference(self, fanouts, caps):
+    def test_deep_and_shallow_trees_match_reference(
+        self, fanouts, caps, prefetch_degree
+    ):
         from repro.simulator.engine import LatencyModel
 
         rng = np.random.default_rng(7)
@@ -213,10 +216,14 @@ class TestTopologies:
             )
 
         h, fs = build()
-        res = fast_simulate(streams_for(traces, k=k), h, fs, latency=latency)
+        res = fast_simulate(
+            streams_for(traces, k=k), h, fs, latency=latency,
+            prefetch_degree=prefetch_degree,
+        )
         h2, fs2 = build()
         ref = reference_simulate(
-            streams_for(traces, k=k), h2, fs2, latency=latency
+            streams_for(traces, k=k), h2, fs2, latency=latency,
+            prefetch_degree=prefetch_degree,
         )
         assert _sim_to_dict(res) == _sim_to_dict(ref)
 
