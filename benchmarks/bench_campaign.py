@@ -65,7 +65,7 @@ def run_bench() -> dict[str, Any]:
             }
         )
     # Full campaign over the warm store: zero re-simulation, and the
-    # manifest/report identity the CI smoke job pins.
+    # manifest/report identity tier-1 pins (test_cli_smoke.py).
     run = run_campaign(spec, store=store)
     rows.append({"id": "report", "digest": run.report["digest"]})
     rows.append({"id": "manifest", "digest": run.manifest["digest"]})
@@ -86,7 +86,7 @@ def test_campaign_smoke_bench(benchmark, report_sink):
 
     doc = benchmark.pedantic(run_bench, rounds=1, iterations=1)
     # The same spec must always reproduce the same identity — the
-    # property the CI campaign-smoke job pins one value of.
+    # property tests/integration/test_cli_smoke.py pins one value of.
     again = run_bench()
     assert [r["digest"] for r in again["rows"]] == [
         r["digest"] for r in doc["rows"]

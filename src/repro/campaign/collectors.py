@@ -55,7 +55,7 @@ __all__ = [
 def cell_summary(result: "ExperimentResult") -> dict[str, Any]:
     """The JSON-safe per-cell metric summary manifests and reports use.
 
-    Deterministic for a given experiment key (the engine-equivalence
+    Deterministic for a given experiment key (the engine equivalence
     suite pins ``fast`` bit-identical to ``reference``), so it may
     participate in pinned digests.
     """

@@ -32,9 +32,12 @@ and drives the trace and telemetry subsystems:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import os
 import sys
 import time
+from typing import Callable
 
 from repro.experiments import config as config_mod
 from repro.experiments import (
@@ -74,6 +77,10 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _print_json(doc) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
 def _config_from(args: argparse.Namespace):
     """Scaled config if ``--scale`` was given, else None (defaults)."""
     scale = getattr(args, "scale", 0)
@@ -111,8 +118,8 @@ def _cache_max_bytes(args: argparse.Namespace) -> int | None:
     return value
 
 
-def _invoke(args: argparse.Namespace) -> int:
-    """Run the command, inside an execution context when one is requested.
+def _execution(args: argparse.Namespace):
+    """The execution context the command asks for, else a null context.
 
     ``--cache DIR`` installs a persistent :class:`ResultStore`;
     ``--workers N`` (N > 1) a process-pool executor.  ``--workers``
@@ -120,17 +127,12 @@ def _invoke(args: argparse.Namespace) -> int:
     its own repeated (workload, config, version) triples.  Without
     either flag the command runs exactly as before.
     """
-    engine = getattr(args, "engine", "")
-    if engine:
-        from repro.simulator.engines import set_default_engine
-
-        set_default_engine(engine)
     workers = getattr(args, "workers", 0)
     cache = getattr(args, "cache", "")
     if args.command in ("serve", "shard") or (not workers and not cache):
         # serve/shard own their executor/store wiring (they outlive one
-        # call); the engine default above still applies to them.
-        return args.func(args)
+        # call); the engine default still applies to them.
+        return contextlib.nullcontext()
     from repro.exec import (
         ExperimentExecutor,
         MemoryStore,
@@ -145,32 +147,54 @@ def _invoke(args: argparse.Namespace) -> int:
         else MemoryStore()
     )
     args._store = store
-    with use_execution(executor=executor, store=store):
-        return args.func(args)
+    return use_execution(executor=executor, store=store)
 
 
-def _note_report(args: argparse.Namespace, report) -> None:
-    """Collect a rendered report for the run manifest, when one is open."""
+def _invoke(args: argparse.Namespace) -> int:
+    """Run the command: the CLI's one error boundary.
+
+    An ``OSError`` or ``ValueError`` from the command (an unusable
+    path, a malformed input file, an out-of-range value) becomes
+    ``repro: error: ...`` and exit 2, with the traceback logged at
+    debug level (``-v``).  Handlers catch only what they can add
+    context to.
+    """
+    engine = getattr(args, "engine", "")
+    if engine:
+        from repro.simulator.engines import set_default_engine
+
+        set_default_engine(engine)
+    try:
+        with _execution(args):
+            return args.func(args)
+    except BrokenPipeError:
+        raise  # main() exits quietly when stdout closes early
+    except (OSError, ValueError) as exc:
+        _LOG.debug("repro %s failed", args.command, exc_info=True)
+        return _fail(str(exc))
+
+
+def _show_report(args: argparse.Namespace, report, gap: bool = False) -> None:
+    """Print a report (``gap``: then a blank line); note it for the manifest."""
     reports = getattr(args, "_reports", None)
     if reports is not None:
         reports.append(report)
+    print(report.render())
+    if gap:
+        print()
 
 
 # -- experiment commands ------------------------------------------------------------
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    report = EXPERIMENTS[args.experiment](_config_from(args))
-    _note_report(args, report)
-    print(report.render())
+    _show_report(args, EXPERIMENTS[args.command](_config_from(args)))
     return 0
 
 
 def _cmd_discussion(args: argparse.Namespace) -> int:
     for report in discussion.run(_config_from(args)):
-        _note_report(args, report)
-        print(report.render())
-        print()
+        _show_report(args, report, gap=True)
     return 0
 
 
@@ -197,14 +221,9 @@ def _cmd_all(args: argparse.Namespace) -> int:
         finally:
             reporter.close()
     for name in EXPERIMENTS:
-        report = EXPERIMENTS[name](config)
-        _note_report(args, report)
-        print(report.render())
-        print()
+        _show_report(args, EXPERIMENTS[name](config), gap=True)
     for report in discussion.run(config):
-        _note_report(args, report)
-        print(report.render())
-        print()
+        _show_report(args, report, gap=True)
     return 0
 
 
@@ -213,8 +232,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         report = explain.run(args.workload, _config_from(args))
     except KeyError as exc:
         return _fail(str(exc.args[0]))
-    _note_report(args, report)
-    print(report.render())
+    _show_report(args, report)
     return 0
 
 
@@ -250,11 +268,52 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 # -- serve commands -----------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _server_observers(args: argparse.Namespace):
+    """``(registry, tracer)`` for a server; the tracer only when asked.
+
+    ``--trace`` or ``--span-log`` turns span tracing on; the tracer is
+    closed, flushing its span log, when the server returns.
+    """
+    from repro.obs import Tracer
+    from repro.telemetry import MetricsRegistry, declare_pipeline_metrics
+
+    registry = MetricsRegistry()
+    declare_pipeline_metrics(registry)
+    tracer = None
+    if args.trace or args.span_log:
+        tracer = Tracer(capacity=args.span_ring, log_path=args.span_log or None)
+    try:
+        yield registry, tracer
+    finally:
+        if tracer is not None:
+            tracer.close()
+
+
+def _ask_server(args: argparse.Namespace, call: Callable):
+    """``call(client)`` against ``--url``; None once a failure is reported.
+
+    Typed answers (``ServeError``) and transport failures (``OSError``)
+    are reported as ``<url>: ...``, tagged with the request id the
+    server stamped on the answer, if any.
+    """
+    from repro.serve import ServeClient, ServeError
+
+    client = ServeClient(args.url, timeout=args.timeout)
+    try:
+        return call(client)
+    except (ServeError, OSError) as exc:
+        request_id = getattr(exc, "request_id", "")
+        tag = f" [request {request_id}]" if request_id else ""
+        _fail(f"{args.url}: {exc}{tag}")
+        return None
+    finally:
+        client.close()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.exec import ExperimentExecutor, MemoryStore, ResultStore
-    from repro.obs import Tracer
     from repro.serve import MappingServer
-    from repro.telemetry import MetricsRegistry, declare_pipeline_metrics
 
     executor = (
         ExperimentExecutor(workers=args.workers) if args.workers > 1 else None
@@ -266,77 +325,49 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.cache
         else MemoryStore()
     )
-    registry = MetricsRegistry()
-    declare_pipeline_metrics(registry)
-    tracer = None
-    if args.trace or args.span_log:
-        tracer = Tracer(
-            capacity=args.span_ring, log_path=args.span_log or None
-        )
-        _LOG.info(
-            "span tracing on (ring=%d%s); /debugz has the live view",
-            args.span_ring,
-            f", log={args.span_log}" if args.span_log else "",
-        )
-    server = MappingServer(
-        host=args.host,
-        port=args.port,
-        executor=executor,
-        store=store,
-        registry=registry,
-        tracer=tracer,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        max_wait_ms=args.batch_wait_ms,
-        request_timeout_s=args.request_timeout,
-        default_scale=args.scale,
-    )
-    try:
-        return server.serve_forever()
-    finally:
+    with _server_observers(args) as (registry, tracer):
         if tracer is not None:
-            tracer.close()
+            _LOG.info(
+                "span tracing on (ring=%d%s); /debugz has the live view",
+                args.span_ring,
+                f", log={args.span_log}" if args.span_log else "",
+            )
+        server = MappingServer(
+            host=args.host,
+            port=args.port,
+            executor=executor,
+            store=store,
+            registry=registry,
+            tracer=tracer,
+            max_queue=args.max_queue,
+            max_batch=args.max_batch,
+            max_wait_ms=args.batch_wait_ms,
+            request_timeout_s=args.request_timeout,
+            default_scale=args.scale,
+        )
+        return server.serve_forever()
 
 
 def _cmd_request(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from repro.serve import ServeClient, ServeError
-
-    client = ServeClient(args.url, timeout=args.timeout)
-    scenario = getattr(args, "scenario", "") or None
-    request_id = getattr(args, "request_id", "")
-    retries = getattr(args, "retries", 0)
-    try:
-        if scenario is not None:
-            resp = client.experiment(
-                scale=args.scale,
-                scenario=scenario,
-                request_id=request_id,
-                retries=retries,
-            )
-        else:
-            resp = client.experiment(
-                args.workload,
-                args.mapper,
-                scale=args.scale,
-                request_id=request_id,
-                retries=retries,
-            )
-    except ServeError as exc:
-        tag = f" [request {exc.request_id}]" if exc.request_id else ""
-        return _fail(f"{args.url}: {exc}{tag}")
-    except OSError as exc:
-        return _fail(f"{args.url}: {exc}")
-    finally:
-        client.close()
+    if args.scenario:
+        target = {"scenario": args.scenario}
+    else:
+        target = {"workload": args.workload, "version": args.mapper}
+    resp = _ask_server(
+        args,
+        lambda client: client.experiment(
+            scale=args.scale, request_id=args.request_id, retries=args.retries, **target
+        ),
+    )
+    if resp is None:
+        return 2
     if args.json:
-        print(json_mod.dumps(resp.doc, indent=2, sort_keys=True))
+        _print_json(resp.doc)
         return 0
     from repro.simulator.serialization import result_from_dict
 
     result = result_from_dict(resp.result)
-    what = scenario or f"{args.workload}/{args.mapper}"
+    what = args.scenario or f"{args.workload}/{args.mapper}"
     _print_sim_summary(
         result.sim,
         f"{what} via {args.url} "
@@ -351,46 +382,35 @@ def _cmd_request(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_serve(args: argparse.Namespace) -> int:
-    from repro.obs import Tracer
     from repro.shard.cluster import ShardCluster
-    from repro.telemetry import MetricsRegistry, declare_pipeline_metrics
 
     if not args.cache:
         return _fail(
             "shard serve requires --cache DIR: the partition root is the "
             "warm-handoff contract (workers re-home its entries on resize)"
         )
-    registry = MetricsRegistry()
-    declare_pipeline_metrics(registry)
-    tracer = None
-    if args.trace or args.span_log:
-        tracer = Tracer(
-            capacity=args.span_ring, log_path=args.span_log or None
+    with _server_observers(args) as (registry, tracer):
+        cluster = ShardCluster(
+            shards=args.shards,
+            root=args.cache,
+            host=args.host,
+            port=args.port,
+            workers_per_shard=max(1, args.workers),
+            max_queue=args.max_queue,
+            max_batch=args.max_batch,
+            batch_wait_ms=args.batch_wait_ms,
+            request_timeout_s=args.request_timeout,
+            max_inflight=args.max_inflight,
+            default_scale=args.scale,
+            cache_max_bytes=_cache_max_bytes(args),
+            engine=args.engine,
+            registry=registry,
+            tracer=tracer,
         )
-    cluster = ShardCluster(
-        shards=args.shards,
-        root=args.cache,
-        host=args.host,
-        port=args.port,
-        workers_per_shard=max(1, args.workers),
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        batch_wait_ms=args.batch_wait_ms,
-        request_timeout_s=args.request_timeout,
-        max_inflight=args.max_inflight,
-        default_scale=args.scale,
-        cache_max_bytes=_cache_max_bytes(args),
-        engine=args.engine,
-        registry=registry,
-        tracer=tracer,
-    )
-    try:
-        return cluster.serve_forever()
-    except RuntimeError as exc:
-        return _fail(str(exc))
-    finally:
-        if tracer is not None:
-            tracer.close()
+        try:
+            return cluster.serve_forever()
+        except RuntimeError as exc:
+            return _fail(str(exc))
 
 
 def _cmd_shard_worker(args: argparse.Namespace) -> int:
@@ -413,19 +433,11 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_status(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from repro.serve import ServeClient, ServeError
-
-    client = ServeClient(args.url, timeout=args.timeout)
-    try:
-        doc = client.statusz()
-    except (ServeError, OSError) as exc:
-        return _fail(f"{args.url}: {exc}")
-    finally:
-        client.close()
+    doc = _ask_server(args, lambda client: client.statusz())
+    if doc is None:
+        return 2
     if args.json or doc.get("record") != "repro-shard-status":
-        print(json_mod.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
         return 0
     ring = doc["ring"]
     router = doc["router"]
@@ -465,19 +477,11 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_drain(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from repro.serve import ServeClient, ServeError
-
-    client = ServeClient(args.url, timeout=args.timeout)
-    try:
-        doc = client.admin_drain(args.shard)
-    except (ServeError, OSError) as exc:
-        return _fail(f"{args.url}: {exc}")
-    finally:
-        client.close()
+    doc = _ask_server(args, lambda client: client.admin_drain(args.shard))
+    if doc is None:
+        return 2
     if args.json:
-        print(json_mod.dumps(doc, indent=2, sort_keys=True))
+        _print_json(doc)
         return 0
     members = ", ".join(doc.get("members", [])) or "(none)"
     print(
@@ -542,26 +546,13 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
 # -- campaign commands --------------------------------------------------------------
 
 
-def _load_campaign_manifest(path: str):
-    from repro.campaign import load_manifest
-
-    try:
-        return load_manifest(path)
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
-
-
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    import json as json_mod
     import pathlib
 
     from repro.campaign import load_campaign_file, render_report, run_campaign
     from repro.exec.progress import ProgressReporter
 
-    try:
-        spec = load_campaign_file(args.spec)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    spec = load_campaign_file(args.spec)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reporter = ProgressReporter(label="cells")
@@ -576,7 +567,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     finally:
         reporter.close()
     (out / "report.json").write_text(
-        json_mod.dumps(run.report, indent=2, sort_keys=True) + "\n"
+        json.dumps(run.report, indent=2, sort_keys=True) + "\n"
     )
     (out / "report.md").write_text(render_report(run.report))
     manifest = run.manifest
@@ -608,10 +599,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_campaign_manifest(args.manifest)
-    except ValueError as exc:
-        return _fail(str(exc))
+    from repro.campaign import load_manifest
+
+    doc = load_manifest(args.manifest)
     counts: dict[str, int] = {}
     for cell in doc.get("cells", {}).values():
         status = cell.get("status", "pending")
@@ -658,17 +648,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
-    import json as json_mod
+    from repro.campaign import build_report, load_manifest, render_report
 
-    from repro.campaign import build_report, render_report
-
-    try:
-        doc = _load_campaign_manifest(args.manifest)
-    except ValueError as exc:
-        return _fail(str(exc))
-    report = build_report(doc)
+    report = build_report(load_manifest(args.manifest))
     if args.json:
-        print(json_mod.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(render_report(report))
     print(f"report digest: {report['digest']}", file=sys.stderr)
@@ -676,14 +660,11 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_diff(args: argparse.Namespace) -> int:
-    from repro.campaign import diff_manifests, render_diff
+    from repro.campaign import diff_manifests, load_manifest, render_diff
 
-    try:
-        doc_a = _load_campaign_manifest(args.manifest_a)
-        doc_b = _load_campaign_manifest(args.manifest_b)
-    except ValueError as exc:
-        return _fail(str(exc))
-    diff = diff_manifests(doc_a, doc_b)
+    diff = diff_manifests(
+        load_manifest(args.manifest_a), load_manifest(args.manifest_b)
+    )
     print(render_diff(diff))
     return 0 if diff["identical"] else 1
 
@@ -707,10 +688,7 @@ def _render_phase_tree(nodes: list, depth: int = 0) -> list[str]:
 def _cmd_metrics_show(args: argparse.Namespace) -> int:
     from repro.telemetry import load_manifest
 
-    try:
-        doc = load_manifest(args.manifest)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    doc = load_manifest(args.manifest)
     versions = doc.get("versions", {})
     print(f"manifest: {args.manifest}")
     print(f"  command: {doc.get('command') or '-'}")
@@ -726,18 +704,13 @@ def _cmd_metrics_show(args: argparse.Namespace) -> int:
         print("phases:")
         print("\n".join(_render_phase_tree(phases)))
     metrics = doc.get("metrics", {})
-    counter_rows = [
-        [e["name"], _labels_str(e.get("labels", {})), f"{e['value']:g}"]
-        for e in metrics.get("counters", [])
-    ]
-    if counter_rows:
-        print(format_table(["counter", "labels", "value"], counter_rows))
-    gauge_rows = [
-        [e["name"], _labels_str(e.get("labels", {})), f"{e['value']:g}"]
-        for e in metrics.get("gauges", [])
-    ]
-    if gauge_rows:
-        print(format_table(["gauge", "labels", "value"], gauge_rows))
+    for kind in ("counter", "gauge"):
+        rows = [
+            [e["name"], _labels_str(e.get("labels", {})), f"{e['value']:g}"]
+            for e in metrics.get(f"{kind}s", [])
+        ]
+        if rows:
+            print(format_table([kind, "labels", "value"], rows))
     hist_rows = [
         [
             e["name"],
@@ -771,17 +744,10 @@ def _labels_str(labels: dict) -> str:
 def _cmd_metrics_export(args: argparse.Namespace) -> int:
     from repro.telemetry import load_manifest, manifest_to_prometheus
 
-    try:
-        doc = load_manifest(args.manifest)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    text = manifest_to_prometheus(doc)
+    text = manifest_to_prometheus(load_manifest(args.manifest))
     if args.out and args.out != "-":
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _fail(str(exc))
+        with open(args.out, "w") as fh:
+            fh.write(text)
         _LOG.info("prometheus exposition -> %s", args.out)
     else:
         print(text, end="")
@@ -791,26 +757,20 @@ def _cmd_metrics_export(args: argparse.Namespace) -> int:
 def _cmd_metrics_diff(args: argparse.Namespace) -> int:
     from repro.telemetry import diff_manifests, load_manifest
 
-    try:
-        doc_a = load_manifest(args.manifest_a)
-        doc_b = load_manifest(args.manifest_b)
-        diff = diff_manifests(doc_a, doc_b)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    diff = diff_manifests(
+        load_manifest(args.manifest_a), load_manifest(args.manifest_b)
+    )
     print(diff.render())
     return 0
 
 
 def _cmd_metrics_validate(args: argparse.Namespace) -> int:
-    import json
     import pathlib
 
     from repro.telemetry import validate_manifest
 
     try:
         doc = json.loads(pathlib.Path(args.manifest).read_text())
-    except OSError as exc:
-        return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"{args.manifest}: not valid JSON ({exc})")
     problems = validate_manifest(doc)
@@ -839,26 +799,25 @@ def _print_sim_summary(sim, title: str) -> None:
     )
 
 
+def _replayed_events(artifact) -> tuple[list, dict]:
+    """Replay an artifact under a recorder: its events and their metadata."""
+    from repro.trace import MemoryRecorder, replay
+
+    rec = MemoryRecorder()
+    replay(artifact, recorder=rec)
+    meta = {"workload": artifact.workload, "mapper_version": artifact.mapper_version}
+    return rec.events, meta
+
+
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from repro.trace import (
-        MemoryRecorder,
-        record,
-        replay,
-        save_artifact,
-        write_events_jsonl,
-    )
+    from repro.trace import record, save_artifact, write_events_jsonl
 
     config = _config_from(args)
     try:
         artifact = record(args.workload, config, args.mapper)
     except KeyError as exc:
         return _fail(str(exc.args[0]))
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        save_artifact(args.out, artifact)
-    except OSError as exc:
-        return _fail(str(exc))
+    save_artifact(args.out, artifact)
     _LOG.info(
         "recorded %s/%s: %d clients, %d requests -> %s (format v%d)",
         artifact.workload,
@@ -869,61 +828,30 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         artifact.format_version,
     )
     if args.events:
-        rec = MemoryRecorder()
-        replay(artifact, recorder=rec)
-        try:
-            n = write_events_jsonl(
-                args.events,
-                rec.events,
-                meta={
-                    "workload": artifact.workload,
-                    "mapper_version": artifact.mapper_version,
-                },
-            )
-        except OSError as exc:
-            return _fail(str(exc))
+        events, meta = _replayed_events(artifact)
+        n = write_events_jsonl(args.events, events, meta=meta)
         _LOG.info("%d events -> %s", n, args.events)
     return 0
 
 
 def _cmd_trace_export(args: argparse.Namespace) -> int:
-    from repro.trace import (
-        MemoryRecorder,
-        load_artifact,
-        replay,
-        write_chrome_trace,
-        write_events_jsonl,
-    )
+    from repro.trace import load_artifact, write_chrome_trace, write_events_jsonl
 
-    try:
-        artifact = load_artifact(args.artifact)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    rec = MemoryRecorder()
-    replay(artifact, recorder=rec)
-    meta = {
-        "workload": artifact.workload,
-        "mapper_version": artifact.mapper_version,
-    }
+    artifact = load_artifact(args.artifact)
+    events, meta = _replayed_events(artifact)
     level_names = artifact.config.build_hierarchy().level_names()
-    try:
-        if args.format == "chrome":
-            write_chrome_trace(args.out, rec.events, level_names, meta)
-        else:
-            write_events_jsonl(args.out, rec.events, meta)
-    except OSError as exc:
-        return _fail(str(exc))
-    _LOG.info("%d events (%s) -> %s", len(rec.events), args.format, args.out)
+    if args.format == "chrome":
+        write_chrome_trace(args.out, events, level_names, meta)
+    else:
+        write_events_jsonl(args.out, events, meta)
+    _LOG.info("%d events (%s) -> %s", len(events), args.format, args.out)
     return 0
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from repro.trace import load_artifact, replay, with_cache_overrides
 
-    try:
-        artifact = load_artifact(args.artifact)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    artifact = load_artifact(args.artifact)
     config = None
     if args.cache_elems or args.policy:
         cache_elems = None
@@ -935,14 +863,8 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
             if len(parts) != 3:
                 return _fail("--cache-elems expects exactly three comma-separated sizes")
             cache_elems = parts
-        try:
-            config = with_cache_overrides(artifact, cache_elems, args.policy or None)
-        except ValueError as exc:
-            return _fail(str(exc))
-    try:
-        sim = replay(artifact, config=config, prefetch_degree=args.prefetch_degree)
-    except ValueError as exc:
-        return _fail(str(exc))
+        config = with_cache_overrides(artifact, cache_elems, args.policy or None)
+    sim = replay(artifact, config=config, prefetch_degree=args.prefetch_degree)
     _print_sim_summary(
         sim, f"Replay: {artifact.workload}/{artifact.mapper_version}"
     )
@@ -953,11 +875,8 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from repro.trace import diff_artifacts, load_artifact, record
 
     if args.artifacts and len(args.artifacts) == 2:
-        try:
-            art_a = load_artifact(args.artifacts[0])
-            art_b = load_artifact(args.artifacts[1])
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
+        art_a = load_artifact(args.artifacts[0])
+        art_b = load_artifact(args.artifacts[1])
     elif args.artifacts:
         return _fail("diff takes exactly two artifact paths (or --workload mode)")
     elif args.workload:
@@ -967,26 +886,19 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
             art_b = record(args.workload, config, args.version_b)
         except KeyError as exc:
             return _fail(str(exc.args[0]))
-        except ValueError as exc:
-            return _fail(str(exc))
     else:
         return _fail("diff needs two artifact paths or --workload")
-    try:
-        diff = diff_artifacts(art_a, art_b, top_n=args.top)
-    except ValueError as exc:
-        return _fail(str(exc))
-    print(diff.render())
+    print(diff_artifacts(art_a, art_b, top_n=args.top).render())
     return 0
 
 
 # -- scenario commands --------------------------------------------------------------
 
 
-def _load_scenario(args: argparse.Namespace):
-    """Resolve the scenario named on the command line (name or spec file)."""
+def _load_scenario(ref: str):
+    """Resolve a scenario named on the command line (name or spec file)."""
     from repro.scenario import get_scenario, load_spec_file
 
-    ref = args.scenario
     if ref.endswith((".json", ".yaml", ".yml")):
         return load_spec_file(ref)
     return get_scenario(ref)
@@ -1005,32 +917,23 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario_show(args: argparse.Namespace) -> int:
-    import json as json_mod
-
     from repro.scenario import spec_to_dict
 
     try:
-        spec = _load_scenario(args)
-    except (KeyError, OSError, ValueError) as exc:
-        return _fail(str(exc.args[0] if isinstance(exc, KeyError) else exc))
-    print(json_mod.dumps(spec_to_dict(spec), indent=2, sort_keys=True))
+        spec = _load_scenario(args.scenario)
+    except KeyError as exc:
+        return _fail(str(exc.args[0]))
+    _print_json(spec_to_dict(spec))
     return 0
 
 
 def _cmd_scenario_validate(args: argparse.Namespace) -> int:
-    from repro.scenario import get_scenario, load_spec_file, scenario_names
+    from repro.scenario import scenario_names
 
-    if args.scenario:
-        names = [args.scenario]
-    else:
-        names = scenario_names()
     problems = 0
-    for ref in names:
+    for ref in [args.scenario] if args.scenario else scenario_names():
         try:
-            if ref.endswith((".json", ".yaml", ".yml")):
-                spec = load_spec_file(ref)
-            else:
-                spec = get_scenario(ref)
+            spec = _load_scenario(ref)
             spec.deep_validate()
         except (KeyError, OSError, ValueError) as exc:
             problems += 1
@@ -1049,23 +952,20 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     from repro.scenario import result_digest, run_scenario
     from repro.scenario.runner import scenario_key
 
-    try:
-        spec = _load_scenario(args)
-        spec.deep_validate()
-    except (KeyError, OSError, ValueError) as exc:
-        return _fail(str(exc.args[0] if isinstance(exc, KeyError) else exc))
-    if args.policies:
-        parts = tuple(p.strip() for p in args.policies.split(","))
-        if len(parts) != 3:
-            return _fail("--policies expects l1,l2,l3 policy names")
-        spec = dc_replace(spec, policies=parts)
     config = _config_from(args) or config_mod.DEFAULT_CONFIG
     version = args.mapper or None
     try:
+        spec = _load_scenario(args.scenario)
+        spec.deep_validate()
+        if args.policies:
+            parts = tuple(p.strip() for p in args.policies.split(","))
+            if len(parts) != 3:
+                return _fail("--policies expects l1,l2,l3 policy names")
+            spec = dc_replace(spec, policies=parts)
         key = scenario_key(spec, config, version)
         result = run_scenario(spec, config, version)
-    except (KeyError, ValueError) as exc:
-        return _fail(str(exc.args[0] if isinstance(exc, KeyError) else exc))
+    except KeyError as exc:
+        return _fail(str(exc.args[0]))
     _print_sim_summary(
         result.sim, f"Scenario {spec.name} ({spec.kind}) as {key.workload}/{key.version}"
     )
@@ -1077,17 +977,22 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 
 def _obs_spans_from(args: argparse.Namespace):
-    """Load spans from the positional JSONL path or a server's /debugz."""
+    """Spans from the positional JSONL path or a server's /debugz.
+
+    With ``--trace ID``, only that request's spans.
+    """
     from repro.obs import Span, read_spans_jsonl
 
-    url = getattr(args, "url", "")
-    if url:
+    if args.url:
         from repro.serve import ServeClient
 
-        with ServeClient(url) as client:
+        with ServeClient(args.url) as client:
             doc = client.debugz()
-        return [Span.from_dict(d) for d in doc.get("recent", [])]
-    return read_spans_jsonl(args.spans)
+        spans = [Span.from_dict(d) for d in doc.get("recent", [])]
+    else:
+        spans = read_spans_jsonl(args.spans)
+    trace = getattr(args, "trace", "")
+    return [s for s in spans if s.trace_id == trace] if trace else spans
 
 
 def _span_attrs_str(attrs: dict) -> str:
@@ -1112,12 +1017,7 @@ def _render_span_tree(nodes: list, depth: int = 0) -> list[str]:
 def _cmd_obs_spans(args: argparse.Namespace) -> int:
     from repro.obs import build_trees
 
-    try:
-        spans = _obs_spans_from(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    if args.trace:
-        spans = [s for s in spans if s.trace_id == args.trace]
+    spans = _obs_spans_from(args)
     if not spans:
         print("no spans" + (f" for trace {args.trace}" if args.trace else ""))
         return 0
@@ -1132,28 +1032,22 @@ def _cmd_obs_spans(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
-    import json as json_mod
-
     from repro.obs import render_slo, slo_report
 
-    url = getattr(args, "url", "")
-    if url:
+    if args.url:
         # The server aggregates over its whole ring; use that directly
         # rather than the 50-span "recent" window.
         from repro.serve import ServeClient, ServeError
 
         try:
-            with ServeClient(url) as client:
+            with ServeClient(args.url) as client:
                 report = client.debugz().get("slo", {})
         except (ServeError, OSError) as exc:
-            return _fail(f"{url}: {exc}")
+            return _fail(f"{args.url}: {exc}")
     else:
-        try:
-            report = slo_report(_obs_spans_from(args), top=args.top)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
+        report = slo_report(_obs_spans_from(args), top=args.top)
     if args.json:
-        print(json_mod.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(render_slo(report))
     return 0
@@ -1162,16 +1056,8 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 def _cmd_obs_export(args: argparse.Namespace) -> int:
     from repro.obs import spans_to_chrome, write_chrome_spans
 
-    try:
-        spans = _obs_spans_from(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    if args.trace:
-        spans = [s for s in spans if s.trace_id == args.trace]
-    try:
-        write_chrome_spans(args.out, spans, meta={"source": args.spans or "debugz"})
-    except OSError as exc:
-        return _fail(str(exc))
+    spans = _obs_spans_from(args)
+    write_chrome_spans(args.out, spans, meta={"source": args.spans or "debugz"})
     n = len(spans_to_chrome(spans)["traceEvents"])
     _LOG.info("%d spans (%d trace events) -> %s", len(spans), n, args.out)
     print(f"{len(spans)} spans -> {args.out} (open in chrome://tracing)")
@@ -1179,8 +1065,6 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_tail(args: argparse.Namespace) -> int:
-    import json as json_mod
-
     from repro.obs import Span
 
     def emit(line: str) -> None:
@@ -1188,7 +1072,7 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
         if not line:
             return
         try:
-            s = Span.from_dict(json_mod.loads(line))
+            s = Span.from_dict(json.loads(line))
         except (ValueError, KeyError, TypeError):
             return
         attrs = _span_attrs_str(s.attrs)
@@ -1198,11 +1082,7 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
             + (f"  {attrs}" if attrs else "")
         )
 
-    try:
-        fh = open(args.spans)
-    except OSError as exc:
-        return _fail(str(exc))
-    with fh:
+    with open(args.spans) as fh:
         lines = fh.readlines()
         for line in lines[-args.last :] if args.last else lines:
             emit(line)
@@ -1222,7 +1102,573 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+def _arg(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+#: Option groups shared by several commands, each declared once.  Every
+#: command takes ``log``; a :data:`COMMANDS` row names the others.
+FLAG_GROUPS = {
+    "log": (
+        _arg(
+            "--log-level",
+            default="info",
+            choices=("debug", "info", "warning", "error"),
+            help="logging verbosity on stderr (default: info)",
+        ),
+        _arg(
+            "-v",
+            "--verbose",
+            action="store_true",
+            help="shorthand for --log-level debug",
+        ),
+    ),
+    "scale": (
+        _arg(
+            "--scale",
+            type=int,
+            default=0,
+            help="run at a reduced topology (e.g. 4 => 16 clients); 0 = default",
+        ),
+    ),
+    "telemetry": (
+        _arg(
+            "--telemetry",
+            default="",
+            metavar="PATH",
+            help="collect metrics/phase timings and write a JSON run manifest here",
+        ),
+        _arg(
+            "--trace",
+            default="",
+            metavar="PATH",
+            help="trace the run as one span tree and write span JSONL here (view with "
+            "'repro obs')",
+        ),
+    ),
+    "engine": (
+        _arg(
+            "--engine",
+            default="",
+            choices=("reference", "fast"),
+            help="simulation engine: 'fast' (vectorized, default) or 'reference' "
+            "(scalar oracle)",
+        ),
+    ),
+    "exec": (
+        _arg(
+            "--workers",
+            type=int,
+            default=0,
+            metavar="N",
+            help="run simulations on a process pool of N workers (0/1 = serial)",
+        ),
+        _arg(
+            "--cache",
+            default="",
+            metavar="DIR",
+            help="content-addressed result store directory (reused across runs)",
+        ),
+        _arg(
+            "--cache-max-bytes",
+            type=int,
+            default=None,
+            metavar="N",
+            help="LRU-evict the store past this size after each write (default: "
+            "$REPRO_CACHE_MAX_BYTES, else unbounded)",
+        ),
+    ),
+    "serving": (
+        _arg("--host", default="127.0.0.1", help="bind address"),
+        _arg(
+            "--max-queue",
+            type=int,
+            default=64,
+            metavar="N",
+            help="admitted experiment requests before 429 backpressure (default: 64)",
+        ),
+        _arg(
+            "--max-batch",
+            type=int,
+            default=8,
+            metavar="N",
+            help="micro-batch size fed to the backend executor (default: 8)",
+        ),
+        _arg(
+            "--batch-wait-ms",
+            type=float,
+            default=5.0,
+            metavar="MS",
+            help="max wait to fill a micro-batch (default: 5 ms)",
+        ),
+        _arg(
+            "--request-timeout",
+            type=float,
+            default=300.0,
+            metavar="S",
+            help="per-request timeout in seconds (default: 300)",
+        ),
+    ),
+    "span-tracing": (
+        _arg(
+            "--trace",
+            action="store_true",
+            help="enable span tracing (per-request trees on /debugz; off by default)",
+        ),
+        _arg(
+            "--span-log",
+            default="",
+            metavar="PATH",
+            help="also append finished spans as JSONL here (implies --trace)",
+        ),
+        _arg(
+            "--span-ring",
+            type=int,
+            default=4096,
+            metavar="N",
+            help="in-memory span ring capacity (default: 4096)",
+        ),
+    ),
+    "store": (
+        _arg(
+            "--cache",
+            default="",
+            metavar="DIR",
+            help="store directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+        ),
+        _arg(
+            "--cache-max-bytes",
+            type=int,
+            default=None,
+            metavar="N",
+            help="treat the store as capped at this size (default: "
+            "$REPRO_CACHE_MAX_BYTES)",
+        ),
+    ),
+    "span-source": (
+        _arg(
+            "spans",
+            nargs="?",
+            default="",
+            help="span JSONL file (from --trace / --span-log); or use --url",
+        ),
+        _arg(
+            "--url",
+            default="",
+            metavar="URL",
+            help="read spans from a running server's /debugz instead of a file",
+        ),
+    ),
+}
+
+#: What a paper experiment takes: scale, telemetry, execution, engine.
+_EXPERIMENT = ("scale", "telemetry", "exec", "engine")
+
+
+class Command:
+    """One leaf command, ``repro <path>``: handler, help, flag groups, own arguments."""
+
+    def __init__(self, path: str, func: Callable, help: str, groups=(), *args):
+        self.path, self.func, self.help = path, func, help
+        self.groups, self.args = groups, args
+
+
+#: Help for each command group (``repro shard ...``), in listing order.
+GROUP_HELP = {
+    "shard": "consistent-hash sharded serving tier (router + N workers)",
+    "cache": "inspect and maintain the on-disk result store",
+    "metrics": "inspect, export, diff and validate run manifests",
+    "trace": "event tracing, record/replay, mapping diffs",
+    "obs": "span traces: request trees, SLO report, Chrome export",
+    "scenario": "declarative scenarios: registry, generators, traces",
+    "campaign": "resumable experiment campaigns: matrix specs, manifests, reports",
+}
+
+_URL = "http://127.0.0.1:8080"
+
+#: Every leaf command, in ``repro --help`` order.
+COMMANDS = (
+    *(
+        Command(name, _cmd_experiment, f"regenerate {name}", _EXPERIMENT)
+        for name in EXPERIMENTS
+    ),
+    Command(
+        "discussion", _cmd_discussion, "the §5.4/§6 discussion analyses", _EXPERIMENT
+    ),
+    Command("all", _cmd_all, "every experiment, in paper order", _EXPERIMENT),
+    Command(
+        "explain",
+        _cmd_explain,
+        "miss-source attribution for one workload",
+        _EXPERIMENT,
+        _arg("--workload", default="hf", help="workload to analyse (default: hf)"),
+    ),
+    Command(
+        "suite",
+        _cmd_suite,
+        "raw per-(workload, version) metrics",
+        _EXPERIMENT,
+        _arg("--json", default="", help="also dump raw results to this JSON file"),
+    ),
+    Command(
+        "serve",
+        _cmd_serve,
+        "long-lived mapping service (HTTP, coalescing, backpressure)",
+        ("scale", "exec", "engine", "serving", "span-tracing"),
+        _arg("--port", type=int, default=8080, help="bind port (0 = ephemeral)"),
+    ),
+    Command(
+        "request",
+        _cmd_request,
+        "send one experiment request to a running mapping service",
+        ("scale",),
+        _arg("--url", default=_URL, help="service base URL"),
+        _arg("--workload", default="hf", help="suite workload (default: hf)"),
+        _arg(
+            "--mapper",
+            default="inter+sched",
+            choices=VERSIONS,
+            help="mapping version to request (default: inter+sched)",
+        ),
+        _arg(
+            "--scenario",
+            default="",
+            help="request a registered scenario instead of --workload/--mapper",
+        ),
+        _arg("--timeout", type=float, default=600.0, help="client timeout in seconds"),
+        _arg("--json", action="store_true", help="print the raw response document"),
+        _arg(
+            "--request-id",
+            default="",
+            metavar="ID",
+            help="supply the correlation id instead of letting the server generate one",
+        ),
+        _arg(
+            "--retries",
+            type=int,
+            default=0,
+            metavar="N",
+            help="on 429/503 honor Retry-After and retry up to N times with capped "
+            "jittered exponential backoff (default: 0 = fail fast)",
+        ),
+    ),
+    Command(
+        "shard serve",
+        _cmd_shard_serve,
+        "run a local cluster: N shard workers behind one router",
+        ("scale", "exec", "engine", "serving", "span-tracing"),
+        _arg(
+            "--shards",
+            type=int,
+            default=3,
+            metavar="N",
+            help="number of shard workers to spawn (default: 3)",
+        ),
+        _arg("--port", type=int, default=8080, help="router bind port (0 = ephemeral)"),
+        _arg(
+            "--max-inflight",
+            type=int,
+            default=64,
+            metavar="N",
+            help="router-side in-flight requests per shard before 429 (default: 64)",
+        ),
+    ),
+    Command(
+        "shard worker",
+        _cmd_shard_worker,
+        "run one shard worker over its store partition (internal: spawned by 'shard "
+        "serve')",
+        ("scale", "engine", "serving"),
+        _arg("--shard-id", required=True, help="ring member id (shard-<n>)"),
+        _arg("--root", required=True, metavar="DIR", help="cluster partition root"),
+        _arg("--port", type=int, default=0, help="bind port (0 = ephemeral)"),
+        _arg(
+            "--workers",
+            type=int,
+            default=1,
+            metavar="N",
+            help="process-pool workers for this shard (0/1 = serial)",
+        ),
+        _arg("--cache-max-bytes", type=int, default=None, metavar="N"),
+    ),
+    Command(
+        "shard status",
+        _cmd_shard_status,
+        "cluster-wide status from a running router",
+        (),
+        _arg("--url", default=_URL, help="router base URL"),
+        _arg("--timeout", type=float, default=30.0, help="client timeout in seconds"),
+        _arg("--json", action="store_true", help="print the raw status document"),
+    ),
+    Command(
+        "shard drain",
+        _cmd_shard_drain,
+        "gracefully remove one shard: park, stop, rebalance, reroute",
+        (),
+        _arg("--shard", required=True, help="member to drain (shard-<n>)"),
+        _arg("--url", default=_URL, help="router base URL"),
+        _arg(
+            "--timeout",
+            type=float,
+            default=120.0,
+            help="client timeout in seconds (drain waits out in-flight work)",
+        ),
+        _arg("--json", action="store_true", help="print the raw drain document"),
+    ),
+    Command(
+        "cache stats", _cmd_cache_stats, "entry counts and on-disk size", ("store",)
+    ),
+    Command(
+        "cache gc",
+        _cmd_cache_gc,
+        "evict least-recently-used entries down to a byte budget",
+        ("store",),
+        _arg(
+            "--max-bytes",
+            type=int,
+            default=None,
+            help="evict least-recently-used entries until the store fits this size "
+            "(default: --cache-max-bytes / $REPRO_CACHE_MAX_BYTES)",
+        ),
+    ),
+    Command("cache clear", _cmd_cache_clear, "remove every store entry", ("store",)),
+    Command(
+        "metrics show",
+        _cmd_metrics_show,
+        "summarise a run manifest",
+        (),
+        _arg("manifest", help="manifest path written by --telemetry"),
+    ),
+    Command(
+        "metrics export",
+        _cmd_metrics_export,
+        "export a manifest as Prometheus text exposition",
+        (),
+        _arg("manifest", help="manifest path written by --telemetry"),
+        _arg("-o", "--out", default="-", help="output path ('-' for stdout, default)"),
+    ),
+    Command(
+        "metrics diff",
+        _cmd_metrics_diff,
+        "compare two run manifests",
+        (),
+        _arg("manifest_a", help="baseline manifest"),
+        _arg("manifest_b", help="comparison manifest"),
+    ),
+    Command(
+        "metrics validate",
+        _cmd_metrics_validate,
+        "schema-check a run manifest",
+        (),
+        _arg("manifest", help="manifest path to validate"),
+    ),
+    Command(
+        "trace record",
+        _cmd_trace_record,
+        "record a workload artifact",
+        ("scale",),
+        _arg("--workload", default="hf", help="suite workload (default: hf)"),
+        _arg(
+            "--mapper",
+            default="inter+sched",
+            choices=VERSIONS,
+            help="mapping version to record (default: inter+sched)",
+        ),
+        _arg("-o", "--out", required=True, help="artifact output path (.npz)"),
+        _arg(
+            "--events", default="", help="also write the event trace to this JSONL file"
+        ),
+    ),
+    Command(
+        "trace export",
+        _cmd_trace_export,
+        "export an artifact's event trace",
+        (),
+        _arg("artifact", help="recorded artifact path"),
+        _arg(
+            "--format",
+            default="chrome",
+            choices=("chrome", "jsonl"),
+            help="chrome://tracing JSON (default) or raw JSONL events",
+        ),
+        _arg("-o", "--out", required=True, help="output path"),
+    ),
+    Command(
+        "trace replay",
+        _cmd_trace_replay,
+        "re-simulate an artifact (optionally under what-if overrides)",
+        ("engine",),
+        _arg("artifact", help="recorded artifact path"),
+        _arg(
+            "--prefetch-degree", type=int, default=None, help="override prefetch degree"
+        ),
+        _arg(
+            "--cache-elems",
+            default="",
+            help="override per-node cache sizes, e.g. 2048,3072,12288",
+        ),
+        _arg("--policy", default="", help="override replacement policy"),
+    ),
+    Command(
+        "trace diff",
+        _cmd_trace_diff,
+        "diff two traces of one workload",
+        ("scale",),
+        _arg(
+            "artifacts", nargs="*", help="two recorded artifact paths (same workload)"
+        ),
+        _arg("--workload", default="", help="record-and-diff mode: suite workload"),
+        _arg(
+            "-a",
+            "--version-a",
+            default="original",
+            choices=VERSIONS,
+            help="baseline mapping version (default: original)",
+        ),
+        _arg(
+            "-b",
+            "--version-b",
+            default="inter+sched",
+            choices=VERSIONS,
+            help="comparison mapping version (default: inter+sched)",
+        ),
+        _arg("--top", type=int, default=10, help="top-N chunk movers to report"),
+    ),
+    Command(
+        "obs spans",
+        _cmd_obs_spans,
+        "render per-request span trees",
+        ("span-source",),
+        _arg("--trace", default="", metavar="ID", help="only this request id's tree"),
+        _arg("--last", type=int, default=0, metavar="N", help="only the last N trees"),
+    ),
+    Command(
+        "obs slo",
+        _cmd_obs_slo,
+        "per-stage p50/p95/p99 latency report",
+        ("span-source",),
+        _arg("--top", type=int, default=5, metavar="N", help="slowest roots to list"),
+        _arg("--json", action="store_true", help="print the report document as JSON"),
+    ),
+    Command(
+        "obs export",
+        _cmd_obs_export,
+        "export spans as chrome://tracing JSON",
+        ("span-source",),
+        _arg("--trace", default="", metavar="ID", help="only this request id's spans"),
+        _arg("-o", "--out", required=True, help="Chrome-trace output path"),
+    ),
+    Command(
+        "obs tail",
+        _cmd_obs_tail,
+        "print spans from a span log as lines",
+        (),
+        _arg("spans", help="span JSONL log (e.g. serve --span-log)"),
+        _arg("-f", "--follow", action="store_true", help="keep watching for new spans"),
+        _arg(
+            "--last",
+            type=int,
+            default=20,
+            metavar="N",
+            help="existing spans to print first (default: 20; 0 = all)",
+        ),
+        _arg(
+            "--interval",
+            type=float,
+            default=0.5,
+            metavar="S",
+            help="poll interval when following (default: 0.5s)",
+        ),
+    ),
+    Command("scenario list", _cmd_scenario_list, "list registered scenarios"),
+    Command(
+        "scenario show",
+        _cmd_scenario_show,
+        "print one scenario's spec document as JSON",
+        (),
+        _arg("scenario", help="registered name or spec file (.json/.yaml)"),
+    ),
+    Command(
+        "scenario validate",
+        _cmd_scenario_validate,
+        "validate scenarios (all built-ins when none is named)",
+        (),
+        _arg(
+            "scenario",
+            nargs="?",
+            default="",
+            help="registered name or spec file; default: every registered scenario",
+        ),
+    ),
+    Command(
+        "scenario run",
+        _cmd_scenario_run,
+        "execute one scenario through the exec runtime",
+        _EXPERIMENT,
+        _arg("scenario", help="registered name or spec file (.json/.yaml)"),
+        _arg(
+            "--mapper",
+            default="",
+            choices=("",) + VERSIONS,
+            help="mapper version override (workload-kind scenarios only)",
+        ),
+        _arg(
+            "--policies",
+            default="",
+            metavar="L1,L2,L3",
+            help="per-level replacement policies, leaf first (e.g. lru,rrip,arc)",
+        ),
+    ),
+    Command(
+        "campaign run",
+        _cmd_campaign_run,
+        "execute a campaign spec; write manifest + comparison report",
+        _EXPERIMENT,
+        _arg("spec", help="campaign spec file (.json/.yaml)"),
+        _arg(
+            "-o",
+            "--out",
+            required=True,
+            metavar="DIR",
+            help="output directory for manifest.json, report.json, report.md",
+        ),
+        _arg(
+            "--chunk-size",
+            type=int,
+            default=16,
+            metavar="N",
+            help="cells per manifest checkpoint (default: 16)",
+        ),
+    ),
+    Command(
+        "campaign status",
+        _cmd_campaign_status,
+        "summarise a (possibly still-running) campaign manifest",
+        (),
+        _arg("manifest", help="manifest.json path or its directory"),
+    ),
+    Command(
+        "campaign report",
+        _cmd_campaign_report,
+        "regenerate the comparison report from a manifest",
+        (),
+        _arg("manifest", help="manifest.json path or its directory"),
+        _arg("--json", action="store_true", help="print the report document as JSON"),
+    ),
+    Command(
+        "campaign diff",
+        _cmd_campaign_diff,
+        "compare two campaign manifests cell by cell",
+        (),
+        _arg("manifest_a", help="baseline manifest.json (or directory)"),
+        _arg("manifest_b", help="comparison manifest.json (or directory)"),
+    ),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser, built by walking :data:`COMMANDS`."""
     from repro import __version__
 
     parser = argparse.ArgumentParser(
@@ -1235,724 +1681,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
     )
-
-    log_parent = argparse.ArgumentParser(add_help=False)
-    log_parent.add_argument(
-        "--log-level",
-        default="info",
-        choices=("debug", "info", "warning", "error"),
-        help="logging verbosity on stderr (default: info)",
-    )
-    log_parent.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="shorthand for --log-level debug",
-    )
-
-    scale_parent = argparse.ArgumentParser(add_help=False)
-    scale_parent.add_argument(
-        "--scale",
-        type=int,
-        default=0,
-        help="run at a reduced topology (e.g. 4 => 16 clients); 0 = default",
-    )
-
-    telemetry_parent = argparse.ArgumentParser(add_help=False)
-    telemetry_parent.add_argument(
-        "--telemetry",
-        default="",
-        metavar="PATH",
-        help="collect metrics/phase timings and write a JSON run manifest here",
-    )
-    telemetry_parent.add_argument(
-        "--trace",
-        default="",
-        metavar="PATH",
-        dest="trace",
-        help="trace the run as one span tree and write span JSONL here "
-        "(view with 'repro obs')",
-    )
-
-    engine_parent = argparse.ArgumentParser(add_help=False)
-    engine_parent.add_argument(
-        "--engine",
-        default="",
-        choices=("reference", "fast"),
-        help="simulation engine: 'fast' (vectorized, default) or "
-        "'reference' (scalar oracle)",
-    )
-
-    exec_parent = argparse.ArgumentParser(add_help=False)
-    exec_parent.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run simulations on a process pool of N workers (0/1 = serial)",
-    )
-    exec_parent.add_argument(
-        "--cache",
-        default="",
-        metavar="DIR",
-        help="content-addressed result store directory (reused across runs)",
-    )
-    exec_parent.add_argument(
-        "--cache-max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LRU-evict the store past this size after each write "
-        "(default: $REPRO_CACHE_MAX_BYTES, else unbounded)",
-    )
-
-    experiment_parents = [
-        log_parent,
-        scale_parent,
-        telemetry_parent,
-        exec_parent,
-        engine_parent,
-    ]
-
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    for name in EXPERIMENTS:
-        p = sub.add_parser(
-            name, parents=experiment_parents, help=f"regenerate {name}"
-        )
-        p.set_defaults(func=_cmd_experiment, experiment=name)
-
-    p = sub.add_parser(
-        "discussion",
-        parents=experiment_parents,
-        help="the §5.4/§6 discussion analyses",
-    )
-    p.set_defaults(func=_cmd_discussion)
-
-    p = sub.add_parser(
-        "all", parents=experiment_parents, help="every experiment, in paper order"
-    )
-    p.set_defaults(func=_cmd_all)
-
-    p = sub.add_parser(
-        "explain",
-        parents=experiment_parents,
-        help="miss-source attribution for one workload",
-    )
-    p.add_argument(
-        "--workload", default="hf", help="workload to analyse (default: hf)"
-    )
-    p.set_defaults(func=_cmd_explain)
-
-    p = sub.add_parser(
-        "suite",
-        parents=experiment_parents,
-        help="raw per-(workload, version) metrics",
-    )
-    p.add_argument(
-        "--json", default="", help="also dump raw results to this JSON file"
-    )
-    p.set_defaults(func=_cmd_suite)
-
-    p = sub.add_parser(
-        "serve",
-        parents=[log_parent, scale_parent, exec_parent, engine_parent],
-        help="long-lived mapping service (HTTP, coalescing, backpressure)",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=8080, help="bind port (0 = ephemeral)"
-    )
-    p.add_argument(
-        "--max-queue",
-        type=int,
-        default=64,
-        metavar="N",
-        help="admitted experiment requests before 429 backpressure (default: 64)",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        metavar="N",
-        help="micro-batch size fed to the backend executor (default: 8)",
-    )
-    p.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="max wait to fill a micro-batch (default: 5 ms)",
-    )
-    p.add_argument(
-        "--request-timeout",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="per-request timeout in seconds (default: 300)",
-    )
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable span tracing (per-request trees on /debugz; off by default)",
-    )
-    p.add_argument(
-        "--span-log",
-        default="",
-        metavar="PATH",
-        help="also append finished spans as JSONL here (implies --trace)",
-    )
-    p.add_argument(
-        "--span-ring",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="in-memory span ring capacity (default: 4096)",
-    )
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "request",
-        parents=[log_parent, scale_parent],
-        help="send one experiment request to a running mapping service",
-    )
-    p.add_argument(
-        "--url", default="http://127.0.0.1:8080", help="service base URL"
-    )
-    p.add_argument("--workload", default="hf", help="suite workload (default: hf)")
-    p.add_argument(
-        "--mapper",
-        default="inter+sched",
-        choices=VERSIONS,
-        help="mapping version to request (default: inter+sched)",
-    )
-    p.add_argument(
-        "--scenario",
-        default="",
-        help="request a registered scenario instead of --workload/--mapper",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=600.0, help="client timeout in seconds"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="print the raw response document"
-    )
-    p.add_argument(
-        "--request-id",
-        default="",
-        metavar="ID",
-        help="supply the correlation id instead of letting the server generate one",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="on 429/503 honor Retry-After and retry up to N times with "
-        "capped jittered exponential backoff (default: 0 = fail fast)",
-    )
-    p.set_defaults(func=_cmd_request)
-
-    shard = sub.add_parser(
-        "shard",
-        help="consistent-hash sharded serving tier (router + N workers)",
-    )
-    shsub = shard.add_subparsers(
-        dest="shard_command", required=True, metavar="action"
-    )
-
-    p = shsub.add_parser(
-        "serve",
-        parents=[log_parent, scale_parent, exec_parent, engine_parent],
-        help="run a local cluster: N shard workers behind one router",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=3,
-        metavar="N",
-        help="number of shard workers to spawn (default: 3)",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="router bind address")
-    p.add_argument(
-        "--port", type=int, default=8080, help="router bind port (0 = ephemeral)"
-    )
-    p.add_argument(
-        "--max-queue",
-        type=int,
-        default=64,
-        metavar="N",
-        help="per-worker admitted requests before 429 (default: 64)",
-    )
-    p.add_argument(
-        "--max-inflight",
-        type=int,
-        default=64,
-        metavar="N",
-        help="router-side in-flight requests per shard before 429 (default: 64)",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        metavar="N",
-        help="per-worker micro-batch size (default: 8)",
-    )
-    p.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="per-worker max wait to fill a micro-batch (default: 5 ms)",
-    )
-    p.add_argument(
-        "--request-timeout",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="per-request timeout in seconds (default: 300)",
-    )
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable router span tracing (per-request trees on /debugz)",
-    )
-    p.add_argument(
-        "--span-log",
-        default="",
-        metavar="PATH",
-        help="also append finished router spans as JSONL here (implies --trace)",
-    )
-    p.add_argument(
-        "--span-ring",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="in-memory span ring capacity (default: 4096)",
-    )
-    p.set_defaults(func=_cmd_shard_serve)
-
-    p = shsub.add_parser(
-        "worker",
-        parents=[log_parent, scale_parent, engine_parent],
-        help="run one shard worker over its store partition (internal: "
-        "spawned by 'shard serve')",
-    )
-    p.add_argument("--shard-id", required=True, help="ring member id (shard-<n>)")
-    p.add_argument(
-        "--root", required=True, metavar="DIR", help="cluster partition root"
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = ephemeral)"
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="process-pool workers for this shard (0/1 = serial)",
-    )
-    p.add_argument("--max-queue", type=int, default=64, metavar="N")
-    p.add_argument("--max-batch", type=int, default=8, metavar="N")
-    p.add_argument("--batch-wait-ms", type=float, default=5.0, metavar="MS")
-    p.add_argument("--request-timeout", type=float, default=300.0, metavar="S")
-    p.add_argument("--cache-max-bytes", type=int, default=None, metavar="N")
-    p.set_defaults(func=_cmd_shard_worker)
-
-    p = shsub.add_parser(
-        "status",
-        parents=[log_parent],
-        help="cluster-wide status from a running router",
-    )
-    p.add_argument(
-        "--url", default="http://127.0.0.1:8080", help="router base URL"
-    )
-    p.add_argument(
-        "--timeout", type=float, default=30.0, help="client timeout in seconds"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="print the raw status document"
-    )
-    p.set_defaults(func=_cmd_shard_status)
-
-    p = shsub.add_parser(
-        "drain",
-        parents=[log_parent],
-        help="gracefully remove one shard: park, stop, rebalance, reroute",
-    )
-    p.add_argument("--shard", required=True, help="member to drain (shard-<n>)")
-    p.add_argument(
-        "--url", default="http://127.0.0.1:8080", help="router base URL"
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="client timeout in seconds (drain waits out in-flight work)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="print the raw drain document"
-    )
-    p.set_defaults(func=_cmd_shard_drain)
-
-    cache = sub.add_parser(
-        "cache", help="inspect and maintain the on-disk result store"
-    )
-    csub = cache.add_subparsers(
-        dest="cache_command", required=True, metavar="action"
-    )
-    cache_parent = argparse.ArgumentParser(add_help=False)
-    cache_parent.add_argument(
-        "--cache",
-        default="",
-        metavar="DIR",
-        help="store directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    cache_parent.add_argument(
-        "--cache-max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="treat the store as capped at this size "
-        "(default: $REPRO_CACHE_MAX_BYTES)",
-    )
-
-    p = csub.add_parser(
-        "stats",
-        parents=[log_parent, cache_parent],
-        help="entry counts and on-disk size",
-    )
-    p.set_defaults(func=_cmd_cache_stats)
-
-    p = csub.add_parser(
-        "gc",
-        parents=[log_parent, cache_parent],
-        help="evict least-recently-used entries down to a byte budget",
-    )
-    p.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="evict least-recently-used entries until the store fits this "
-        "size (default: --cache-max-bytes / $REPRO_CACHE_MAX_BYTES)",
-    )
-    p.set_defaults(func=_cmd_cache_gc)
-
-    p = csub.add_parser(
-        "clear",
-        parents=[log_parent, cache_parent],
-        help="remove every store entry",
-    )
-    p.set_defaults(func=_cmd_cache_clear)
-
-    metrics = sub.add_parser(
-        "metrics", help="inspect, export, diff and validate run manifests"
-    )
-    msub = metrics.add_subparsers(
-        dest="metrics_command", required=True, metavar="action"
-    )
-
-    p = msub.add_parser(
-        "show", parents=[log_parent], help="summarise a run manifest"
-    )
-    p.add_argument("manifest", help="manifest path written by --telemetry")
-    p.set_defaults(func=_cmd_metrics_show)
-
-    p = msub.add_parser(
-        "export",
-        parents=[log_parent],
-        help="export a manifest as Prometheus text exposition",
-    )
-    p.add_argument("manifest", help="manifest path written by --telemetry")
-    p.add_argument(
-        "-o", "--out", default="-", help="output path ('-' for stdout, default)"
-    )
-    p.set_defaults(func=_cmd_metrics_export)
-
-    p = msub.add_parser(
-        "diff", parents=[log_parent], help="compare two run manifests"
-    )
-    p.add_argument("manifest_a", help="baseline manifest")
-    p.add_argument("manifest_b", help="comparison manifest")
-    p.set_defaults(func=_cmd_metrics_diff)
-
-    p = msub.add_parser(
-        "validate", parents=[log_parent], help="schema-check a run manifest"
-    )
-    p.add_argument("manifest", help="manifest path to validate")
-    p.set_defaults(func=_cmd_metrics_validate)
-
-    trace = sub.add_parser("trace", help="event tracing, record/replay, mapping diffs")
-    tsub = trace.add_subparsers(dest="trace_command", required=True, metavar="action")
-
-    p = tsub.add_parser(
-        "record",
-        parents=[log_parent, scale_parent],
-        help="record a workload artifact",
-    )
-    p.add_argument("--workload", default="hf", help="suite workload (default: hf)")
-    p.add_argument(
-        "--mapper",
-        default="inter+sched",
-        choices=VERSIONS,
-        help="mapping version to record (default: inter+sched)",
-    )
-    p.add_argument("-o", "--out", required=True, help="artifact output path (.npz)")
-    p.add_argument(
-        "--events", default="", help="also write the event trace to this JSONL file"
-    )
-    p.set_defaults(func=_cmd_trace_record)
-
-    p = tsub.add_parser(
-        "export", parents=[log_parent], help="export an artifact's event trace"
-    )
-    p.add_argument("artifact", help="recorded artifact path")
-    p.add_argument(
-        "--format",
-        default="chrome",
-        choices=("chrome", "jsonl"),
-        help="chrome://tracing JSON (default) or raw JSONL events",
-    )
-    p.add_argument("-o", "--out", required=True, help="output path")
-    p.set_defaults(func=_cmd_trace_export)
-
-    p = tsub.add_parser(
-        "replay",
-        parents=[log_parent, engine_parent],
-        help="re-simulate an artifact (optionally under what-if overrides)",
-    )
-    p.add_argument("artifact", help="recorded artifact path")
-    p.add_argument(
-        "--prefetch-degree", type=int, default=None, help="override prefetch degree"
-    )
-    p.add_argument(
-        "--cache-elems",
-        default="",
-        help="override per-node cache sizes, e.g. 2048,3072,12288",
-    )
-    p.add_argument("--policy", default="", help="override replacement policy")
-    p.set_defaults(func=_cmd_trace_replay)
-
-    p = tsub.add_parser(
-        "diff",
-        parents=[log_parent, scale_parent],
-        help="diff two traces of one workload",
-    )
-    p.add_argument(
-        "artifacts", nargs="*", help="two recorded artifact paths (same workload)"
-    )
-    p.add_argument(
-        "--workload", default="", help="record-and-diff mode: suite workload"
-    )
-    p.add_argument(
-        "-a", "--version-a", default="original", choices=VERSIONS,
-        help="baseline mapping version (default: original)",
-    )
-    p.add_argument(
-        "-b", "--version-b", default="inter+sched", choices=VERSIONS,
-        help="comparison mapping version (default: inter+sched)",
-    )
-    p.add_argument(
-        "--top", type=int, default=10, help="top-N chunk movers to report"
-    )
-    p.set_defaults(func=_cmd_trace_diff)
-
-    obs = sub.add_parser(
-        "obs", help="span traces: request trees, SLO report, Chrome export"
-    )
-    osub = obs.add_subparsers(dest="obs_command", required=True, metavar="action")
-    spans_parent = argparse.ArgumentParser(add_help=False)
-    spans_parent.add_argument(
-        "spans",
-        nargs="?",
-        default="",
-        help="span JSONL file (from --trace / --span-log); or use --url",
-    )
-    spans_parent.add_argument(
-        "--url",
-        default="",
-        metavar="URL",
-        help="read spans from a running server's /debugz instead of a file",
-    )
-
-    p = osub.add_parser(
-        "spans",
-        parents=[log_parent, spans_parent],
-        help="render per-request span trees",
-    )
-    p.add_argument(
-        "--trace", default="", metavar="ID", help="only this request id's tree"
-    )
-    p.add_argument(
-        "--last", type=int, default=0, metavar="N", help="only the last N trees"
-    )
-    p.set_defaults(func=_cmd_obs_spans)
-
-    p = osub.add_parser(
-        "slo",
-        parents=[log_parent, spans_parent],
-        help="per-stage p50/p95/p99 latency report",
-    )
-    p.add_argument(
-        "--top", type=int, default=5, metavar="N", help="slowest roots to list"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="print the report document as JSON"
-    )
-    p.set_defaults(func=_cmd_obs_slo)
-
-    p = osub.add_parser(
-        "export",
-        parents=[log_parent, spans_parent],
-        help="export spans as chrome://tracing JSON",
-    )
-    p.add_argument(
-        "--trace", default="", metavar="ID", help="only this request id's spans"
-    )
-    p.add_argument("-o", "--out", required=True, help="Chrome-trace output path")
-    p.set_defaults(func=_cmd_obs_export)
-
-    p = osub.add_parser(
-        "tail", parents=[log_parent], help="print spans from a span log as lines"
-    )
-    p.add_argument("spans", help="span JSONL log (e.g. serve --span-log)")
-    p.add_argument(
-        "-f", "--follow", action="store_true", help="keep watching for new spans"
-    )
-    p.add_argument(
-        "--last", type=int, default=20, metavar="N",
-        help="existing spans to print first (default: 20; 0 = all)",
-    )
-    p.add_argument(
-        "--interval", type=float, default=0.5, metavar="S",
-        help="poll interval when following (default: 0.5s)",
-    )
-    p.set_defaults(func=_cmd_obs_tail)
-
-    scenario = sub.add_parser(
-        "scenario", help="declarative scenarios: registry, generators, traces"
-    )
-    ssub = scenario.add_subparsers(
-        dest="scenario_command", required=True, metavar="action"
-    )
-
-    p = ssub.add_parser(
-        "list", parents=[log_parent], help="list registered scenarios"
-    )
-    p.set_defaults(func=_cmd_scenario_list)
-
-    p = ssub.add_parser(
-        "show",
-        parents=[log_parent],
-        help="print one scenario's spec document as JSON",
-    )
-    p.add_argument("scenario", help="registered name or spec file (.json/.yaml)")
-    p.set_defaults(func=_cmd_scenario_show)
-
-    p = ssub.add_parser(
-        "validate",
-        parents=[log_parent],
-        help="validate scenarios (all built-ins when none is named)",
-    )
-    p.add_argument(
-        "scenario",
-        nargs="?",
-        default="",
-        help="registered name or spec file; default: every registered scenario",
-    )
-    p.set_defaults(func=_cmd_scenario_validate)
-
-    p = ssub.add_parser(
-        "run",
-        parents=[
-            log_parent,
-            scale_parent,
-            telemetry_parent,
-            exec_parent,
-            engine_parent,
-        ],
-        help="execute one scenario through the exec runtime",
-    )
-    p.add_argument("scenario", help="registered name or spec file (.json/.yaml)")
-    p.add_argument(
-        "--mapper",
-        default="",
-        choices=("",) + VERSIONS,
-        help="mapper version override (workload-kind scenarios only)",
-    )
-    p.add_argument(
-        "--policies",
-        default="",
-        metavar="L1,L2,L3",
-        help="per-level replacement policies, leaf first (e.g. lru,rrip,arc)",
-    )
-    p.set_defaults(func=_cmd_scenario_run)
-
-    campaign = sub.add_parser(
-        "campaign",
-        help="resumable experiment campaigns: matrix specs, manifests, reports",
-    )
-    camp_sub = campaign.add_subparsers(
-        dest="campaign_command", required=True, metavar="action"
-    )
-
-    p = camp_sub.add_parser(
-        "run",
-        parents=[
-            log_parent,
-            scale_parent,
-            telemetry_parent,
-            exec_parent,
-            engine_parent,
-        ],
-        help="execute a campaign spec; write manifest + comparison report",
-    )
-    p.add_argument("spec", help="campaign spec file (.json/.yaml)")
-    p.add_argument(
-        "-o",
-        "--out",
-        required=True,
-        metavar="DIR",
-        help="output directory for manifest.json, report.json, report.md",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=int,
-        default=16,
-        metavar="N",
-        help="cells per manifest checkpoint (default: 16)",
-    )
-    p.set_defaults(func=_cmd_campaign_run)
-
-    p = camp_sub.add_parser(
-        "status",
-        parents=[log_parent],
-        help="summarise a (possibly still-running) campaign manifest",
-    )
-    p.add_argument("manifest", help="manifest.json path or its directory")
-    p.set_defaults(func=_cmd_campaign_status)
-
-    p = camp_sub.add_parser(
-        "report",
-        parents=[log_parent],
-        help="regenerate the comparison report from a manifest",
-    )
-    p.add_argument("manifest", help="manifest.json path or its directory")
-    p.add_argument(
-        "--json", action="store_true", help="print the report document as JSON"
-    )
-    p.set_defaults(func=_cmd_campaign_report)
-
-    p = camp_sub.add_parser(
-        "diff",
-        parents=[log_parent],
-        help="compare two campaign manifests cell by cell",
-    )
-    p.add_argument("manifest_a", help="baseline manifest.json (or directory)")
-    p.add_argument("manifest_b", help="comparison manifest.json (or directory)")
-    p.set_defaults(func=_cmd_campaign_diff)
-
+    subparsers = {
+        "": parser.add_subparsers(dest="command", required=True, metavar="command")
+    }
+    for command in COMMANDS:
+        group, _, name = command.path.rpartition(" ")
+        if group not in subparsers:
+            group_parser = subparsers[""].add_parser(group, help=GROUP_HELP[group])
+            subparsers[group] = group_parser.add_subparsers(
+                dest=f"{group}_command", required=True, metavar="action"
+            )
+        p = subparsers[group].add_parser(name, help=command.help)
+        shared = [a for g in ("log",) + command.groups for a in FLAG_GROUPS[g]]
+        for flags, kwargs in shared + list(command.args):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=command.func)
     return parser
 
 
@@ -1999,11 +1742,12 @@ def _run_traced(args: argparse.Namespace, run) -> int:
     ``cli.<command>`` — the CLI analogue of a serve request id — with
     a span per :func:`~repro.telemetry.phase` (and any pool workers'
     repatriated spans) underneath; the finished spans land at PATH as
-    JSONL for ``repro obs``.  (serve's ``--trace`` is a boolean handled
-    by the server itself.)
+    JSONL for ``repro obs``.  Only the telemetry group's ``--trace``
+    is a path: serve's is a switch the server handles itself, and the
+    ``obs`` commands' is a request id to filter by.
     """
-    trace_path = getattr(args, "trace", "")
-    if not trace_path or not isinstance(trace_path, str):
+    trace_path = args.trace if hasattr(args, "telemetry") else ""
+    if not trace_path:
         return run()
     from repro.obs import Tracer, new_request_id, span, use_tracer, write_spans_jsonl
 
@@ -2045,8 +1789,6 @@ def main(argv: list[str] | None = None) -> int:
         # stdout closed early (e.g. piped into head): exit quietly like a
         # well-behaved filter.  Point stdout at devnull so the interpreter's
         # shutdown flush doesn't raise a second time.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     _LOG.info("[%.1fs]", time.perf_counter() - start)

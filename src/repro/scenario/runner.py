@@ -243,7 +243,7 @@ def result_digest(result: "ExperimentResult") -> str:
     """Hex SHA-256 of the per-level access/hit/miss counts.
 
     The pinnable determinism witness ``repro scenario run`` prints and
-    the CI scenario-smoke job asserts: identical specs + seeds must
+    ``tests/integration/test_cli_smoke.py`` pins: identical specs + seeds must
     reproduce identical per-level counters, bit for bit.
     """
     doc = {

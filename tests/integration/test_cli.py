@@ -1,10 +1,13 @@
 """Tests for the command-line driver."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
 class TestCli:
@@ -504,3 +507,41 @@ class TestCacheCommands:
     def test_action_required(self):
         with pytest.raises(SystemExit):
             main(["cache"])
+
+
+class TestErrorBoundary:
+    """An unusable path is a ``repro: error:`` and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "--scale", "16", "--json", "{blocker}/out.json"],
+            ["campaign", "run", "{spec}", "-o", "{blocker}"],
+            ["cache", "stats", "--cache", "{blocker}"],
+            ["cache", "clear", "--cache", "{blocker}"],
+            ["cache", "gc", "--cache", "{blocker}", "--max-bytes", "10"],
+            ["table2", "--scale", "16", "--cache", "{blocker}"],
+        ],
+        ids=["suite-json", "campaign-out", "cache-stats", "cache-clear",
+             "cache-gc", "exec-cache"],
+    )
+    def test_unusable_path_exit_code(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        spec = EXAMPLES / "campaign_smoke.json"
+        argv = [a.format(blocker=blocker, spec=spec) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err
+        assert "Traceback" not in err
+
+    def test_failure_under_trace_and_telemetry(self, tmp_path, capsys):
+        spans = tmp_path / "s.jsonl"
+        manifest = tmp_path / "m.json"
+        assert main([
+            "explain", "--workload", "nope", "--scale", "16",
+            "--trace", str(spans), "--telemetry", str(manifest),
+        ]) == 2
+        assert "repro: error:" in capsys.readouterr().err
+        assert spans.exists()
+        assert not manifest.exists()
