@@ -145,7 +145,7 @@ def test_replacement_policy_orthogonality(benchmark, bench_config, report_sink):
 
     def run():
         rows = []
-        for policy in ("lru", "fifo", "clock", "lfu", "mq"):
+        for policy in ("lru", "fifo", "rrip", "arc"):
             cfg = replace(bench_config, policy=policy)
             io = _avg_io(cfg)["inter"]
             rows.append([policy, f"{io:.3f}"])

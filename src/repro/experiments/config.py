@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.hierarchy.policies import check_policy_name
 from repro.hierarchy.topology import CacheHierarchy, three_level_hierarchy
 from repro.simulator.engine import LatencyModel
 from repro.storage.disk import DiskParameters
@@ -100,16 +101,12 @@ class SystemConfig:
             raise ValueError("cache_elems must be (L1, L2, L3)")
         for c in self.cache_elems:
             check_positive("cache capacity", c)
+        check_policy_name(self.policy)
         if self.policies is not None:
             if len(self.policies) != 3:
                 raise ValueError("policies must name one policy per level (L1, L2, L3)")
-            from repro.hierarchy.policies import policy_names
-
             for p in self.policies:
-                if p not in policy_names():
-                    raise ValueError(
-                        f"unknown policy {p!r}; choose from {policy_names()}"
-                    )
+                check_policy_name(p)
         check_in_range("balance_threshold", self.balance_threshold, 0.0, 1.0)
         check_positive("data_elems", self.data_elems)
         if self.prefetch_degree < 0:

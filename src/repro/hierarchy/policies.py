@@ -6,7 +6,11 @@ with any storage caching policy").  We ship LRU as the default plus
 FIFO, CLOCK, LFU, an MQ-lite (the multi-queue policy the related work
 cites for second-level buffer caches), SRRIP and ARC, so the
 orthogonality claim can be exercised per hierarchy level (the scenario
-layer's policy matrix and the ablation bench).
+layer's policy matrix and the ablation bench).  LRU, FIFO, RRIP and ARC
+run inline on the fast engine's hot loops (:mod:`repro.simulator.fast`),
+which mutates their internal dicts directly; CLOCK, LFU and MQ, which no
+scenario, paper figure or benchmark uses, and any subclass run on the
+reference engine.
 
 A policy tracks resident chunk ids and answers *which chunk to evict*.
 The hot path is ``touch``/``insert``/``evict``; LRU and FIFO are O(1)
@@ -30,6 +34,7 @@ __all__ = [
     "ARCPolicy",
     "make_policy",
     "policy_names",
+    "check_policy_name",
 ]
 
 
@@ -536,6 +541,18 @@ _CAPACITY_AWARE = frozenset({"arc"})
 def policy_names() -> list[str]:
     """Every registered policy name, sorted."""
     return sorted(_POLICIES)
+
+
+def check_policy_name(name: str) -> str:
+    """Return ``name`` if it is exactly a registered policy name.
+
+    Configs and scenario specs fingerprint the name as written, so the
+    check is exact: ``"LRU"`` would key apart from ``"lru"`` for the same
+    machine.  (:func:`make_policy` itself stays case-insensitive.)
+    """
+    if name not in _POLICIES:
+        raise ValueError(f"unknown policy {name!r}; choose from {policy_names()}")
+    return name
 
 
 def make_policy(name: str, capacity: int | None = None) -> ReplacementPolicy:

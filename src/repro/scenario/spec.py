@@ -159,13 +159,10 @@ class ScenarioSpec:
             if not pathlib.Path(self.params["path"]).is_file():
                 raise ValueError(f"trace file not found: {self.params['path']}")
         if self.policies is not None:
-            from repro.hierarchy.policies import policy_names
+            from repro.hierarchy.policies import check_policy_name
 
             for p in self.policies:
-                if p not in policy_names():
-                    raise ValueError(
-                        f"unknown policy {p!r}; choose from {policy_names()}"
-                    )
+                check_policy_name(p)
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict[str, Any]:

@@ -9,12 +9,17 @@ which may alter a single observable bit:
   (first global occurrence, via ``np.unique``) and the striping
   arithmetic (``chunk % nodes`` / ``chunk // nodes`` per access) are all
   computed as whole numpy arrays up front instead of per access;
-* **array-backed cache state** — the hot loop works directly on each
-  policy's insertion-ordered residency dict plus flat counter lists
-  (LRU touch = delete/reinsert, FIFO touch = no-op, evict = first key:
-  exactly the mechanics of :class:`~repro.hierarchy.policies.LRUPolicy`
-  and :class:`~repro.hierarchy.policies.FIFOPolicy`, minus every method
-  call, stats object and recorder check of the reference hot loop);
+* **array-backed cache state** — the hot loops work directly on each
+  policy's own containers plus flat counter lists, with no method call,
+  stats object or recorder check per access.  Every cache gets a policy
+  kind.  LRU and FIFO mutate their insertion-ordered residency dict
+  (LRU touch = delete/reinsert, FIFO touch = no-op, evict = first key);
+  RRIP mutates its ``chunk -> RRPV`` dict with the same scan-then-age
+  victim rule; ARC mutates its ``T1/T2/B1/B2`` dicts, keeps ``p`` and
+  the last-touched chunk in locals written back after the run, and
+  answers residency probes from a per-run ``T1 ∪ T2`` dict.  These are
+  exactly the mechanics of the policy classes in
+  :mod:`repro.hierarchy.policies`;
 * **derived statistics** — the tree loop (three levels, one parent per
   cache, write-through, no prefetching: the paper's machine and all
   measured traffic) counts only hits; misses, cold misses, fills and
@@ -30,26 +35,29 @@ which may alter a single observable bit:
   chain (float accumulation order is preserved, so ``busy_ms`` and
   ``per_client_io_ms`` stay bit-identical).
 
-Whole-run fallback: replacement policies that are not vectorized yet
-(CLOCK/LFU/MQ/RRIP/ARC) and recorder-enabled runs route the entire run
-to the reference engine unchanged — same inputs, same objects, same
-result.  After a fast run the hierarchy's caches and the filesystem's
-disks are left in the same externally observable state the reference
-engine leaves them in (stats, residency order, disk counters,
-last-block positions), so callers that inspect the machine afterwards
-cannot tell the engines apart either.
+Whole-run fallback: recorder-enabled runs, and hierarchies holding a
+policy object whose type is not exactly one of the four vectorized
+classes — CLOCK, LFU or MQ (which no scenario, paper figure or benchmark
+uses), or a look-alike subclass that may keep different internals —
+route the entire run to the reference engine unchanged: same inputs,
+same objects, same result.  After a fast run the hierarchy's caches and
+the filesystem's disks are left in the same externally observable state
+the reference engine leaves them in (stats, residency order, ARC ghost
+lists and ``p``, RRPVs, disk counters, last-block positions), so callers
+that inspect the machine afterwards cannot tell the engines apart either.
 
 The differential-equivalence suite
 (``tests/simulator/test_engine_equivalence.py``) holds the two engines
 bit-identical across the whole suite, random Hypothesis cases and
-process-pool runs.
+process-pool runs; ``tests/simulator/test_policy_differential.py``
+also compares every policy's internal state after mixed-policy runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hierarchy.policies import FIFOPolicy, LRUPolicy
+from repro.hierarchy.policies import ARCPolicy, FIFOPolicy, LRUPolicy, RRIPPolicy
 from repro.hierarchy.topology import CacheHierarchy
 from repro.simulator.engine import (
     LatencyModel,
@@ -62,10 +70,19 @@ from repro.telemetry import get_registry
 
 __all__ = ["VECTORIZED_POLICIES", "is_vectorizable", "simulate"]
 
-#: Replacement policies with an exact array-backed equivalent here.
-VECTORIZED_POLICIES = frozenset({"lru", "fifo"})
+#: Policy kinds of the hot loops; LRU and FIFO share one branch (``<= _FIFO``).
+_LRU, _FIFO, _ARC, _RRIP = 0, 1, 2, 3
 
-_VECTORIZED_TYPES = (LRUPolicy, FIFOPolicy)
+#: Exact policy type -> kind (subclasses are not matched).
+_VECTORIZED_TYPES = {
+    LRUPolicy: _LRU,
+    FIFOPolicy: _FIFO,
+    ARCPolicy: _ARC,
+    RRIPPolicy: _RRIP,
+}
+
+#: Replacement policies with an exact array-backed equivalent here.
+VECTORIZED_POLICIES = frozenset(cls.name for cls in _VECTORIZED_TYPES)
 
 #: Memoized interleave orders keyed by the per-client length tuple —
 #: benchmark loops and parameter sweeps replay identical shapes.
@@ -75,8 +92,8 @@ _interleave_memo: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 def is_vectorizable(hierarchy: CacheHierarchy) -> bool:
     """Whether every cache in the hierarchy runs a vectorized policy.
 
-    Checked by type, not name: the fast path manipulates the policies'
-    insertion-ordered dicts directly, so a look-alike subclass with
+    Checked by exact type, not name: the fast path manipulates the
+    policies' internal dicts directly, so a look-alike subclass with
     different internals must take the reference path.
     """
     return _static(hierarchy)["vectorizable"]
@@ -102,6 +119,7 @@ def _build_static(hierarchy: CacheHierarchy) -> dict:
         for group in level_caches
         for cache in group
     )
+    kind = [_VECTORIZED_TYPES.get(type(cache.policy)) for cache in caches]
     # The derived-statistics loop needs flow conservation: every cache
     # must drain its misses into exactly one parent (a tree), and every
     # cache must sit on some client path (else its stats would go stale).
@@ -123,7 +141,8 @@ def _build_static(hierarchy: CacheHierarchy) -> dict:
         "caches": caches,
         "policies": [cache.policy for cache in caches],
         "caps": [cache.capacity for cache in caches],
-        "lru": [isinstance(cache.policy, LRUPolicy) for cache in caches],
+        "kind": kind,
+        "lru": [k == _LRU for k in kind],
         "path_idx": path_idx,
         "level_caches": level_caches,
         "vectorizable": vectorizable,
@@ -175,8 +194,10 @@ def simulate(
     Same parameters, validation and semantics as
     :func:`repro.simulator.engine.simulate`.  Read-only runs without
     prefetching on a three-level tree take the lean tree loop; every
-    other vectorizable run takes :func:`_general_loop`.  Recorder-enabled
-    runs and non-LRU/FIFO policies fall back to the reference path.
+    other vectorizable run takes :func:`_general_loop`.  Both loops run
+    LRU, FIFO, ARC and RRIP caches inline.  Only recorder-enabled runs
+    and hierarchies with another policy (CLOCK, LFU, MQ or a look-alike
+    subclass) fall back, whole, to the reference path.
     """
     latency = latency or LatencyModel()
     k = hierarchy.num_clients
@@ -198,7 +219,7 @@ def simulate(
     static = _static(hierarchy)
     if rec is not None or not static["vectorizable"]:
         # Whole-run fallback: the reference path is the only one that
-        # feeds recorders or runs the exotic policies.
+        # feeds recorders or calls a policy's own methods.
         return _reference_simulate(
             streams,
             hierarchy,
@@ -230,11 +251,37 @@ def simulate(
     # -- array-backed cache state: one slot per distinct cache object --------------
     caches = static["caches"]
     ncaches = len(caches)
-    # The hot loop mutates each policy's own insertion-ordered dict in
-    # place (first key == eviction victim, LRU touch = delete/reinsert),
-    # so residency and recency end up exactly where the reference engine
-    # leaves them with zero restore cost.
-    res: list[dict[int, None]] = [pol._order for pol in static["policies"]]
+    # The hot loops mutate each policy's own dicts in place (LRU/FIFO
+    # first key == eviction victim, LRU touch = delete/reinsert; RRIP's
+    # chunk -> RRPV dict; ARC's T1/T2/B1/B2), so residency, recency,
+    # RRPVs and ghost lists end up exactly where the reference engine
+    # leaves them.  ``res[i]`` is what residency probes and occupancy
+    # read: the policy's own dict, or for ARC a per-run T1 ∪ T2 dict.
+    # ARC's ``p`` and last-touched chunk live in lists for the run and
+    # are written back afterwards.
+    kind = static["kind"]
+    res: list[dict[int, object]] = []
+    arcs: list[tuple | None] = [None] * ncaches  # (T1, T2, B1, B2, capacity)
+    arc_p: list[float] = [0.0] * ncaches
+    arc_last: list[int | None] = [None] * ncaches
+    # RRIP: (max RRPV, insert RRPV, aged queue).  A chunk reaches the
+    # max RRPV only by aging, and until the next aging touches and
+    # evictions only remove chunks from that set, never reorder it.  So
+    # the chunks one aging lifts to the max, stacked in reverse dict
+    # order, serve as RRIPPolicy.evict's "first chunk at the max" scan:
+    # pop until one still holds the max; age again only when none does.
+    rrip: list[tuple[int, int, list[int]] | None] = [None] * ncaches
+    for i, pol in enumerate(static["policies"]):
+        if kind[i] == _ARC:
+            res.append({})  # T1 and T2 are empty after the reset
+            arcs[i] = (pol._t1, pol._t2, pol._b1, pol._b2, pol.capacity)
+            arc_p[i] = pol._p
+            arc_last[i] = pol._last_touched
+        elif kind[i] == _RRIP:
+            res.append(pol._rrpv)
+            rrip[i] = (pol._max, pol._insert_rrpv, [])
+        else:
+            res.append(pol._order)
     caps = static["caps"]
     lru = static["lru"]
     path_idx = static["path_idx"]
@@ -287,42 +334,103 @@ def simulate(
         cold_arr[first_idx] = True
 
         if tree_loop:
-            # The production topology: unrolled walk, early-continue hit
-            # paths, and no counter bookkeeping beyond hits — misses,
-            # colds, fills and evictions are derived afterwards.  Without
-            # prefetching no cold access can ever hit (nothing stages
-            # ahead of first use), so cold flags stay out of the loop, and
-            # the striping arithmetic is only done on the full misses.
-            ctx = [
-                (i0, i1, i2, res[i0], res[i1], res[i2])
-                for i0, i1, i2 in path_idx
-            ]
+            # The production topology: no counter bookkeeping beyond hits
+            # — misses, colds, fills and evictions are derived afterwards.
+            # Without prefetching no cold access can ever hit (nothing
+            # stages ahead of first use), so cold flags stay out of the
+            # loop, and the striping arithmetic is only done on the full
+            # misses.  All-LRU/FIFO paths take the unrolled walk with
+            # early-continue hit paths; a path holding an ARC or RRIP
+            # cache walks its three levels by policy kind.
+            ctx = []
+            for pidx in path_idx:
+                i0, i1, i2 = pidx
+                walk = None
+                if any(kind[i] > _FIFO for i in pidx):
+                    # (cache, residency, kind, policy state) per level;
+                    # walk[l] lists the levels a hit at level l fills,
+                    # so walk[3] (a full miss) lists all three.
+                    levels = tuple(
+                        (i, res[i], kind[i], arcs[i] or rrip[i]) for i in pidx
+                    )
+                    walk = tuple(levels[:l] for l in range(4))
+                ctx.append((i0, i1, i2, res[i0], res[i1], res[i2], walk))
             hc0, hc1, hc2 = hit_cost
             for c, chunk in zip(cl_list, chunk_list):
-                i0, i1, i2, d0, d1, d2 = ctx[c]
-                if chunk in d0:
-                    hits[i0] += 1
-                    if lru[i0]:
-                        del d0[chunk]
+                i0, i1, i2, d0, d1, d2, walk = ctx[c]
+                if walk is None:
+                    if chunk in d0:
+                        hits[i0] += 1
+                        if lru[i0]:
+                            del d0[chunk]
+                            d0[chunk] = None
+                        io[c] += hc0
+                        continue
+                    if chunk in d1:
+                        hits[i1] += 1
+                        if lru[i1]:
+                            del d1[chunk]
+                            d1[chunk] = None
+                        io[c] += hc1
+                        if len(d0) >= caps[i0]:
+                            del d0[next(iter(d0))]
                         d0[chunk] = None
-                    io[c] += hc0
-                    continue
-                if chunk in d1:
-                    hits[i1] += 1
-                    if lru[i1]:
-                        del d1[chunk]
-                        d1[chunk] = None
-                    io[c] += hc1
+                        continue
+                    if chunk in d2:
+                        hits[i2] += 1
+                        if lru[i2]:
+                            del d2[chunk]
+                            d2[chunk] = None
+                        io[c] += hc2
+                    else:
+                        node = chunk % stride
+                        block = chunk // stride
+                        if block == dlast[node] + 1:
+                            dseq[node] += 1
+                            lat = dlat_seq[node]
+                        else:
+                            lat = dlat_full[node]
+                        dlast[node] = block
+                        dbusy[node] += lat
+                        dreads[node] += 1
+                        io[c] += miss_base + lat
+                        if len(d2) >= caps[i2]:
+                            del d2[next(iter(d2))]
+                        d2[chunk] = None
+                    # Shared tail of the L2-hit-or-below cases.
+                    if len(d1) >= caps[i1]:
+                        del d1[next(iter(d1))]
+                    d1[chunk] = None
                     if len(d0) >= caps[i0]:
                         del d0[next(iter(d0))]
                     d0[chunk] = None
                     continue
-                if chunk in d2:
-                    hits[i2] += 1
-                    if lru[i2]:
-                        del d2[chunk]
-                        d2[chunk] = None
-                    io[c] += hc2
+                if chunk in d0:
+                    level = 0
+                elif chunk in d1:
+                    level = 1
+                elif chunk in d2:
+                    level = 2
+                else:
+                    level = 3
+                if level < 3:
+                    i, d, kd, st = walk[3][level]
+                    hits[i] += 1
+                    if kd == _LRU:
+                        del d[chunk]
+                        d[chunk] = None
+                    elif kd == _ARC:
+                        t1, t2 = st[:2]
+                        if chunk in t1:
+                            del t1[chunk]
+                        else:
+                            del t2[chunk]
+                        t2[chunk] = None
+                        arc_last[i] = chunk
+                    elif kd == _RRIP:
+                        del d[chunk]
+                        d[chunk] = 0
+                    io[c] += hit_cost[level]
                 else:
                     node = chunk % stride
                     block = chunk // stride
@@ -335,16 +443,65 @@ def simulate(
                     dbusy[node] += lat
                     dreads[node] += 1
                     io[c] += miss_base + lat
-                    if len(d2) >= caps[i2]:
-                        del d2[next(iter(d2))]
-                    d2[chunk] = None
-                # Shared tail of the L2-hit-or-below cases.
-                if len(d1) >= caps[i1]:
-                    del d1[next(iter(d1))]
-                d1[chunk] = None
-                if len(d0) >= caps[i0]:
-                    del d0[next(iter(d0))]
-                d0[chunk] = None
+                for i, d, kd, st in walk[level]:
+                    if kd <= _FIFO:
+                        if len(d) >= caps[i]:
+                            del d[next(iter(d))]
+                        d[chunk] = None
+                    elif kd == _ARC:
+                        # ARCPolicy.evict, then ARCPolicy.insert, each
+                        # followed by the ghost-list trim.
+                        t1, t2, b1, b2, ac = st
+                        if len(d) >= caps[i]:
+                            if t1 and (
+                                len(t1) > arc_p[i]
+                                or not t2
+                                or next(iter(t2)) == arc_last[i]
+                            ):
+                                victim = next(iter(t1))
+                                del t1[victim]
+                                b1[victim] = None
+                            else:
+                                victim = next(iter(t2))
+                                del t2[victim]
+                                b2[victim] = None
+                            del d[victim]
+                            while b1 and len(t1) + len(b1) > ac:
+                                del b1[next(iter(b1))]
+                            while b2 and len(d) + len(b1) + len(b2) > 2 * ac:
+                                del b2[next(iter(b2))]
+                        if chunk in b1:
+                            arc_p[i] = min(ac, arc_p[i] + max(1.0, len(b2) / len(b1)))
+                            del b1[chunk]
+                            t2[chunk] = None
+                        elif chunk in b2:
+                            arc_p[i] = max(0.0, arc_p[i] - max(1.0, len(b1) / len(b2)))
+                            del b2[chunk]
+                            t2[chunk] = None
+                        else:
+                            t1[chunk] = None
+                        d[chunk] = None
+                        while b1 and len(t1) + len(b1) > ac:
+                            del b1[next(iter(b1))]
+                        while b2 and len(d) + len(b1) + len(b2) > 2 * ac:
+                            del b2[next(iter(b2))]
+                    else:
+                        rmax, rins, aged = st
+                        if len(d) >= caps[i]:
+                            while aged:
+                                victim = aged.pop()
+                                if d[victim] == rmax:
+                                    break
+                            else:
+                                up = rmax - max(d.values())
+                                for key in d:
+                                    d[key] += up
+                                aged.extend(
+                                    key for key, v in reversed(d.items()) if v == rmax
+                                )
+                                victim = aged.pop()
+                            del d[victim]
+                        d[chunk] = rins
         else:
             if write_masks is None:
                 wbit_list = [False] * n  # write-through: nothing turns dirty
@@ -356,7 +513,8 @@ def simulate(
                 cl_list, chunk_list,
                 (chunk_arr % stride).tolist(), (chunk_arr // stride).tolist(),
                 cold_arr.tolist(), wbit_list,
-                path_idx, res, caps, lru, hits, misses, colds, fills, evs, wbs,
+                path_idx, res, caps, kind, arcs, arc_p, arc_last, rrip,
+                hits, misses, colds, fills, evs, wbs,
                 hit_cost, miss_base, num_levels, prefetch_degree, max_chunk,
                 stride, dlast, dseq, dbusy, dreads, dwrites, dlat_full,
                 dlat_seq, io,
@@ -396,6 +554,9 @@ def simulate(
 
     # -- stats land on the cache objects, exactly as the reference leaves them -----
     for i, cache in enumerate(caches):
+        if kind[i] == _ARC:
+            cache.policy._p = arc_p[i]
+            cache.policy._last_touched = arc_last[i]
         st = cache.stats
         st.accesses = hits[i] + misses[i]
         st.hits = hits[i]
@@ -458,7 +619,8 @@ def simulate(
 
 def _general_loop(
     cl_list, chunk_list, node_list, block_list, cold_list, wbit_list,
-    path_idx, res, caps, lru, hits, misses, colds, fills, evs, wbs,
+    path_idx, res, caps, kind, arcs, arc_p, arc_last, rrip,
+    hits, misses, colds, fills, evs, wbs,
     hit_cost, miss_base, num_levels, pf, max_chunk, stride,
     dlast, dseq, dbusy, dreads, dwrites, dlat_full, dlat_seq, io,
 ):
@@ -473,21 +635,23 @@ def _general_loop(
     all-false write bits the dirty sets stay empty and no write-back
     ever happens.
 
-    As in the tree loop, a chunk being filled at a level just missed
-    its lookup there, and nothing since can have inserted it (prefetch
-    only stages strictly larger ids, dirty propagation never inserts),
-    so — unlike ``ChunkCache.fill`` — no already-resident recheck is
-    needed.
+    Fills run in the reference's order through one fill step per chunk
+    and level: after a full miss, the read-ahead chunks staged into the
+    bottom cache come first, then the inclusive fill of every level
+    that missed.  As in the tree loop, a chunk being filled at a level
+    just missed its lookup there (or, read ahead, was just probed
+    absent), and nothing since can have inserted it (prefetch only
+    stages strictly larger ids, dirty propagation never inserts), so —
+    unlike ``ChunkCache.fill`` — no already-resident recheck is needed.
     """
     ncaches = len(res)
     dirty: list[set[int]] = [set() for _ in range(ncaches)]
+    bottom = num_levels - 1
 
     def _evict_writeback(c: int, pidx: tuple, level: int, victim: int) -> None:
+        """Write back a dirty victim evicted from ``pidx[level]``."""
         ci = pidx[level]
-        ds = dirty[ci]
-        if victim not in ds:
-            return
-        ds.discard(victim)
+        dirty[ci].discard(victim)
         for lower in range(level + 1, num_levels):
             li = pidx[lower]
             if victim in res[li]:
@@ -516,9 +680,21 @@ def _general_loop(
             d = res[ci]
             if chunk in d:
                 hits[ci] += 1
-                if lru[ci]:
+                kd = kind[ci]
+                if kd == _LRU:
                     del d[chunk]
                     d[chunk] = None
+                elif kd == _ARC:
+                    t1, t2 = arcs[ci][:2]
+                    if chunk in t1:
+                        del t1[chunk]
+                    else:
+                        del t2[chunk]
+                    t2[chunk] = None
+                    arc_last[ci] = chunk
+                elif kd == _RRIP:
+                    del d[chunk]
+                    d[chunk] = 0
                 hit_level = l
                 break
             misses[ci] += 1
@@ -528,6 +704,7 @@ def _general_loop(
         if hit_level >= 0:
             io[c] += hit_cost[hit_level]
             fill_to = hit_level
+            ahead = 0
         else:
             if block == dlast[node] + 1:
                 dseq[node] += 1
@@ -539,48 +716,109 @@ def _general_loop(
             dreads[node] += 1
             io[c] += miss_base + lat
             fill_to = num_levels
+            # Read-ahead candidates chunk + a * stride (same disk, next
+            # blocks) for a = 1..ahead, bounded by the data space.
+            ahead = 0
             if pf:
-                bi = pidx[-1]
-                bd = res[bi]
-                nxt = chunk
-                nb = block
-                for _ in range(pf):
-                    nxt += stride
-                    nb += 1
-                    if nxt > max_chunk:
-                        break
-                    if nxt in bd:
-                        continue
-                    if nb == dlast[node] + 1:
-                        dseq[node] += 1
-                        lat = dlat_seq[node]
-                    else:
-                        lat = dlat_full[node]
-                    dlast[node] = nb
-                    dbusy[node] += lat
-                    dreads[node] += 1
-                    if len(bd) >= caps[bi]:
-                        victim = next(iter(bd))
-                        del bd[victim]
-                        evs[bi] += 1
-                        bd[nxt] = None
-                        fills[bi] += 1
-                        _evict_writeback(c, pidx, num_levels - 1, victim)
-                    else:
-                        bd[nxt] = None
-                        fills[bi] += 1
-        for l in range(fill_to):
-            ci = pidx[l]
-            d = res[ci]
-            if len(d) >= caps[ci]:
-                victim = next(iter(d))
-                del d[victim]
-                evs[ci] += 1
-                d[chunk] = None
-                fills[ci] += 1
-                _evict_writeback(c, pidx, l, victim)
+                ahead = (max_chunk - chunk) // stride
+                if ahead > pf:
+                    ahead = pf
+                elif ahead < 0:
+                    ahead = 0
+        # Step j < 0 stages read-ahead chunk a = ahead + 1 + j into the
+        # bottom cache; step j >= 0 fills level j with the chunk.
+        for j in range(-ahead, fill_to):
+            if j < 0:
+                l = bottom
+                a = ahead + 1 + j
+                ch = chunk + a * stride
+                ci = pidx[l]
+                d = res[ci]
+                if ch in d:
+                    continue
+                nb = block + a
+                if nb == dlast[node] + 1:
+                    dseq[node] += 1
+                    lat = dlat_seq[node]
+                else:
+                    lat = dlat_full[node]
+                dlast[node] = nb
+                dbusy[node] += lat
+                dreads[node] += 1
             else:
-                d[chunk] = None
-                fills[ci] += 1
+                l = j
+                ch = chunk
+                ci = pidx[l]
+                d = res[ci]
+            kd = kind[ci]
+            if kd <= _FIFO:
+                if len(d) >= caps[ci]:
+                    victim = next(iter(d))
+                    del d[victim]
+                    evs[ci] += 1
+                    d[ch] = None
+                    fills[ci] += 1
+                    if victim in dirty[ci]:
+                        _evict_writeback(c, pidx, l, victim)
+                else:
+                    d[ch] = None
+                    fills[ci] += 1
+                continue
+            victim = -1
+            if kd == _ARC:
+                # ARCPolicy.evict, then ARCPolicy.insert, each followed
+                # by the ghost-list trim.
+                t1, t2, b1, b2, ac = arcs[ci]
+                if len(d) >= caps[ci]:
+                    if t1 and (
+                        len(t1) > arc_p[ci] or not t2 or next(iter(t2)) == arc_last[ci]
+                    ):
+                        victim = next(iter(t1))
+                        del t1[victim]
+                        b1[victim] = None
+                    else:
+                        victim = next(iter(t2))
+                        del t2[victim]
+                        b2[victim] = None
+                    del d[victim]
+                    while b1 and len(t1) + len(b1) > ac:
+                        del b1[next(iter(b1))]
+                    while b2 and len(d) + len(b1) + len(b2) > 2 * ac:
+                        del b2[next(iter(b2))]
+                if ch in b1:
+                    arc_p[ci] = min(ac, arc_p[ci] + max(1.0, len(b2) / len(b1)))
+                    del b1[ch]
+                    t2[ch] = None
+                elif ch in b2:
+                    arc_p[ci] = max(0.0, arc_p[ci] - max(1.0, len(b1) / len(b2)))
+                    del b2[ch]
+                    t2[ch] = None
+                else:
+                    t1[ch] = None
+                d[ch] = None
+                while b1 and len(t1) + len(b1) > ac:
+                    del b1[next(iter(b1))]
+                while b2 and len(d) + len(b1) + len(b2) > 2 * ac:
+                    del b2[next(iter(b2))]
+            else:
+                rmax, rins, aged = rrip[ci]
+                if len(d) >= caps[ci]:
+                    while aged:
+                        victim = aged.pop()
+                        if d[victim] == rmax:
+                            break
+                    else:
+                        up = rmax - max(d.values())
+                        for key in d:
+                            d[key] += up
+                        aged.extend(key for key, v in reversed(d.items()) if v == rmax)
+                        victim = aged.pop()
+                    del d[victim]
+                d[ch] = rins
+            fills[ci] += 1
+            if victim >= 0:
+                evs[ci] += 1
+                if victim in dirty[ci]:
+                    _evict_writeback(c, pidx, l, victim)
         if wbit:
             dirty[pidx[0]].add(chunk)

@@ -68,6 +68,15 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(balance_threshold=2.0)
 
+    @pytest.mark.parametrize("name", ["bogus", "LRU"])
+    def test_policy_must_be_an_exact_registered_name(self, name):
+        # ``policy`` is fingerprinted as written, like ``policies``: a
+        # case variant would key apart from the same machine.
+        with pytest.raises(ValueError, match="unknown policy"):
+            SystemConfig(policy=name)
+        with pytest.raises(ValueError, match="unknown policy"):
+            SystemConfig(policies=("lru", name, "lru"))
+
 
 class TestScaledConfig:
     def test_ratios_preserved(self):

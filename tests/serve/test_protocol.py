@@ -83,6 +83,18 @@ class TestParseRequest:
             parse_request(_body(config={"not": "a fingerprint"}))
         assert e.value.code == "bad_request"
 
+    def test_unknown_policy_in_config_rejected(self):
+        # Rejected at parse time, before the request is keyed, for the
+        # uniform ``policy`` exactly as for per-level ``policies``.
+        for field, value in (
+            ("policy", "bogus"),
+            ("policies", ["lru", "bogus", "lru"]),
+        ):
+            fp = dict(config_fingerprint(scaled_config(16)), **{field: value})
+            with pytest.raises(ProtocolError, match="unknown policy") as e:
+                parse_request(_body(config=fp))
+            assert e.value.code == "bad_request"
+
     def test_bad_engine(self):
         with pytest.raises(ProtocolError) as e:
             parse_request(_body(engine=[1, 2]))

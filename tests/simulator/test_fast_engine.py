@@ -66,13 +66,19 @@ class TestVectorizability:
             h, _ = make_system(policy=policy)
             assert is_vectorizable(h)
 
-    @pytest.mark.parametrize("policy", ["arc", "clock", "lfu", "mq", "rrip"])
+    @pytest.mark.parametrize("policy", ["arc", "rrip"])
+    def test_arc_and_rrip_vectorize(self, policy):
+        for levels in (policy, ("lru", policy, "fifo"), ("arc", "rrip", policy)):
+            h, _ = make_system(policy=levels)
+            assert is_vectorizable(h)
+
+    @pytest.mark.parametrize("policy", ["clock", "lfu", "mq"])
     def test_exotic_policies_do_not(self, policy):
         h, _ = make_system(policy=policy)
         assert not is_vectorizable(h)
 
     def test_one_exotic_level_disables_the_whole_hierarchy(self):
-        h, _ = make_system(policy=("lru", "arc", "lru"))
+        h, _ = make_system(policy=("lru", "clock", "arc"))
         assert not is_vectorizable(h)
 
     def test_lookalike_policy_subclass_is_rejected(self):
@@ -85,6 +91,22 @@ class TestVectorizability:
 
         h, _ = make_system()
         h.path(0)[0].policy = NotQuiteLRU()
+        assert not is_vectorizable(h)
+
+    @pytest.mark.parametrize("policy", ["arc", "rrip"])
+    def test_lookalike_arc_and_rrip_subclasses_are_rejected(self, policy):
+        # Likewise for ARC's T1/T2/B1/B2 and RRIP's RRPV dict: only the
+        # exact classes run inline.
+        from repro.hierarchy.policies import ARCPolicy, RRIPPolicy
+
+        base = ARCPolicy if policy == "arc" else RRIPPolicy
+
+        class LookAlike(base):
+            pass
+
+        h, _ = make_system(policy=policy)
+        cache = h.path(0)[1]
+        cache.policy = LookAlike(cache.capacity) if policy == "arc" else LookAlike()
         assert not is_vectorizable(h)
 
 
@@ -179,9 +201,9 @@ class TestFallback:
         assert _sim_to_dict(res) == _sim_to_dict(ref)
 
     def test_exotic_policy_run_matches_reference(self):
-        h, fs = make_system(policy="arc")
+        h, fs = make_system(policy="clock")
         res = fast_simulate(streams_for([[0, 1, 2, 0, 1]]), h, fs)
-        h2, fs2 = make_system(policy="arc")
+        h2, fs2 = make_system(policy="clock")
         ref = reference_simulate(streams_for([[0, 1, 2, 0, 1]]), h2, fs2)
         assert _sim_to_dict(res) == _sim_to_dict(ref)
 
