@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.chunking import chunk_matrix_for
 from repro.core.mapping import Mapping
 from repro.hierarchy.topology import CacheHierarchy
 from repro.polyhedral.arrays import DataSpace
 from repro.polyhedral.nest import LoopNest
-from repro.simulator.streams import chunk_matrix_for
 
 __all__ = ["sharing_matrix", "mapping_affinity_quality", "AffinityQuality"]
 

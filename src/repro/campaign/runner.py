@@ -14,6 +14,10 @@ bookkeeping; the manifest merely records what happened.  A campaign
 run with no persistent store still works — it just re-simulates from
 scratch when restarted.
 
+One chunk is one :func:`~repro.exec.plan.execute_plan` batch, so cells
+of a chunk that share a mapping map once; every chunk runs on the one
+process pool the executor keeps for the whole campaign.
+
 Failures degrade per cell: when a chunk's batch raises, the chunk is
 re-run cell by cell — store hits return instantly, innocent cells
 re-simulate — and only the cells that fail in isolation are marked
@@ -23,6 +27,7 @@ of) a thousand-cell run.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -34,6 +39,7 @@ from repro.campaign.matrix import CampaignCell, CampaignPlan, expand_campaign
 from repro.campaign.report import build_report
 from repro.campaign.spec import CampaignSpec, campaign_fingerprint, campaign_to_dict
 from repro.exec.context import get_execution
+from repro.exec.executor import ExperimentExecutor
 from repro.exec.plan import execute_plan
 from repro.scenario.runner import result_digest
 from repro.util.log import get_logger
@@ -125,67 +131,74 @@ def run_campaign(
     completed = 0
     failed: list[str] = []
 
-    for chunk in _chunks(plan.cells, chunk_size):
-        tasks = [task_by_digest[c.key_digest] for c in chunk]
-        outcomes: dict[str, str] = {}
-        chunk_progress = None
-        if progress is not None:
-            base = completed
+    # One process pool for the whole campaign, not one per chunk.
+    block = (
+        executor
+        if isinstance(executor, ExperimentExecutor)
+        else contextlib.nullcontext()
+    )
+    with block:
+        for chunk in _chunks(plan.cells, chunk_size):
+            tasks = [task_by_digest[c.key_digest] for c in chunk]
+            outcomes: dict[str, str] = {}
+            chunk_progress = None
+            if progress is not None:
+                base = completed
 
-            def chunk_progress(done: int, _t: int, _base: int = base) -> None:
-                progress(_base + done, total)
+                def chunk_progress(done: int, _t: int, _base: int = base) -> None:
+                    progress(_base + done, total)
 
-        try:
-            results = execute_plan(
-                tasks,
-                executor=executor,
-                store=store,
-                progress=chunk_progress,
-                outcomes=outcomes,
-            )
-        except Exception as exc:  # noqa: BLE001 - one bad cell must not
-            # abort the campaign.  The pool path surfaces TaskError after
-            # its bounded retries; the serial path raises the original
-            # failure directly — both degrade the same way here.  A batch
-            # that raises loses its siblings' in-flight results (store
-            # write-back happens after the batch returns), so re-run the
-            # chunk cell by cell: store hits come back instantly, innocent
-            # cells re-simulate, and only the truly poisoned ones fail.
-            _LOG.warning("chunk failed (%s); isolating cells", exc)
-            results = {}
-            for cell in chunk:
-                try:
-                    results.update(
-                        execute_plan(
-                            [task_by_digest[cell.key_digest]],
-                            executor=executor,
-                            store=store,
-                            outcomes=outcomes,
+            try:
+                results = execute_plan(
+                    tasks,
+                    executor=executor,
+                    store=store,
+                    progress=chunk_progress,
+                    outcomes=outcomes,
+                )
+            except Exception as exc:  # noqa: BLE001 - one bad cell must not
+                # abort the campaign.  The pool path surfaces TaskError after
+                # its bounded retries; the serial path raises the original
+                # failure directly — both degrade the same way here.  A batch
+                # that raises loses its siblings' in-flight results (store
+                # write-back happens after the batch returns), so re-run the
+                # chunk cell by cell: store hits come back instantly, innocent
+                # cells re-simulate, and only the truly poisoned ones fail.
+                _LOG.warning("chunk failed (%s); isolating cells", exc)
+                results = {}
+                for cell in chunk:
+                    try:
+                        results.update(
+                            execute_plan(
+                                [task_by_digest[cell.key_digest]],
+                                executor=executor,
+                                store=store,
+                                outcomes=outcomes,
+                            )
                         )
-                    )
-                except Exception as cell_exc:  # noqa: BLE001
-                    failed.append(cell.label)
-                    writer.update_cell(
-                        cell.label, status="failed", error=str(cell_exc)
-                    )
-        for cell in chunk:
-            result = results.get(cell.key_digest)
-            if result is None:
-                continue
-            writer.update_cell(
-                cell.label,
-                status=outcomes.get(cell.key_digest, "simulated"),
-                digest=result_digest(result),
-                summary=cell_summary(result),
-            )
-            for collector in collectors:
-                collector.add(cell, result)
-        if hasattr(executor, "pop_events"):
-            writer.add_events(executor.pop_events())
-        completed += len(chunk)
-        if progress is not None:
-            progress(completed, total)
-        writer.save()
+                    except Exception as cell_exc:  # noqa: BLE001
+                        failed.append(cell.label)
+                        writer.update_cell(
+                            cell.label, status="failed", error=str(cell_exc)
+                        )
+            for cell in chunk:
+                result = results.get(cell.key_digest)
+                if result is None:
+                    continue
+                writer.update_cell(
+                    cell.label,
+                    status=outcomes.get(cell.key_digest, "simulated"),
+                    digest=result_digest(result),
+                    summary=cell_summary(result),
+                )
+                for collector in collectors:
+                    collector.add(cell, result)
+            if hasattr(executor, "pop_events"):
+                writer.add_events(executor.pop_events())
+            completed += len(chunk)
+            if progress is not None:
+                progress(completed, total)
+            writer.save()
 
     writer.doc["collectors"] = {c.name: c.summary() for c in collectors}
     if store is not None and hasattr(store, "stats"):

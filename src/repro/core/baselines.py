@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.chunking import chunk_matrix_for
 from repro.core.mapping import Mapping
 from repro.telemetry import get_registry, phase
 from repro.hierarchy.topology import CacheHierarchy
@@ -60,6 +61,7 @@ class OriginalMapper:
         data_space: DataSpace,
         hierarchy: CacheHierarchy,
         rng: np.random.Generator | None = None,
+        chunk_matrix: np.ndarray | None = None,
     ) -> Mapping:
         with phase("mapping") as total:
             ranks = np.arange(nest.num_iterations, dtype=np.int64)
@@ -92,25 +94,27 @@ class IntraProcessorMapper:
         data_space: DataSpace,
         hierarchy: CacheHierarchy,
         rng: np.random.Generator | None = None,
+        chunk_matrix: np.ndarray | None = None,
     ) -> Mapping:
+        """Block the best-scoring transformed order over the clients.
+
+        ``chunk_matrix`` is the nest's
+        :func:`~repro.core.chunking.chunk_matrix_for` matrix, when the
+        caller already built it.
+        """
         with phase("mapping") as total:
-            mapping = self._map(nest, data_space, hierarchy)
+            if chunk_matrix is None:
+                chunk_matrix = chunk_matrix_for(nest, data_space)
+            mapping = self._map(nest, chunk_matrix, hierarchy)
         mapping.mapping_time_s = total.elapsed
         return mapping
 
     def _map(
         self,
         nest: LoopNest,
-        data_space: DataSpace,
+        chunk_matrix: np.ndarray,
         hierarchy: CacheHierarchy,
     ) -> Mapping:
-        iterations = nest.iterations()
-        chunk_matrix = np.stack(
-            [ref.touched_chunks(iterations, data_space) for ref in nest.references],
-            axis=1,
-        )
-        del iterations
-
         deps = find_dependences(nest)
         distances = [d.distance for d in deps]
         perms = legal_permutations(nest.depth, distances) or [tuple(range(nest.depth))]

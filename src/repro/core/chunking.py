@@ -25,7 +25,12 @@ from repro.polyhedral.arrays import DataSpace
 from repro.polyhedral.nest import LoopNest
 from repro.util.bitset import Tag
 
-__all__ = ["IterationChunk", "IterationChunkSet", "form_iteration_chunks"]
+__all__ = [
+    "IterationChunk",
+    "IterationChunkSet",
+    "chunk_matrix_for",
+    "form_iteration_chunks",
+]
 
 #: In-row placeholder for a duplicated chunk id (sorts first; never a real id).
 _PAD = -1
@@ -167,20 +172,35 @@ def _group_rows(canon: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return ordered[starts[appearance]], [groups[g] for g in appearance]
 
 
-def form_iteration_chunks(nest: LoopNest, data_space: DataSpace) -> IterationChunkSet:
+def chunk_matrix_for(nest: LoopNest, data_space: DataSpace) -> np.ndarray:
+    """The (N, R) per-iteration, per-reference data chunk id matrix."""
+    iterations = nest.iterations()
+    return np.stack(
+        [ref.touched_chunks(iterations, data_space) for ref in nest.references],
+        axis=1,
+    )
+
+
+def form_iteration_chunks(
+    nest: LoopNest,
+    data_space: DataSpace,
+    chunk_matrix: np.ndarray | None = None,
+) -> IterationChunkSet:
     """Group the nest's iterations into iteration chunks by tag (§4.2).
 
     Vectorised end to end; returns chunks ordered by first appearance in
     lexicographic iteration order (matching the paper's Fig. 8 numbering
-    for the running example).
+    for the running example).  ``chunk_matrix`` is the nest's
+    :func:`chunk_matrix_for` matrix when the caller already built it.
     """
-    iterations = nest.iterations()
-    n_iters = len(iterations)
-    # (N, R): data chunk touched by each iteration through each reference.
-    per_ref = [
-        ref.touched_chunks(iterations, data_space) for ref in nest.references
-    ]
-    chunk_matrix = np.stack(per_ref, axis=1)
+    if chunk_matrix is None:
+        chunk_matrix = chunk_matrix_for(nest, data_space)
+    elif chunk_matrix.shape != (nest.num_iterations, len(nest.references)):
+        raise ValueError(
+            f"chunk_matrix must be ({nest.num_iterations}, "
+            f"{len(nest.references)}), got {chunk_matrix.shape}"
+        )
+    n_iters = len(chunk_matrix)
 
     # Canonicalise rows: sort ascending, then mask duplicates with the pad
     # value and re-sort so e.g. [2,1,2] and [1,2,2] both become [-1,1,2]

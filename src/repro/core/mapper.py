@@ -82,12 +82,19 @@ class InterProcessorMapper:
         data_space: DataSpace,
         hierarchy: CacheHierarchy,
         rng: np.random.Generator | None = None,
+        chunk_matrix: np.ndarray | None = None,
     ) -> Mapping:
+        """Map ``nest`` onto ``hierarchy``'s clients.
+
+        ``chunk_matrix`` is the nest's
+        :func:`~repro.core.chunking.chunk_matrix_for` matrix, when the
+        caller already built it.
+        """
         rng = rng if rng is not None else make_rng()
 
         with phase("mapping") as total:
             with phase("chunking"):
-                chunk_set = form_iteration_chunks(nest, data_space)
+                chunk_set = form_iteration_chunks(nest, data_space, chunk_matrix)
             with phase("affinity_graph"):
                 graph = build_affinity_graph(chunk_set)
                 registry = get_registry()

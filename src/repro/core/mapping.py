@@ -75,10 +75,14 @@ class Mapping:
             raise ValueError(
                 f"mapping covers {len(all_ranks)} of {total_iterations} iterations"
             )
-        if len(np.unique(all_ranks)) != total_iterations:
-            raise ValueError("mapping assigns some iteration twice")
         if len(all_ranks) and (all_ranks.min() < 0 or all_ranks.max() >= total_iterations):
+            # A repeat outranks a stray rank, as it always has.
+            if len(np.unique(all_ranks)) != total_iterations:
+                raise ValueError("mapping assigns some iteration twice")
             raise ValueError("mapping contains out-of-range iteration ranks")
+        # N in-range ranks cover 0..N-1 exactly when none repeats.
+        if len(all_ranks) and np.bincount(all_ranks, minlength=total_iterations).max() > 1:
+            raise ValueError("mapping assigns some iteration twice")
 
     def __repr__(self) -> str:
         return (

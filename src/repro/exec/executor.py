@@ -9,18 +9,34 @@ config travels as its fingerprint) and results come back as
 applies, so parallel results are bit-identical to serial ones.
 
 Determinism: every RNG seed derives from (config.seed, workload,
-version) inside :func:`~repro.simulator.runner.prepare_experiment` —
+version) inside :func:`~repro.simulator.runner.prepare_mapping` —
 never from pool scheduling order — and results are collected by task
 index, so ``workers=4`` reproduces ``workers=1`` exactly.
 
+A payload is one task, or a *group* of tasks that share a mapping
+(:func:`group_payload`): the worker maps once and simulates every cell
+of the group, each on its own fresh hierarchy.  The unit of retry and
+of timeout is the payload, so the per-payload timeout covers a whole
+group.
+
+Pool lifetime: outside a ``with executor:`` block every
+:meth:`~ExperimentExecutor.run_payloads` call makes its own pool and
+shuts it down.  Inside one, the batches share a single pool, created
+lazily at the first batch that needs it and shut down (workers
+joined) when the block exits — a campaign forks its workers once, not
+once per chunk.
+
 Failure handling, in order of escalation:
 
-* a task failure or per-task timeout is retried **in-process** with
+* a task failure or per-payload timeout is retried **in-process** with
   exponential backoff (a pool worker stuck past its timeout cannot be
   interrupted portably, so retries never depend on the pool);
 * a pool that cannot be created (sandboxes without ``fork``/semaphores)
   or that breaks mid-run degrades the whole batch to serial in-process
-  execution;
+  execution; a pool that broke or timed out is shut down without
+  waiting on a stuck worker and never reused — the next batch of the
+  block makes a fresh one (counted as ``exec.pool_restarts``), while a
+  pool that could not be created is not tried again in the block;
 * a task that still fails after the bounded retries raises
   :class:`TaskError` carrying the original cause.
 
@@ -44,6 +60,7 @@ __all__ = [
     "TaskError",
     "ExperimentExecutor",
     "task_payload",
+    "group_payload",
     "run_payload",
 ]
 
@@ -92,28 +109,53 @@ def task_payload(
     return payload
 
 
-def _execute_payload(payload: dict[str, Any]):
-    """Run the simulation a payload describes (no metrics plumbing)."""
-    from repro.simulator.runner import run_experiment
-    from repro.util.fingerprint import config_from_fingerprint
-    from repro.workloads.suite import get_workload
+def group_payload(payloads: list[dict[str, Any]]) -> dict[str, Any]:
+    """One payload running several tasks that share a mapping.
 
-    config = config_from_fingerprint(payload["config"])
-    if payload.get("scenario"):
-        from repro.scenario.runner import run_scenario_payload
+    ``payloads`` are :func:`task_payload` documents of suite-workload
+    tasks with one :class:`~repro.exec.keys.MappingKey`; the group keeps
+    the first one's workload, version and metrics flag and lists each
+    task's config and engine options as a cell.
+    """
+    first = payloads[0]
+    return {
+        "workload": first["workload"],
+        "version": first["version"],
+        "collect_metrics": first["collect_metrics"],
+        "cells": [{"config": p["config"], "engine": p["engine"]} for p in payloads],
+    }
 
-        return run_scenario_payload(payload, config)
-    workload = get_workload(payload["workload"])
-    engine = payload.get("engine") or {}
+
+def _cell_options(engine: dict[str, Any]) -> dict[str, Any]:
+    """``simulate_prepared`` keyword arguments from a payload's engine doc."""
     sync_counts = engine.get("sync_counts")
     if sync_counts is not None:
         sync_counts = {int(c): int(n) for c, n in sync_counts.items()}
-    return run_experiment(
-        workload,
-        config,
+    return {"sync_counts": sync_counts, "engine": engine.get("engine")}
+
+
+def _execute_payload(payload: dict[str, Any]) -> list:
+    """Run the simulations a payload describes (no metrics plumbing).
+
+    One result per cell: a plain payload is a group of one.
+    """
+    from repro.simulator.runner import run_cells
+    from repro.util.fingerprint import config_from_fingerprint
+    from repro.workloads.suite import get_workload
+
+    cells = payload.get("cells") or [payload]
+    configs = [config_from_fingerprint(cell["config"]) for cell in cells]
+    if payload.get("scenario"):
+        from repro.scenario.runner import run_scenario_payload
+
+        return [run_scenario_payload(payload, configs[0])]
+    return run_cells(
+        get_workload(payload["workload"]),
         payload["version"],
-        sync_counts=sync_counts,
-        engine=engine.get("engine"),
+        [
+            (config, _cell_options(cell.get("engine") or {}))
+            for config, cell in zip(configs, cells)
+        ],
     )
 
 
@@ -127,7 +169,7 @@ def _execute_traced(payload: dict[str, Any]):
     prepare/mapping/simulate phases become its leaves) into a
     thread-scoped private tracer, and ships them home beside the
     metrics snapshot — the same piggyback path ``merge_snapshot`` uses.
-    Returns ``(result, span_dicts, task_span_id)``.
+    Returns ``(results, span_dicts, task_span_id)``.
     """
     from repro.obs.tracer import Tracer, span, thread_tracer
 
@@ -144,22 +186,24 @@ def _execute_traced(payload: dict[str, Any]):
             version=payload.get("version"),
         ) as task_span:
             ctx = task_span.context
-            result = _execute_payload(payload)
+            results = _execute_payload(payload)
     return (
-        result,
+        results,
         [s.as_dict() for s in collector.spans()],
         ctx.span_id if ctx is not None else None,
     )
 
 
 def run_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """Worker entry point: run one experiment from its payload.
+    """Worker entry point: run one payload (a task or a group).
 
     Module-level (not a closure/lambda) so it pickles under both
     ``fork`` and ``spawn`` start methods.  Returns
     ``{"result": result_to_dict(...), "metrics": registry snapshot | None,
     "spans": span dicts | None, "span_id": task root span id | None}``
-    (the latter two only when the payload carries a ``trace`` context).
+    (the latter two only when the payload carries a ``trace`` context);
+    a :func:`group_payload` returns ``"results"``, one per cell in
+    order, in place of ``"result"``.
     """
     from repro.simulator.serialization import result_to_dict
 
@@ -170,11 +214,15 @@ def run_payload(payload: dict[str, Any]) -> dict[str, Any]:
         # collection registry must not shadow what other threads see.
         registry = MetricsRegistry()
         with thread_registry(registry):
-            result, spans, span_id = _execute_traced(payload)
+            results, spans, span_id = _execute_traced(payload)
         metrics = registry.as_dict()
     else:
-        result, spans, span_id = _execute_traced(payload)
-    out: dict[str, Any] = {"result": result_to_dict(result), "metrics": metrics}
+        results, spans, span_id = _execute_traced(payload)
+    docs = [result_to_dict(r) for r in results]
+    out: dict[str, Any] = (
+        {"results": docs} if "cells" in payload else {"result": docs[0]}
+    )
+    out["metrics"] = metrics
     if spans is not None:
         out["spans"] = spans
         out["span_id"] = span_id
@@ -200,6 +248,8 @@ class ExperimentExecutor:
     ``workers <= 1`` short-circuits to serial in-process execution;
     ``task_timeout_s`` bounds each result wait; failures retry
     in-process up to ``retries`` times with exponential ``backoff_s``.
+    Used as a context manager, the batches run inside the block share
+    one pool (see the module docstring).
     """
 
     def __init__(
@@ -223,6 +273,25 @@ class ExperimentExecutor:
         #: drain — campaign manifests persist these beside the metrics,
         #: so "why did this run go serial?" survives the process.
         self._events: list[dict[str, Any]] = []
+        #: Open ``with`` blocks; the pool below lives while one is open.
+        self._blocks = 0
+        self._pool: ProcessPoolExecutor | None = None
+        #: The block's pool broke or timed out: the next one is a restart.
+        self._pool_lost = False
+        #: The block could not make a pool: stay serial, say so once.
+        self._pool_unavailable = False
+
+    def __enter__(self) -> "ExperimentExecutor":
+        self._blocks += 1
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._blocks -= 1
+        if self._blocks == 0:
+            pool, self._pool = self._pool, None
+            self._pool_lost = self._pool_unavailable = False
+            if pool is not None:
+                pool.shutdown(wait=True)
 
     # -- internals ----------------------------------------------------------------
 
@@ -249,6 +318,34 @@ class ExperimentExecutor:
                 "pool-unavailable", error=f"{type(exc).__name__}: {exc}"
             )
             return None
+
+    def _acquire_pool(self) -> ProcessPoolExecutor | None:
+        """The block's pool (made on first use), or a batch-private one."""
+        if not self._blocks:
+            return self._make_pool()
+        if self._pool is None and not self._pool_unavailable:
+            self._pool = self._make_pool()
+            if self._pool is None:
+                self._pool_unavailable = True
+            elif self._pool_lost:
+                self._pool_lost = False
+                get_registry().counter("exec.pool_restarts").inc()
+                _LOG.info("made a fresh process pool after losing the last one")
+                self._event("pool-restart")
+        return self._pool
+
+    def _release_pool(
+        self, pool: ProcessPoolExecutor, healthy: bool, wait: bool
+    ) -> None:
+        """Keep a healthy block pool; shut any other pool down."""
+        if healthy and pool is self._pool:
+            return
+        if pool is self._pool:
+            self._pool = None
+            self._pool_lost = True
+        # A worker stuck past its timeout would block a waiting
+        # shutdown forever; hand unfinished work back without waiting.
+        pool.shutdown(wait=wait, cancel_futures=True)
 
     def _retry_in_process(
         self, payload: dict[str, Any], first_error: BaseException
@@ -298,12 +395,12 @@ class ExperimentExecutor:
 
         if self.workers <= 1 or len(payloads) <= 1:
             return _serial()
-        pool = self._make_pool()
+        pool = self._acquire_pool()
         if pool is None:
             return _serial()
         out: list[dict[str, Any] | None] = [None] * len(payloads)
         failed: list[tuple[int, BaseException]] = []
-        timed_out = broken = False
+        timed_out = broken = finished = False
         try:
             start = time.perf_counter()
             futures = [pool.submit(run_payload, p) for p in payloads]
@@ -349,10 +446,12 @@ class ExperimentExecutor:
             reg.histogram("exec.batch_seconds").observe(
                 time.perf_counter() - start
             )
+            finished = True
         finally:
-            # A worker stuck past its timeout would block a waiting
-            # shutdown forever; hand unfinished work back without waiting.
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
+            self._release_pool(
+                pool, healthy=finished and not (timed_out or broken),
+                wait=not timed_out,
+            )
         for i, exc in failed:
             out[i] = self._retry_in_process(payloads[i], exc)
             reg.counter("exec.tasks.completed").inc()

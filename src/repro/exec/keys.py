@@ -15,6 +15,13 @@ The digest is a SHA-256 over a canonical JSON encoding (sorted keys,
 no whitespace) prefixed with a key-schema tag, so any change to the
 key derivation itself invalidates every existing digest rather than
 silently aliasing old entries.
+
+A :class:`MappingKey` names the coarser identity of a task's *mapping*:
+the workload, the version and exactly the config fields the mappers
+read.  Tasks that share one map once (:func:`repro.exec.plan.execute_plan`
+groups them); ``tests/exec/test_keys.py`` walks every
+:class:`~repro.experiments.config.SystemConfig` field and proves each one
+outside the key leaves the mapping golden unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +37,15 @@ from repro.util.fingerprint import experiment_identity
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import SystemConfig
 
-__all__ = ["KEY_SCHEMA_VERSION", "ExperimentKey", "experiment_key"]
+__all__ = [
+    "KEY_SCHEMA_VERSION",
+    "ExperimentKey",
+    "experiment_key",
+    "MAPPING_FIELDS",
+    "MappingKey",
+    "mapping_fields",
+    "mapping_key",
+]
 
 #: Bump when the key derivation changes; digests embed this version.
 #: v2: config fingerprints grew the per-level ``policies`` field and
@@ -134,4 +149,47 @@ def experiment_key(
         version=version,
         config_json=_canonical_json(identity["config"]),
         engine_json=_canonical_json(identity["engine"]),
+    )
+
+
+#: Config fields every mapper reads: the workload build (chunk size and
+#: data-space size) and the hierarchy's shape (node counts per level).
+MAPPING_FIELDS = (
+    "num_clients",
+    "num_io_nodes",
+    "num_storage_nodes",
+    "chunk_elems",
+    "data_elems",
+)
+
+#: Further fields a version's mapper reads (``make_mapper``'s arguments).
+#: ``seed`` is absent: it feeds only the random chunk order, which
+#: ``make_mapper`` never selects.
+_VERSION_FIELDS = {
+    "inter": ("balance_threshold",),
+    "inter+sched": ("balance_threshold", "alpha", "beta"),
+}
+
+
+def mapping_fields(version: str) -> tuple[str, ...]:
+    """The config fields a ``version`` mapping depends on."""
+    return MAPPING_FIELDS + _VERSION_FIELDS.get(version, ())
+
+
+@dataclass(frozen=True)
+class MappingKey:
+    """The identity of one task's mapping: tasks sharing it map once."""
+
+    workload: str
+    version: str
+    #: ``(field, value)`` for each of :func:`mapping_fields`.
+    fields: tuple[tuple[str, Any], ...]
+
+
+def mapping_key(workload: str, config: "SystemConfig", version: str) -> MappingKey:
+    """Derive the mapping key of a suite-workload task."""
+    return MappingKey(
+        workload,
+        version,
+        tuple((name, getattr(config, name)) for name in mapping_fields(version)),
     )

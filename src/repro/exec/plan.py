@@ -10,7 +10,9 @@ so a combined plan simulates every unique key exactly once.
 :func:`execute_plan` is the single execution path: store lookups
 first, then the remaining misses through the executor (process pool or
 in-process serial), store write-back, and worker-metric merging, all
-in deterministic task order.
+in deterministic task order.  Misses that share a
+:class:`~repro.exec.keys.MappingKey` travel as one group payload, so
+their worker maps once and simulates each of them.
 
 :func:`plan_all` pre-plans everything ``repro all`` will need by
 asking each figure module for its own sweep (the modules export
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.exec.context import get_execution
-from repro.exec.executor import ExperimentExecutor, task_payload
-from repro.exec.keys import ExperimentKey, experiment_key
+from repro.exec.executor import ExperimentExecutor, group_payload, task_payload
+from repro.exec.keys import ExperimentKey, MappingKey, experiment_key, mapping_key
 from repro.obs.tracer import get_tracer, span
 from repro.simulator.metrics import ExperimentResult
 from repro.simulator.serialization import result_from_dict
@@ -37,7 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.report import ExperimentReport
     from repro.workloads.base import Workload
 
-__all__ = ["ExperimentTask", "SweepPlan", "execute_plan", "plan_all", "cached_report"]
+__all__ = [
+    "ExperimentTask",
+    "SweepPlan",
+    "group_by_mapping",
+    "execute_plan",
+    "plan_all",
+    "cached_report",
+]
 
 _LOG = get_logger("exec.plan")
 
@@ -62,6 +71,13 @@ class ExperimentTask:
         import json
 
         return json.loads(self.scenario) if self.scenario else None
+
+    def mapping_key(self) -> MappingKey | None:
+        """The task's mapping identity; ``None`` for a generator or trace
+        scenario, which has no mapper and is never grouped."""
+        if self.scenario:
+            return None
+        return mapping_key(self.workload, self.config, self.version)
 
 
 @dataclass
@@ -122,6 +138,29 @@ class SweepPlan:
         return iter(self.tasks)
 
 
+def group_by_mapping(
+    tasks: list[ExperimentTask], workers: int = 1
+) -> list[list[ExperimentTask]]:
+    """Tasks grouped by :class:`MappingKey`, groups in first-task order.
+
+    When there are fewer groups than ``workers``, the largest group is
+    halved until every worker has one or no group can split: mapping
+    twice on two idle workers beats mapping once on one.
+    """
+    groups: dict[Any, list[ExperimentTask]] = {}
+    for t in tasks:
+        key = t.mapping_key()
+        groups.setdefault(key if key is not None else t.key.digest, []).append(t)
+    out = list(groups.values())
+    while len(out) < workers:
+        i = max(range(len(out)), key=lambda j: len(out[j]))
+        if len(out[i]) < 2:
+            break
+        half = (len(out[i]) + 1) // 2
+        out[i : i + 1] = [out[i][:half], out[i][half:]]
+    return out
+
+
 def execute_plan(
     plan: SweepPlan | Iterable[ExperimentTask],
     executor=None,
@@ -137,10 +176,14 @@ def execute_plan(
     ``result_to_dict`` round-trip, so the output is bit-identical
     regardless of worker count or cache temperature.
 
+    Misses are grouped by :func:`group_by_mapping` and each group runs
+    as one payload; the batch is still one ``run_payloads`` call, and
+    results reach the store per task, in task order.
+
     ``progress(done, total)`` fires once per task as its result becomes
-    available (store hits first, then simulations as they land), so the
-    campaign runner and ``repro all`` can show live completion without
-    polling.  ``outcomes``, when given, is filled with
+    available (store hits first, then simulations as their group lands),
+    so the campaign runner and ``repro all`` can show live completion
+    without polling.  ``outcomes``, when given, is filled with
     ``{key digest: "cached" | "simulated"}`` — the provenance each
     campaign manifest cell records.
     """
@@ -172,28 +215,33 @@ def execute_plan(
     if misses:
         reg = get_registry()
         collect = reg.enabled
-        payloads = [
-            task_payload(
-                t.workload,
-                t.config,
-                t.version,
-                t.engine_dict(),
-                collect,
-                scenario=t.scenario_dict(),
-            )
-            for t in misses
-        ]
         ex = executor if executor is not None else ExperimentExecutor()
+        groups = group_by_mapping(misses, getattr(ex, "workers", 1))
+        payloads = []
+        for group in groups:
+            cells = [
+                task_payload(
+                    t.workload,
+                    t.config,
+                    t.version,
+                    t.engine_dict(),
+                    collect,
+                    scenario=t.scenario_dict(),
+                )
+                for t in group
+            ]
+            payloads.append(cells[0] if len(cells) == 1 else group_payload(cells))
         _LOG.debug(
-            "executing %d/%d tasks (%d store hits) on %r",
+            "executing %d/%d tasks in %d payloads (%d store hits) on %r",
             len(misses),
             len(tasks),
+            len(payloads),
             len(tasks) - len(misses),
             ex,
         )
         with phase("execute_plan"):
             if tracer.enabled:
-                # Parent every task's worker-side exec.task span onto the
+                # Parent every payload's worker-side exec.task span onto the
                 # execute_plan phase span just opened, so the repatriated
                 # spans reattach into this request's tree.
                 from repro.obs.context import current_context
@@ -207,23 +255,28 @@ def execute_plan(
             if progress is not None:
                 base = done
 
-                def _tick(_i: int, _n: list[int] = [0]) -> None:
-                    _n[0] += 1
-                    progress(base + _n[0], total)
+                def _tick(i: int, _n: list[int] = [0]) -> None:
+                    for _ in groups[i]:
+                        _n[0] += 1
+                        progress(base + _n[0], total)
 
                 outs = ex.run_payloads(payloads, on_result=_tick)
             else:
                 outs = ex.run_payloads(payloads)
-        for t, out in zip(misses, outs):
+        fresh: dict[str, ExperimentResult] = {}
+        for group, out in zip(groups, outs):
             if collect and out.get("metrics"):
                 reg.merge_snapshot(out["metrics"])
             if out.get("spans"):
                 tracer.ingest(out["spans"])
-            result = result_from_dict(out["result"])
+            docs = out["results"] if "results" in out else [out["result"]]
+            for t, doc in zip(group, docs):
+                fresh[t.key.digest] = result_from_dict(doc)
+        for t in misses:
+            result = results[t.key.digest] = fresh[t.key.digest]
             if store is not None:
                 with span("store.put", digest=t.key.digest[:12]):
                     store.put(t.key, result)
-            results[t.key.digest] = result
             if outcomes is not None:
                 outcomes[t.key.digest] = "simulated"
     return results

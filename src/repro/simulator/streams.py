@@ -15,26 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.chunking import chunk_matrix_for
 from repro.core.mapping import Mapping
 from repro.core.multinest import CombinedNest
 from repro.polyhedral.arrays import DataSpace
 from repro.polyhedral.nest import LoopNest
 
 __all__ = [
-    "chunk_matrix_for",
     "build_client_streams",
     "build_client_streams_with_writes",
     "coalesce_requests",
 ]
-
-
-def chunk_matrix_for(nest: LoopNest, data_space: DataSpace) -> np.ndarray:
-    """The (N, R) per-iteration, per-reference data chunk id matrix."""
-    iterations = nest.iterations()
-    return np.stack(
-        [ref.touched_chunks(iterations, data_space) for ref in nest.references],
-        axis=1,
-    )
 
 
 def coalesce_requests(chunk_rows: np.ndarray) -> np.ndarray:

@@ -29,11 +29,13 @@ PIPELINE_COUNTERS = (
     "disk.reads",
     "disk.writes",
     "simulator.simulations",
+    "prepare.reused",
     "exec.tasks.submitted",
     "exec.tasks.completed",
     "exec.retries",
     "exec.timeouts",
     "exec.tasks.failed",
+    "exec.pool_restarts",
     "exec.store.hits",
     "exec.store.misses",
     "exec.store.writes",

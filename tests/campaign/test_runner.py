@@ -2,6 +2,7 @@
 zero re-simulation, failure degradation, manifests and reports."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -14,8 +15,14 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.exec import ResultStore
+from repro.exec import executor as executor_module
 from repro.exec.executor import ExperimentExecutor
 from repro.telemetry import MetricsRegistry, use_registry
+
+from tests.exec.test_executor import (  # noqa: F401 - a fixture
+    _exit_in_worker,
+    warnings_from_executor,
+)
 
 ALL_WORKLOADS = [
     "hf",
@@ -211,3 +218,102 @@ class TestMatrixCampaign:
         cold = load_manifest(store_dir / "cold")
         assert cold["store"]["before"]["entries"] == 0
         assert cold["store"]["after"]["entries"] == 128
+
+
+def three_chunk_spec():
+    """hf, sar and contour x original, inter: three 2-cell chunks."""
+    return small_spec(
+        axes={"scenarios": ["hf", "sar", "contour"], "versions": ["original", "inter"]}
+    )
+
+
+class TestOnePoolPerCampaign:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_dead_worker_in_the_first_chunk_restarts_the_pool_once(
+        self, monkeypatch, warnings_from_executor
+    ):
+        # The pool forks after the patch, so its workers run
+        # _exit_in_worker; the in-process retry of chunk 1 survives it.
+        monkeypatch.setattr(executor_module, "run_payload", _exit_in_worker)
+        registry = MetricsRegistry()
+        ex = ExperimentExecutor(workers=2, backoff_s=0.0, mp_context="fork")
+        with use_registry(registry):
+            run = run_campaign(three_chunk_spec(), executor=ex, chunk_size=2)
+        assert run.ok
+        assert {c["status"] for c in run.manifest["cells"].values()} == {"simulated"}
+        assert simulations(registry) == 6
+        assert registry.counter("exec.pool_restarts").value == 1
+        kinds = [e["kind"] for e in run.manifest["events"]]
+        assert kinds.count("broken-pool") == 1
+        assert kinds.count("pool-restart") == 1
+        assert len(warnings_from_executor) == 1
+        assert "process pool broke" in warnings_from_executor[0].getMessage()
+        assert run.report["digest"] == run_campaign(three_chunk_spec()).report["digest"]
+
+    def test_unavailable_pool_is_reported_once_per_campaign(
+        self, warnings_from_executor
+    ):
+        ex = ExperimentExecutor(workers=2, mp_context="no-such-start-method")
+        run = run_campaign(three_chunk_spec(), executor=ex, chunk_size=2)
+        assert run.ok
+        assert len(warnings_from_executor) == 1
+        assert "process pool unavailable" in warnings_from_executor[0].getMessage()
+        kinds = [e["kind"] for e in run.manifest["events"]]
+        assert kinds == ["pool-unavailable"]
+
+
+class TestSharedMappings:
+    def test_prepare_reused_in_the_run_manifest(self, tmp_path, capsys):
+        """Two configs share every mapping: half the cells reuse one."""
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "record": "repro-campaign",
+                    "name": "two-configs",
+                    "scale": 16,
+                    "axes": {
+                        "scenarios": ["hf", "sar"],
+                        "versions": ["original", "inter"],
+                        "configs": [
+                            {"name": "default"},
+                            {"name": "wb-pf2", "writeback": True, "prefetch_degree": 2},
+                        ],
+                    },
+                    "baseline": {"axis": "version", "value": "original"},
+                }
+            )
+        )
+        telemetry = tmp_path / "run.json"
+        argv = ["campaign", "run", str(spec), "-o", str(tmp_path / "out"),
+                "--telemetry", str(telemetry), "--log-level", "warning"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        counters = {
+            c["name"]: c["value"]
+            for c in json.loads(telemetry.read_text())["metrics"]["counters"]
+            if not c["labels"]
+        }
+        assert counters["simulator.simulations"] == 8
+        assert counters["prepare.reused"] == 8 / 2
+
+    def test_grouping_leaves_every_result_unchanged(self):
+        spec = small_spec(
+            axes={
+                "scenarios": ["hf", "sar"],
+                "versions": ["original", "inter+sched"],
+                "configs": [
+                    {"name": "default"},
+                    {"name": "small", "cache_elems": [256, 512, 2048]},
+                ],
+            }
+        )
+        grouped = run_campaign(spec, executor=ExperimentExecutor(workers=2))
+        one_by_one = run_campaign(spec, chunk_size=1)
+        assert grouped.manifest["digest"] == one_by_one.manifest["digest"]
+        assert grouped.report["digest"] == one_by_one.report["digest"]

@@ -47,26 +47,21 @@ def mapping_digest(mapping, distances) -> str:
     return h.hexdigest()
 
 
-def compute_digest(scale: int, workload: str, version: str) -> str:
-    """Map one suite workload exactly as ``prepare_experiment`` does."""
+def compute_digest(scale: int, workload: str, version: str, config=None) -> str:
+    """Map one suite workload through ``prepare_mapping``, as every run does.
+
+    ``config`` defaults to ``scaled_config(scale)``.
+    """
     from repro.experiments.config import scaled_config
     from repro.polyhedral.dependence import find_dependences
-    from repro.simulator.runner import make_mapper
-    from repro.util.rng import derive_seed, make_rng
-    from repro.workloads.base import WorkloadParams
+    from repro.simulator.runner import prepare_mapping
     from repro.workloads.suite import get_workload
 
-    config = scaled_config(scale)
-    wl = get_workload(workload)
-    params = WorkloadParams(
-        chunk_elems=config.chunk_elems, data_chunks=config.data_chunks
+    prepared = prepare_mapping(
+        get_workload(workload), config or scaled_config(scale), version
     )
-    nest, data_space = wl.build(params)
-    hierarchy = config.build_hierarchy()
-    rng = make_rng(derive_seed(config.seed, wl.name, version))
-    mapping = make_mapper(version, config).map(nest, data_space, hierarchy, rng)
-    distances = [d.distance for d in find_dependences(nest)]
-    return mapping_digest(mapping, distances)
+    distances = [d.distance for d in find_dependences(prepared.nest)]
+    return mapping_digest(prepared.mapping, distances)
 
 
 def golden_key(scale: int, workload: str, version: str) -> str:

@@ -36,6 +36,21 @@ class TestMapping:
         with pytest.raises(ValueError):
             m.validate(2)
 
+    @pytest.mark.parametrize(
+        "order, total, message",
+        [
+            ({0: [0, 1], 1: [1, 2]}, 3, "covers 4 of 3 iterations"),
+            ({0: [0, 1], 1: [1]}, 3, "assigns some iteration twice"),
+            ({0: [0, 5]}, 2, "out-of-range"),
+            ({0: [-1, 1]}, 2, "out-of-range"),
+            # A repeat outranks a stray rank.
+            ({0: [0, 0, 7]}, 3, "assigns some iteration twice"),
+        ],
+    )
+    def test_validate_names_the_fault(self, order, total, message):
+        with pytest.raises(ValueError, match=message):
+            mapping_of(order).validate(total)
+
     def test_client_of_iteration(self):
         m = mapping_of({0: [0, 3], 1: [1, 2]})
         assert m.client_of_iteration(4).tolist() == [0, 1, 1, 0]

@@ -3,6 +3,7 @@
 import logging
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -51,6 +52,48 @@ def _exit_in_worker(payload):
     ):
         os._exit(1)
     return run_payload(payload)
+
+
+def _pid_in_worker(payload):
+    """``run_payload``, plus the pid of the process that ran it."""
+    return {**run_payload(payload), "pid": os.getpid()}
+
+
+def _stall_in_worker(payload):
+    """``run_payload``, except that a pool worker given hf/original stalls."""
+    if os.getpid() != _TEST_PID and payload["workload"] == "hf" and (
+        payload["version"] == "original"
+    ):
+        time.sleep(STALL_S)
+    return run_payload(payload)
+
+
+#: How long a stalled worker sleeps; a batch that waited on it takes longer.
+STALL_S = 4.0
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+
+
+def _live_children() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def warnings_from_executor():
+    """The WARNING records ``repro.exec.executor`` logs during a test."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    log = logging.getLogger("repro.exec.executor")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING)
+    yield records
+    log.removeHandler(handler)
+    log.setLevel(level)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +197,17 @@ class TestDegradation:
         assert timeouts >= 1
         assert registry.counter("exec.retries").value == timeouts
 
+    def test_unavailable_pool_is_reported_once_per_block(
+        self, payloads, serial_docs, warnings_from_executor
+    ):
+        ex = ExperimentExecutor(workers=2, mp_context="no-such-start-method")
+        with ex:
+            for _ in range(3):
+                outs = ex.run_payloads(payloads)
+                assert [_strip_wallclock(o["result"]) for o in outs] == serial_docs
+        assert len(warnings_from_executor) == 1
+        assert "process pool unavailable" in warnings_from_executor[0].getMessage()
+        assert [e["kind"] for e in ex.pop_events()] == ["pool-unavailable"]
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -184,6 +238,53 @@ class TestDegradation:
         assert kinds.count("broken-pool") == 1
         assert len(warnings) == 1
         assert "process pool broke" in warnings[0].getMessage()
+
+
+@needs_fork
+class TestPoolBlock:
+    """Inside ``with executor:`` the batches share one pool."""
+
+    def test_batches_in_a_block_share_one_pool(self, payloads, monkeypatch):
+        monkeypatch.setattr(executor_module, "run_payload", _pid_in_worker)
+        ex = ExperimentExecutor(workers=2, mp_context="fork")
+        with ex:
+            pids = {o["pid"] for _ in range(3) for o in ex.run_payloads(payloads)}
+            assert os.getpid() not in pids
+            assert len(pids) <= 2
+            assert pids <= _live_children()
+        # Leaving the block shuts the pool down and joins its workers.
+        assert not pids & _live_children()
+
+    def test_outside_a_block_each_batch_has_its_own_pool(
+        self, payloads, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "run_payload", _pid_in_worker)
+        ex = ExperimentExecutor(workers=2, mp_context="fork")
+        for _ in range(2):
+            pids = {o["pid"] for o in ex.run_payloads(payloads)}
+            assert not pids & _live_children()
+
+    def test_timed_out_batch_discards_the_pool_without_waiting(
+        self, payloads, serial_docs, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "run_payload", _stall_in_worker)
+        registry = MetricsRegistry()
+        ex = ExperimentExecutor(
+            workers=2, task_timeout_s=0.5, retries=1, backoff_s=0.0,
+            mp_context="fork",
+        )
+        with use_registry(registry), ex:
+            start = time.perf_counter()
+            outs = ex.run_payloads(payloads)
+            # The stalled worker is abandoned, not waited for.
+            assert time.perf_counter() - start < STALL_S - 1.0
+            assert [_strip_wallclock(o["result"]) for o in outs] == serial_docs
+            assert registry.counter("exec.timeouts").value >= 1
+            # The next batch does not reuse the abandoned pool.
+            monkeypatch.setattr(executor_module, "run_payload", run_payload)
+            outs = ex.run_payloads(payloads)
+        assert [_strip_wallclock(o["result"]) for o in outs] == serial_docs
+        assert registry.counter("exec.pool_restarts").value == 1
 
 
 class TestValidation:

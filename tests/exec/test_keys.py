@@ -1,9 +1,22 @@
 """Tests for the canonical experiment keys."""
 
+import dataclasses
+
 import pytest
 
-from repro.exec.keys import KEY_SCHEMA_VERSION, ExperimentKey, experiment_key
-from repro.experiments.config import scaled_config
+from repro.exec.keys import (
+    KEY_SCHEMA_VERSION,
+    MAPPING_FIELDS,
+    ExperimentKey,
+    experiment_key,
+    mapping_fields,
+    mapping_key,
+)
+from repro.experiments.config import SystemConfig, scaled_config
+from repro.simulator.engine import LatencyModel
+from repro.simulator.runner import VERSIONS
+from repro.storage.disk import DiskParameters
+from repro.workloads.suite import workload_names
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +108,81 @@ class TestAccessors:
     def test_as_dict_carries_digest(self, config):
         key = experiment_key("hf", config, "inter")
         assert key.as_dict()["digest"] == key.digest
+
+
+class TestMappingKey:
+    """Every config field is in the mapping key or proven not to matter.
+
+    A field outside the key is proven mapper-irrelevant by perturbing it
+    alone and re-deriving the pinned mapping-golden digests (one golden
+    scale) of every version whose key leaves it out.  A new
+    ``SystemConfig`` field fails :meth:`test_every_field_is_classified`
+    until it is put in the key or given a perturbation here, so it cannot
+    silently alias two mappings onto one key.
+    """
+
+    #: Fields outside every version's key, each with a perturbed value.
+    IRRELEVANT = {
+        "cache_elems": (256, 512, 1024),
+        "policy": "fifo",
+        "policies": ("arc", "rrip", "fifo"),
+        "seed": 7,
+        "latency": LatencyModel(level_ms=(0.01, 0.2, 0.5), sync_stall_ms=1.0),
+        "disk": DiskParameters(rpm=7200, avg_seek_ms=8.0),
+        "prefetch_degree": 3,
+        "writeback": True,
+    }
+    #: Fields only some versions' mappers read.
+    VERSION_SPECIFIC = {"balance_threshold": 0.25, "alpha": 0.9, "beta": 0.1}
+    SCALE = 8
+
+    def test_every_field_is_classified(self):
+        names = {f.name for f in dataclasses.fields(SystemConfig)}
+        assert names == (
+            set(MAPPING_FIELDS) | set(self.IRRELEVANT) | set(self.VERSION_SPECIFIC)
+        )
+        for version in VERSIONS:
+            assert set(mapping_fields(version)) - set(MAPPING_FIELDS) <= set(
+                self.VERSION_SPECIFIC
+            )
+
+    @pytest.mark.parametrize("field", sorted(MAPPING_FIELDS + ("balance_threshold", "alpha", "beta")))
+    def test_key_fields_change_the_key(self, field):
+        base = scaled_config(self.SCALE)
+        value = getattr(base, field)
+        changed = dataclasses.replace(
+            base, **{field: value * 2 if isinstance(value, int) else value / 2}
+        )
+        for version in VERSIONS:
+            same = mapping_key("hf", base, version) == mapping_key("hf", changed, version)
+            assert same == (field not in mapping_fields(version)), version
+
+    @pytest.mark.parametrize(
+        "field", sorted(list(IRRELEVANT) + list(VERSION_SPECIFIC))
+    )
+    def test_fields_outside_the_key_leave_the_golden_unchanged(self, field):
+        from tests.core.golden import (
+            VERSIONS as GOLDEN_VERSIONS,
+            compute_digest,
+            golden_key,
+            load_mappings,
+        )
+
+        pinned = load_mappings()["mappings"]
+        base = scaled_config(self.SCALE)
+        value = {**self.IRRELEVANT, **self.VERSION_SPECIFIC}[field]
+        perturbed = dataclasses.replace(base, **{field: value})
+        checked = 0
+        for version in GOLDEN_VERSIONS:
+            if field in mapping_fields(version):
+                continue
+            for workload in workload_names():
+                assert mapping_key(workload, perturbed, version) == mapping_key(
+                    workload, base, version
+                )
+                key = golden_key(self.SCALE, workload, version)
+                assert compute_digest(self.SCALE, workload, version, perturbed) == (
+                    pinned[key]
+                ), key
+                checked += 1
+        assert checked

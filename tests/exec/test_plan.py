@@ -11,6 +11,7 @@ from repro.exec import (
     plan_all,
     use_execution,
 )
+from repro.exec.plan import group_by_mapping
 from repro.experiments.config import scaled_config
 from repro.experiments.harness import run_suite
 from repro.experiments.report import ExperimentReport
@@ -158,3 +159,74 @@ class TestCachedReport:
         # fresh copy is round-tripped (summary canonically sorted) too.
         assert fresh.render() == warm.render()
         assert list(fresh.summary) == ["a", "b"]
+
+
+class TestGroupByMapping:
+    """Misses sharing a MappingKey travel as one payload."""
+
+    @staticmethod
+    def _plan(config):
+        from dataclasses import replace
+
+        plan = SweepPlan()
+        for w in ("hf", "sar"):
+            for v in ("original", "inter"):
+                for cfg in (config, replace(config, writeback=True, prefetch_degree=2)):
+                    plan.add(w, cfg, v)
+        return plan
+
+    def test_groups_share_a_mapping_key_in_first_task_order(self, config):
+        tasks = list(self._plan(config))
+        groups = group_by_mapping(tasks)
+        assert [len(g) for g in groups] == [2, 2, 2, 2]
+        assert [t for g in groups for t in g] == tasks
+        for g in groups:
+            assert len({t.mapping_key() for t in g}) == 1
+
+    def test_split_only_when_fewer_groups_than_workers(self, config):
+        tasks = [t for t in self._plan(config) if t.workload == "hf"]
+        assert [len(g) for g in group_by_mapping(tasks, workers=2)] == [2, 2]
+        assert [len(g) for g in group_by_mapping(tasks, workers=3)] == [1, 1, 2]
+        assert [len(g) for g in group_by_mapping(tasks, workers=8)] == [1, 1, 1, 1]
+        assert [len(g) for g in group_by_mapping(tasks[:2], workers=4)] == [1, 1]
+
+    def test_scenario_tasks_are_never_grouped(self, config):
+        from repro.scenario.registry import resolve_scenario
+        from repro.scenario.runner import add_to_plan
+
+        plan = SweepPlan()
+        spec = resolve_scenario("zipf-hot")
+        add_to_plan(plan, spec, config)
+        add_to_plan(plan, spec, config.with_cache_capacities(256, 512, 2048))
+        assert [t.mapping_key() for t in plan] == [None, None]
+        assert [len(g) for g in group_by_mapping(list(plan))] == [1, 1]
+
+    def test_execute_plan_maps_once_per_group(self, config):
+        plan = self._plan(config)
+        store = MemoryStore()
+        seen = []
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            results = execute_plan(
+                plan, store=store, progress=lambda d, t: seen.append((d, t))
+            )
+        assert registry.counter("simulator.simulations").value == 8
+        assert registry.counter("prepare.reused").value == 4
+        assert seen == [(i, 8) for i in range(1, 9)]
+        assert all(store.get(t.key) is not None for t in plan)
+        assert list(results) == [t.key.digest for t in plan]
+        for t in plan:
+            direct = _run_direct(t)
+            assert _strip(result_to_dict(results[t.key.digest])) == _strip(
+                result_to_dict(direct)
+            )
+
+
+def _strip(doc):
+    return {k: v for k, v in doc.items() if k != "mapping_time_s"}
+
+
+def _run_direct(task):
+    from repro.simulator.runner import run_experiment
+
+    return run_experiment(get_workload(task.workload), task.config, task.version)

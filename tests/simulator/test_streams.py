@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.chunking import chunk_matrix_for
 from repro.core.mapping import Mapping
 from repro.core.multinest import combine_nests
-from repro.simulator.streams import (
-    build_client_streams,
-    chunk_matrix_for,
-    coalesce_requests,
-)
+from repro.simulator.streams import build_client_streams, coalesce_requests
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.arrays import DataSpace, DiskArray
 from repro.polyhedral.iterspace import IterationSpace
