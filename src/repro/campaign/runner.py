@@ -27,7 +27,6 @@ of) a thousand-cell run.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -96,7 +95,7 @@ def run_campaign(
         raise ValueError("chunk_size must be >= 1")
     started = time.monotonic()
     ctx = get_execution()
-    executor = executor if executor is not None else ctx.executor
+    executor = executor or ctx.executor or ExperimentExecutor()
     store = store if store is not None else ctx.store
 
     plan = expand_campaign(spec, base_config)
@@ -132,12 +131,7 @@ def run_campaign(
     failed: list[str] = []
 
     # One process pool for the whole campaign, not one per chunk.
-    block = (
-        executor
-        if isinstance(executor, ExperimentExecutor)
-        else contextlib.nullcontext()
-    )
-    with block:
+    with executor:
         for chunk in _chunks(plan.cells, chunk_size):
             tasks = [task_by_digest[c.key_digest] for c in chunk]
             outcomes: dict[str, str] = {}
@@ -193,8 +187,7 @@ def run_campaign(
                 )
                 for collector in collectors:
                     collector.add(cell, result)
-            if hasattr(executor, "pop_events"):
-                writer.add_events(executor.pop_events())
+            writer.add_events(executor.pop_events())
             completed += len(chunk)
             if progress is not None:
                 progress(completed, total)

@@ -11,9 +11,12 @@ The execution layer between the experiment harness and the simulator:
   :class:`ExperimentExecutor` with per-task timeouts, bounded retries
   and graceful degradation to serial in-process execution;
 * :mod:`~repro.exec.plan` — :class:`SweepPlan` dedupes tasks across
-  experiments and :func:`execute_plan` fans them out, store-first;
+  experiments and :func:`execute_plan` fans them out, store-first,
+  through :func:`~repro.exec.plan.run_misses`, the one miss path (the
+  serving tier's too);
 * :mod:`~repro.exec.context` — the scoped executor/store pair that
-  ``run_suite`` resolves its defaults from.
+  ``run_suite`` resolves its defaults from; the scope holds the
+  executor's one pool.
 
 Typical wiring (what ``repro all --workers 4 --cache DIR`` does)::
 

@@ -13,7 +13,7 @@ like the rest of the pipeline — the parallelism lives in worker
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -45,11 +45,16 @@ def get_execution() -> ExecutionContext:
 def use_execution(
     executor=None, store=None
 ) -> Iterator[ExecutionContext]:
-    """Scope an execution context, restoring the previous one on exit."""
+    """Scope an execution context, restoring the previous one on exit.
+
+    The scope holds ``executor``'s ``with`` block, so every batch run
+    inside it shares one process pool, joined when the scope ends.
+    """
     global _active
     previous = _active
     _active = ExecutionContext(executor=executor, store=store)
     try:
-        yield _active
+        with executor if executor is not None else nullcontext():
+            yield _active
     finally:
         _active = previous

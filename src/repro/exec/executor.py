@@ -19,12 +19,14 @@ of the group, each on its own fresh hierarchy.  The unit of retry and
 of timeout is the payload, so the per-payload timeout covers a whole
 group.
 
-Pool lifetime: outside a ``with executor:`` block every
-:meth:`~ExperimentExecutor.run_payloads` call makes its own pool and
-shuts it down.  Inside one, the batches share a single pool, created
-lazily at the first batch that needs it and shut down (workers
-joined) when the block exits — a campaign forks its workers once, not
-once per chunk.
+Pool lifetime: the pool lives as long as the ``with executor:`` block
+that owns it.  It is created lazily at the first batch that needs one
+and shut down (workers joined) when the outermost block exits, so every
+batch of the block shares it: a campaign, a ``use_execution`` scope and
+a serving process each fork their workers once.  A
+:meth:`~ExperimentExecutor.run_payloads` call made outside any block
+opens a block of its own, so its pool is private to the batch and
+joined before the call returns.
 
 Failure handling, in order of escalation:
 
@@ -248,8 +250,8 @@ class ExperimentExecutor:
     ``workers <= 1`` short-circuits to serial in-process execution;
     ``task_timeout_s`` bounds each result wait; failures retry
     in-process up to ``retries`` times with exponential ``backoff_s``.
-    Used as a context manager, the batches run inside the block share
-    one pool (see the module docstring).
+    The batches run inside one ``with`` block share one pool (see the
+    module docstring).
     """
 
     def __init__(
@@ -320,9 +322,7 @@ class ExperimentExecutor:
             return None
 
     def _acquire_pool(self) -> ProcessPoolExecutor | None:
-        """The block's pool (made on first use), or a batch-private one."""
-        if not self._blocks:
-            return self._make_pool()
+        """The block's pool, made on first use."""
         if self._pool is None and not self._pool_unavailable:
             self._pool = self._make_pool()
             if self._pool is None:
@@ -334,15 +334,12 @@ class ExperimentExecutor:
                 self._event("pool-restart")
         return self._pool
 
-    def _release_pool(
-        self, pool: ProcessPoolExecutor, healthy: bool, wait: bool
-    ) -> None:
-        """Keep a healthy block pool; shut any other pool down."""
-        if healthy and pool is self._pool:
+    def _release_pool(self, healthy: bool, wait: bool) -> None:
+        """Keep a healthy pool; drop one that broke or timed out."""
+        if healthy:
             return
-        if pool is self._pool:
-            self._pool = None
-            self._pool_lost = True
+        pool, self._pool = self._pool, None
+        self._pool_lost = True
         # A worker stuck past its timeout would block a waiting
         # shutdown forever; hand unfinished work back without waiting.
         pool.shutdown(wait=wait, cancel_futures=True)
@@ -395,63 +392,65 @@ class ExperimentExecutor:
 
         if self.workers <= 1 or len(payloads) <= 1:
             return _serial()
-        pool = self._acquire_pool()
-        if pool is None:
-            return _serial()
         out: list[dict[str, Any] | None] = [None] * len(payloads)
         failed: list[tuple[int, BaseException]] = []
         timed_out = broken = finished = False
-        try:
-            start = time.perf_counter()
-            futures = [pool.submit(run_payload, p) for p in payloads]
-            reg.counter("exec.tasks.submitted").inc(len(payloads))
-            for i, fut in enumerate(futures):
-                try:
-                    out[i] = fut.result(timeout=self.task_timeout_s)
-                    reg.counter("exec.tasks.completed").inc()
-                    if on_result is not None:
-                        on_result(i)
-                except FutureTimeoutError as exc:
-                    timed_out = True
-                    reg.counter("exec.timeouts").inc()
-                    fut.cancel()
-                    _LOG.warning(
-                        "task %s/%s timed out after %.1fs; retrying in-process",
-                        payloads[i].get("workload"),
-                        payloads[i].get("version"),
-                        self.task_timeout_s or 0.0,
-                    )
-                    self._event(
-                        "timeout",
-                        task=f"{payloads[i].get('workload')}"
-                        f"/{payloads[i].get('version')}",
-                        timeout_s=self.task_timeout_s,
-                    )
-                    failed.append((i, exc))
-                except BrokenExecutor as exc:
-                    # One dead worker breaks every pending future: say so
-                    # once per batch, not once per task.
-                    if not broken:
-                        broken = True
+        # Outside any block this is the batch's own: its pool is private
+        # and joined before the retries below run.
+        with self:
+            pool = self._acquire_pool()
+            if pool is None:
+                return _serial()
+            try:
+                start = time.perf_counter()
+                futures = [pool.submit(run_payload, p) for p in payloads]
+                reg.counter("exec.tasks.submitted").inc(len(payloads))
+                for i, fut in enumerate(futures):
+                    try:
+                        out[i] = fut.result(timeout=self.task_timeout_s)
+                        reg.counter("exec.tasks.completed").inc()
+                        if on_result is not None:
+                            on_result(i)
+                    except FutureTimeoutError as exc:
+                        timed_out = True
+                        reg.counter("exec.timeouts").inc()
+                        fut.cancel()
                         _LOG.warning(
-                            "process pool broke (%s); degrading to in-process",
-                            exc,
+                            "task %s/%s timed out after %.1fs; retrying in-process",
+                            payloads[i].get("workload"),
+                            payloads[i].get("version"),
+                            self.task_timeout_s or 0.0,
                         )
                         self._event(
-                            "broken-pool", error=str(exc) or type(exc).__name__
+                            "timeout",
+                            task=f"{payloads[i].get('workload')}"
+                            f"/{payloads[i].get('version')}",
+                            timeout_s=self.task_timeout_s,
                         )
-                    failed.append((i, exc))
-                except Exception as exc:  # noqa: BLE001 - retried below
-                    failed.append((i, exc))
-            reg.histogram("exec.batch_seconds").observe(
-                time.perf_counter() - start
-            )
-            finished = True
-        finally:
-            self._release_pool(
-                pool, healthy=finished and not (timed_out or broken),
-                wait=not timed_out,
-            )
+                        failed.append((i, exc))
+                    except BrokenExecutor as exc:
+                        # One dead worker breaks every pending future: say so
+                        # once per batch, not once per task.
+                        if not broken:
+                            broken = True
+                            _LOG.warning(
+                                "process pool broke (%s); degrading to in-process",
+                                exc,
+                            )
+                            self._event(
+                                "broken-pool", error=str(exc) or type(exc).__name__
+                            )
+                        failed.append((i, exc))
+                    except Exception as exc:  # noqa: BLE001 - retried below
+                        failed.append((i, exc))
+                reg.histogram("exec.batch_seconds").observe(
+                    time.perf_counter() - start
+                )
+                finished = True
+            finally:
+                self._release_pool(
+                    healthy=finished and not (timed_out or broken), wait=not timed_out
+                )
         for i, exc in failed:
             out[i] = self._retry_in_process(payloads[i], exc)
             reg.counter("exec.tasks.completed").inc()

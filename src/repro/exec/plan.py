@@ -7,12 +7,14 @@ Figure 11 share all 24 of their (workload, config, version) triples,
 and the Figure 12/13/14 sweeps each revisit the default-config point —
 so a combined plan simulates every unique key exactly once.
 
-:func:`execute_plan` is the single execution path: store lookups
-first, then the remaining misses through the executor (process pool or
-in-process serial), store write-back, and worker-metric merging, all
-in deterministic task order.  Misses that share a
-:class:`~repro.exec.keys.MappingKey` travel as one group payload, so
-their worker maps once and simulates each of them.
+:func:`execute_plan` is the batch entry point: store lookups first,
+then the remaining misses through :func:`run_misses`.  That function
+is the one miss path — the serve coalescer calls it too — running the
+misses through the executor (process pool or in-process serial) with
+store write-back and worker-metric merging, all in deterministic task
+order.  Misses that share a :class:`~repro.exec.keys.MappingKey`
+travel as one group payload, so their worker maps once and simulates
+each of them.
 
 :func:`plan_all` pre-plans everything ``repro all`` will need by
 asking each figure module for its own sweep (the modules export
@@ -28,6 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 from repro.exec.context import get_execution
 from repro.exec.executor import ExperimentExecutor, group_payload, task_payload
 from repro.exec.keys import ExperimentKey, MappingKey, experiment_key, mapping_key
+from repro.obs.context import SpanContext, current_context
 from repro.obs.tracer import get_tracer, span
 from repro.simulator.metrics import ExperimentResult
 from repro.simulator.serialization import result_from_dict
@@ -43,6 +46,7 @@ __all__ = [
     "ExperimentTask",
     "SweepPlan",
     "group_by_mapping",
+    "run_misses",
     "execute_plan",
     "plan_all",
     "cached_report",
@@ -161,6 +165,84 @@ def group_by_mapping(
     return out
 
 
+def run_misses(
+    tasks: list[ExperimentTask],
+    executor: ExperimentExecutor,
+    store=None,
+    parents: list[SpanContext | None] | None = None,
+    on_group: Callable[[list[ExperimentTask]], None] | None = None,
+) -> list[tuple[ExperimentResult, str]]:
+    """The one miss path: simulate ``tasks`` and store them, in task order.
+
+    Tasks grouped by :func:`group_by_mapping` run as one ``run_payloads``
+    call; worker metrics and spans merge into the active registry and
+    tracer.  A group's payload parents its ``exec.task`` span onto its
+    first task's entry in ``parents`` (default: the ambient span), and
+    every task of the group reports that span id.  The only spans opened
+    here are the ``store.put`` writes, parented explicitly onto it, so a
+    caller with no ambient span (the serve batcher) gets no orphan root.
+    ``on_group(group)`` fires as each group's results land.  Returns
+    ``(result, exec.task span id or "")`` per task.
+    """
+    reg = get_registry()
+    tracer = get_tracer()
+    if parents is None:
+        parents = [current_context()] * len(tasks)
+    parent_of = {t.key.digest: ctx for t, ctx in zip(tasks, parents)}
+    groups = group_by_mapping(tasks, executor.workers)
+    heads = [parent_of[group[0].key.digest] for group in groups]
+    payloads = []
+    for group, ctx in zip(groups, heads):
+        cells = [
+            task_payload(
+                t.workload,
+                t.config,
+                t.version,
+                t.engine_dict(),
+                reg.enabled,
+                scenario=t.scenario_dict(),
+            )
+            for t in group
+        ]
+        payload = cells[0] if len(cells) == 1 else group_payload(cells)
+        if tracer.enabled:
+            payload["trace"] = {
+                "trace_id": ctx.trace_id if ctx else None,
+                "parent_id": ctx.span_id if ctx else None,
+            }
+        payloads.append(payload)
+    _LOG.debug(
+        "executing %d tasks in %d payloads on %r", len(tasks), len(payloads), executor
+    )
+    outs = executor.run_payloads(
+        payloads,
+        on_result=None if on_group is None else lambda i: on_group(groups[i]),
+    )
+    fresh: dict[str, tuple[ExperimentResult, str, SpanContext | None]] = {}
+    for group, ctx, out in zip(groups, heads, outs):
+        if reg.enabled and out.get("metrics"):
+            reg.merge_snapshot(out["metrics"])
+        if out.get("spans"):
+            tracer.ingest(out["spans"])
+        span_id = out.get("span_id") or ""
+        docs = out["results"] if "results" in out else [out["result"]]
+        for t, doc in zip(group, docs):
+            fresh[t.key.digest] = (result_from_dict(doc), span_id, ctx)
+    ran = []
+    for t in tasks:
+        result, span_id, ctx = fresh[t.key.digest]
+        if store is not None:
+            with span(
+                "store.put",
+                trace_id=ctx.trace_id if ctx else None,
+                parent_id=span_id or (ctx.span_id if ctx else None),
+                digest=t.key.digest[:12],
+            ):
+                store.put(t.key, result)
+        ran.append((result, span_id))
+    return ran
+
+
 def execute_plan(
     plan: SweepPlan | Iterable[ExperimentTask],
     executor=None,
@@ -176,9 +258,8 @@ def execute_plan(
     ``result_to_dict`` round-trip, so the output is bit-identical
     regardless of worker count or cache temperature.
 
-    Misses are grouped by :func:`group_by_mapping` and each group runs
-    as one payload; the batch is still one ``run_payloads`` call, and
-    results reach the store per task, in task order.
+    Misses go through :func:`run_misses` inside the ``execute_plan``
+    phase, whose span the payloads parent onto.
 
     ``progress(done, total)`` fires once per task as its result becomes
     available (store hits first, then simulations as their group lands),
@@ -190,7 +271,6 @@ def execute_plan(
     ctx = get_execution()
     executor = executor if executor is not None else ctx.executor
     store = store if store is not None else ctx.store
-    tracer = get_tracer()
     tasks = list(plan)
     total = len(tasks)
     done = 0
@@ -213,70 +293,20 @@ def execute_plan(
         else:
             misses.append(t)
     if misses:
-        reg = get_registry()
-        collect = reg.enabled
         ex = executor if executor is not None else ExperimentExecutor()
-        groups = group_by_mapping(misses, getattr(ex, "workers", 1))
-        payloads = []
-        for group in groups:
-            cells = [
-                task_payload(
-                    t.workload,
-                    t.config,
-                    t.version,
-                    t.engine_dict(),
-                    collect,
-                    scenario=t.scenario_dict(),
-                )
-                for t in group
-            ]
-            payloads.append(cells[0] if len(cells) == 1 else group_payload(cells))
-        _LOG.debug(
-            "executing %d/%d tasks in %d payloads (%d store hits) on %r",
-            len(misses),
-            len(tasks),
-            len(payloads),
-            len(tasks) - len(misses),
-            ex,
-        )
+
+        def _tick(group: list[ExperimentTask]) -> None:
+            nonlocal done
+            for _ in group:
+                done += 1
+                progress(done, total)
+
         with phase("execute_plan"):
-            if tracer.enabled:
-                # Parent every payload's worker-side exec.task span onto the
-                # execute_plan phase span just opened, so the repatriated
-                # spans reattach into this request's tree.
-                from repro.obs.context import current_context
-
-                parent = current_context()
-                for p in payloads:
-                    p["trace"] = {
-                        "trace_id": parent.trace_id if parent else None,
-                        "parent_id": parent.span_id if parent else None,
-                    }
-            if progress is not None:
-                base = done
-
-                def _tick(i: int, _n: list[int] = [0]) -> None:
-                    for _ in groups[i]:
-                        _n[0] += 1
-                        progress(base + _n[0], total)
-
-                outs = ex.run_payloads(payloads, on_result=_tick)
-            else:
-                outs = ex.run_payloads(payloads)
-        fresh: dict[str, ExperimentResult] = {}
-        for group, out in zip(groups, outs):
-            if collect and out.get("metrics"):
-                reg.merge_snapshot(out["metrics"])
-            if out.get("spans"):
-                tracer.ingest(out["spans"])
-            docs = out["results"] if "results" in out else [out["result"]]
-            for t, doc in zip(group, docs):
-                fresh[t.key.digest] = result_from_dict(doc)
-        for t in misses:
-            result = results[t.key.digest] = fresh[t.key.digest]
-            if store is not None:
-                with span("store.put", digest=t.key.digest[:12]):
-                    store.put(t.key, result)
+            ran = run_misses(
+                misses, ex, store, on_group=_tick if progress is not None else None
+            )
+        for t, (result, _) in zip(misses, ran):
+            results[t.key.digest] = result
             if outcomes is not None:
                 outcomes[t.key.digest] = "simulated"
     return results

@@ -13,7 +13,6 @@ from repro.hierarchy.policies import (
     FIFOPolicy,
     CLOCKPolicy,
     LFUPolicy,
-    MQPolicy,
     make_policy,
 )
 from repro.hierarchy.cache import ChunkCache
@@ -32,7 +31,6 @@ __all__ = [
     "FIFOPolicy",
     "CLOCKPolicy",
     "LFUPolicy",
-    "MQPolicy",
     "make_policy",
     "ChunkCache",
     "CacheStats",

@@ -3,14 +3,12 @@
 The paper manages every storage cache with LRU (§5.1) but stresses that
 the mapping is orthogonal to the policy ("our approach itself can work
 with any storage caching policy").  We ship LRU as the default plus
-FIFO, CLOCK, LFU, an MQ-lite (the multi-queue policy the related work
-cites for second-level buffer caches), SRRIP and ARC, so the
-orthogonality claim can be exercised per hierarchy level (the scenario
-layer's policy matrix and the ablation bench).  LRU, FIFO, RRIP and ARC
-run inline on the fast engine's hot loops (:mod:`repro.simulator.fast`),
-which mutates their internal dicts directly; CLOCK, LFU and MQ, which no
-scenario, paper figure or benchmark uses, and any subclass run on the
-reference engine.
+FIFO, CLOCK, LFU, SRRIP and ARC, so the orthogonality claim can be
+exercised per hierarchy level (the scenario layer's policy matrix and
+the ablation bench).  LRU, FIFO, RRIP and ARC run inline on the fast
+engine's hot loops (:mod:`repro.simulator.fast`), which mutates their
+internal dicts directly; CLOCK and LFU, which no scenario, paper figure
+or benchmark uses, and any subclass run on the reference engine.
 
 A policy tracks resident chunk ids and answers *which chunk to evict*.
 The hot path is ``touch``/``insert``/``evict``; LRU and FIFO are O(1)
@@ -29,7 +27,6 @@ __all__ = [
     "FIFOPolicy",
     "CLOCKPolicy",
     "LFUPolicy",
-    "MQPolicy",
     "RRIPPolicy",
     "ARCPolicy",
     "make_policy",
@@ -274,76 +271,6 @@ class LFUPolicy(ReplacementPolicy):
         self._clock = 0
 
 
-class MQPolicy(ReplacementPolicy):
-    """Multi-Queue (Zhou et al., USENIX ATC'01) — lite.
-
-    The paper's related work singles MQ out as the policy suited to
-    second-level buffer caches, whose accesses (the first level's
-    misses) have weak recency but strong frequency structure.  This is
-    the core of the algorithm: ``m`` LRU queues, a chunk lives in queue
-    ``min(log2(frequency), m-1)``, eviction takes the LRU chunk of the
-    lowest non-empty queue.  (The full MQ's lifetime-based demotion and
-    ghost buffer are out of scope.)
-    """
-
-    name = "mq"
-
-    def __init__(self, num_queues: int = 4):
-        if num_queues < 1:
-            raise ValueError("need at least one queue")
-        self.num_queues = num_queues
-        self._queues: list[dict[int, None]] = [dict() for _ in range(num_queues)]
-        self._freq: dict[int, int] = {}
-
-    def _queue_of(self, freq: int) -> int:
-        return min(freq.bit_length() - 1, self.num_queues - 1)
-
-    def touch(self, chunk_id: int) -> None:
-        if chunk_id not in self._freq:
-            raise KeyError(f"chunk {chunk_id} not resident")
-        old_q = self._queue_of(self._freq[chunk_id])
-        self._freq[chunk_id] += 1
-        new_q = self._queue_of(self._freq[chunk_id])
-        del self._queues[old_q][chunk_id]
-        self._queues[new_q][chunk_id] = None  # MRU position of its queue
-
-    def insert(self, chunk_id: int) -> None:
-        if chunk_id in self._freq:
-            raise ValueError(f"chunk {chunk_id} already resident")
-        self._freq[chunk_id] = 1
-        self._queues[0][chunk_id] = None
-
-    def evict(self) -> int:
-        for queue in self._queues:
-            if queue:
-                victim = next(iter(queue))
-                del queue[victim]
-                del self._freq[victim]
-                return victim
-        raise RuntimeError("evict from empty cache")
-
-    def remove(self, chunk_id: int) -> None:
-        if chunk_id not in self._freq:
-            raise KeyError(f"chunk {chunk_id} not resident")
-        q = self._queue_of(self._freq[chunk_id])
-        del self._queues[q][chunk_id]
-        del self._freq[chunk_id]
-
-    def __contains__(self, chunk_id: int) -> bool:
-        return chunk_id in self._freq
-
-    def __len__(self) -> int:
-        return len(self._freq)
-
-    def resident(self) -> list[int]:
-        return list(self._freq)
-
-    def clear(self) -> None:
-        for q in self._queues:
-            q.clear()
-        self._freq.clear()
-
-
 class RRIPPolicy(ReplacementPolicy):
     """Static RRIP (Jaleel et al., ISCA'10) with ``m``-bit prediction.
 
@@ -528,7 +455,6 @@ _POLICIES = {
         FIFOPolicy,
         CLOCKPolicy,
         LFUPolicy,
-        MQPolicy,
         RRIPPolicy,
         ARCPolicy,
     )

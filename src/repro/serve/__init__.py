@@ -12,8 +12,9 @@ Parallel Computations* argues for.
   response bodies (per-request facts ride HTTP headers);
 * :mod:`~repro.serve.coalesce` — in-flight deduplication keyed on
   :class:`~repro.exec.keys.ExperimentKey` plus micro-batching
-  (max-batch / max-wait) into the process-pool executor, store-first so
-  warm keys never simulate;
+  (max-batch / max-wait) through the batch path's miss path
+  (:func:`~repro.exec.plan.run_misses`), store-first so warm keys never
+  simulate;
 * :mod:`~repro.serve.server` — bounded admission with explicit 429 +
   ``Retry-After`` backpressure, per-request timeouts, graceful
   SIGINT/SIGTERM drain, and ``/healthz`` ``/statusz`` ``/metrics``;
@@ -24,6 +25,7 @@ Typical wiring (what ``repro serve --workers 4 --cache DIR`` does)::
 
     from repro.exec import ExperimentExecutor, ResultStore
     from repro.serve import MappingServer
+    from repro.telemetry import MetricsRegistry
 
     server = MappingServer(
         port=8080,
@@ -31,6 +33,9 @@ Typical wiring (what ``repro serve --workers 4 --cache DIR`` does)::
         store=ResultStore("serve-cache"),
         registry=MetricsRegistry(),
     )
+    # The server holds the executor's block while it runs: its four
+    # workers fork at the first batch that needs them and are joined
+    # when the drain ends.
     raise SystemExit(server.serve_forever())   # exits 0 after a drain
 """
 

@@ -1,21 +1,25 @@
 """Request coalescing and micro-batching in front of the exec backend.
 
-The serving analogue of :func:`repro.exec.plan.execute_plan`: requests
-for the *same* :class:`~repro.exec.keys.ExperimentKey` collapse onto
-one in-flight computation (every waiter gets the same response
-document), distinct keys accumulate into micro-batches (up to
-``max_batch`` tasks or ``max_wait_ms``, whichever first) that fan out
-through one blocking :meth:`run_payloads` call on the backend executor,
-and the store is consulted **before** anything is enqueued — a warm key
-never simulates, never batches, never waits.
+Requests for the *same* :class:`~repro.exec.keys.ExperimentKey`
+collapse onto one in-flight computation (every waiter gets the same
+response document), distinct keys accumulate into micro-batches (up to
+``max_batch`` tasks or ``max_wait_ms``, whichever first), and the store
+is consulted **before** anything is enqueued — a warm key never
+simulates, never batches, never waits.  A batch runs on the batch
+path's own miss path, :func:`~repro.exec.plan.run_misses`: tasks that
+share a :class:`~repro.exec.keys.MappingKey` map once, and the batch is
+one ``run_payloads`` call on the executor whose pool the server holds
+for its whole life.
 
 Threading model: all coalescer state (in-flight map, pending queue)
-lives on the event loop; only the backend call itself runs in a worker
+lives on the event loop; only the miss path itself runs in a worker
 thread via ``run_in_executor``, so there is exactly one batch executing
-at a time and no locks anywhere.  Store reads/writes are small JSON
-files and stay on the loop deliberately — moving them off-loop would
-reorder them against the in-flight map and reopen the duplicate-
-simulation race this module exists to close.
+at a time and no locks anywhere.  Store reads are small JSON files and
+stay on the loop deliberately — moving them off-loop would reorder them
+against the in-flight map and reopen the duplicate-simulation race this
+module exists to close.  Store writes happen inside the batch, before
+its keys leave the in-flight map, so a later request finds either the
+in-flight entry or the stored result.
 """
 
 from __future__ import annotations
@@ -26,11 +30,11 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.exec.executor import ExperimentExecutor, task_payload
-from repro.exec.plan import ExperimentTask
+from repro.exec.executor import ExperimentExecutor
+from repro.exec.plan import ExperimentTask, run_misses
 from repro.obs.context import SpanContext, current_context
-from repro.obs.tracer import get_tracer, span
-from repro.simulator.serialization import result_from_dict, result_to_dict
+from repro.obs.tracer import span
+from repro.simulator.serialization import result_to_dict
 from repro.telemetry import get_registry
 from repro.util.log import get_logger
 
@@ -59,16 +63,15 @@ class Submitted:
 class Coalescer:
     """Deduplicate, batch and execute experiment tasks for the server.
 
-    ``executor`` is any object with the exec layer's ``run_payloads``
-    interface (defaults to a serial
-    :class:`~repro.exec.executor.ExperimentExecutor`);
-    ``store`` is an optional Result/MemoryStore consulted first and
-    written back after every simulation.
+    ``executor`` is the :class:`~repro.exec.executor.ExperimentExecutor`
+    every batch runs on (default: serial in-process); ``store`` is an
+    optional Result/MemoryStore consulted first and written back after
+    every simulation.
     """
 
     def __init__(
         self,
-        executor=None,
+        executor: ExperimentExecutor | None = None,
         store=None,
         max_batch: int = 8,
         max_wait_ms: float = 5.0,
@@ -212,58 +215,21 @@ class Coalescer:
     def _execute(
         self,
         tasks: list[ExperimentTask],
-        ctxs: list[SpanContext | None] | None = None,
+        ctxs: list[SpanContext | None],
     ) -> list[tuple[dict[str, Any], str]]:
         """Blocking backend call; runs in a worker thread.
 
-        The same shape as :func:`~repro.exec.plan.execute_plan`'s miss
-        path: payloads through the executor, worker metrics merged and
-        spans repatriated, results written back to the store — and every
+        :func:`~repro.exec.plan.run_misses` with each task's submitting
+        request span as its parent (contextvars don't cross
+        ``run_in_executor``, so parentage travels explicitly); every
         result passes the ``result_to_dict`` round-trip, so responses
         are identical whether they came from a simulation or a later
-        store hit.  ``ctxs`` pairs each task with its submitting
-        request's span context (contextvars don't cross
-        ``run_in_executor``, so parentage travels explicitly).  Returns
-        ``(response doc, exec.task span id)`` per task.
+        store hit.  Returns ``(response doc, exec.task span id)`` per
+        task.
         """
-        reg = get_registry()
-        tracer = get_tracer()
-        collect = reg.enabled
-        if ctxs is None:
-            ctxs = [None] * len(tasks)
-        payloads = [
-            task_payload(
-                t.workload,
-                t.config,
-                t.version,
-                t.engine_dict(),
-                collect,
-                scenario=t.scenario_dict(),
+        return [
+            (result_to_dict(result), span_id)
+            for result, span_id in run_misses(
+                tasks, self.executor, self.store, parents=ctxs
             )
-            for t in tasks
         ]
-        if tracer.enabled:
-            for p, ctx in zip(payloads, ctxs):
-                p["trace"] = {
-                    "trace_id": ctx.trace_id if ctx else None,
-                    "parent_id": ctx.span_id if ctx else None,
-                }
-        outs = self.executor.run_payloads(payloads)
-        docs: list[tuple[dict[str, Any], str]] = []
-        for t, ctx, out in zip(tasks, ctxs, outs):
-            if collect and out.get("metrics"):
-                reg.merge_snapshot(out["metrics"])
-            if out.get("spans"):
-                tracer.ingest(out["spans"])
-            task_span_id = out.get("span_id") or ""
-            result = result_from_dict(out["result"])
-            if self.store is not None:
-                with span(
-                    "store.put",
-                    trace_id=ctx.trace_id if ctx else None,
-                    parent_id=task_span_id or (ctx.span_id if ctx else None),
-                    digest=t.key.digest[:12],
-                ):
-                    self.store.put(t.key, result)
-            docs.append((result_to_dict(result), task_span_id))
-        return docs

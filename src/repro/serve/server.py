@@ -75,7 +75,9 @@ class MappingServer(AsyncHttpServer):
     ``executor``/``store`` are the exec backend (defaults: serial
     in-process execution, no store — pass a
     :class:`~repro.exec.store.MemoryStore` at least, or warm keys will
-    re-simulate once their in-flight window closes).  ``registry``
+    re-simulate once their in-flight window closes).  ``serve_forever``
+    holds the executor's ``with`` block until the drain ends, so its
+    pool is forked once and joined on exit.  ``registry``
     (a live :class:`~repro.telemetry.MetricsRegistry`) is installed as
     the process-wide active registry for the server's lifetime so
     ``/metrics`` and ``/statusz`` have something to report; ``None``
@@ -132,6 +134,9 @@ class MappingServer(AsyncHttpServer):
                 stack.enter_context(use_registry(self.registry))
             if self.tracer is not None:
                 stack.enter_context(use_tracer(self.tracer))
+            # Every batch shares the executor's one pool; leaving the
+            # block after the drain (or a failed start) joins its workers.
+            stack.enter_context(self.coalescer.executor)
             return super().serve_forever(install_signals)
 
     async def _startup(self) -> None:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.exec import executor as executor_module
+from repro.exec.context import use_execution
 from repro.exec.executor import (
     ExperimentExecutor,
     TaskError,
@@ -263,6 +264,15 @@ class TestPoolBlock:
         for _ in range(2):
             pids = {o["pid"] for o in ex.run_payloads(payloads)}
             assert not pids & _live_children()
+
+    def test_use_execution_holds_the_block(self, payloads, monkeypatch):
+        monkeypatch.setattr(executor_module, "run_payload", _pid_in_worker)
+        ex = ExperimentExecutor(workers=2, mp_context="fork")
+        with use_execution(executor=ex):
+            pids = {o["pid"] for _ in range(2) for o in ex.run_payloads(payloads)}
+            assert len(pids) <= 2
+            assert pids <= _live_children()
+        assert not pids & _live_children()
 
     def test_timed_out_batch_discards_the_pool_without_waiting(
         self, payloads, serial_docs, monkeypatch

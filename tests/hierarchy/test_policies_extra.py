@@ -1,9 +1,9 @@
-"""Tests for the LFU and MQ policies (related-work policies)."""
+"""Tests for the LFU policy (a related-work policy)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hierarchy.policies import LFUPolicy, MQPolicy, make_policy
+from repro.hierarchy.policies import LFUPolicy, make_policy
 
 
 class TestLFU:
@@ -47,48 +47,11 @@ class TestLFU:
         p.clear()
         assert len(p) == 0
 
-
-class TestMQ:
-    def test_queue_promotion_protects_hot_chunks(self):
-        p = MQPolicy()
-        p.insert(1)
-        p.touch(1)  # freq 2 -> queue 1
-        p.insert(2)  # queue 0
-        assert p.evict() == 2  # lowest non-empty queue first
-
-    def test_eviction_order_within_queue_is_lru(self):
-        p = MQPolicy()
-        p.insert(1)
-        p.insert(2)
-        assert p.evict() == 1
-
-    def test_log2_queue_index(self):
-        p = MQPolicy(num_queues=4)
-        assert p._queue_of(1) == 0
-        assert p._queue_of(2) == 1
-        assert p._queue_of(3) == 1
-        assert p._queue_of(4) == 2
-        assert p._queue_of(100) == 3  # capped
-
-    def test_remove_from_correct_queue(self):
-        p = MQPolicy()
-        p.insert(1)
-        p.touch(1)
-        p.remove(1)
-        assert 1 not in p
-        with pytest.raises(KeyError):
-            p.remove(1)
-
-    def test_validates_queue_count(self):
-        with pytest.raises(ValueError):
-            MQPolicy(num_queues=0)
-
     def test_factory(self):
-        assert make_policy("mq").name == "mq"
         assert make_policy("lfu").name == "lfu"
 
 
-@pytest.mark.parametrize("name", ["lfu", "mq"])
+@pytest.mark.parametrize("name", ["lfu"])
 class TestNewPoliciesCommonContract:
     def test_insert_evict_cycle(self, name):
         p = make_policy(name)

@@ -16,7 +16,7 @@ CAPACITY = 8
 ALL_POLICIES = policy_names()
 
 #: Policies where a just-touched chunk strictly survives the next
-#: eviction.  FIFO is exempt by design (touch is a no-op); LFU/MQ are
+#: eviction.  FIFO is exempt by design (touch is a no-op); LFU is
 #: frequency-based and may evict a just-touched low-frequency chunk;
 #: CLOCK only guarantees survival while some resident chunk is
 #: unreferenced (all-bits-set degenerates to hand order) and gets its
@@ -230,33 +230,6 @@ class TestFrequencyInvariants:
         victim = policy.evict()
         assert freq[victim] == min(freq.values())
 
-    @given(
-        touches=st.dictionaries(
-            st.integers(min_value=0, max_value=5),
-            st.integers(min_value=0, max_value=10),
-            min_size=2,
-            max_size=6,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_mq_evicts_from_lowest_frequency_bucket(self, touches):
-        """MQ victims come from the lowest non-empty log2(freq) queue —
-        never from a strictly higher bucket than another resident."""
-        policy = make_policy("mq", CAPACITY)
-
-        def bucket(f):  # mirrors MQPolicy._queue_of with num_queues=4
-            return min(f.bit_length() - 1, 3)
-
-        freq = {}
-        for chunk, extra in touches.items():
-            policy.insert(chunk)
-            freq[chunk] = 1
-            for _ in range(extra):
-                policy.touch(chunk)
-                freq[chunk] += 1
-        victim = policy.evict()
-        assert bucket(freq[victim]) == min(bucket(f) for f in freq.values())
-
 
 class TestCapacityPlumbing:
     def test_arc_requires_capacity(self):
@@ -279,7 +252,6 @@ class TestCapacityPlumbing:
             "fifo",
             "clock",
             "lfu",
-            "mq",
             "rrip",
             "arc",
         }

@@ -88,7 +88,7 @@ class TestValidation:
 class TestRoundTrip:
     def test_dict_round_trip_identity(self):
         spec = zipf_spec(
-            description="hot zipf", policies=("arc", "lru", "mq")
+            description="hot zipf", policies=("arc", "lru", "rrip")
         )
         assert spec_from_dict(spec_to_dict(spec)) == spec
 

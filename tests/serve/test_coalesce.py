@@ -16,22 +16,22 @@ def make_task(workload="hf", version="original"):
     return MappingRequest(workload, version, scale=16).to_task()
 
 
-class GatedExecutor:
-    """A backend that blocks every batch until the test opens the gate."""
+class GatedExecutor(ExperimentExecutor):
+    """A serial backend that blocks every batch until the test opens the gate."""
 
     def __init__(self):
+        super().__init__(workers=1)
         self.gate = threading.Event()
         self.batches = []
-        self._inner = ExperimentExecutor(workers=1)
 
-    def run_payloads(self, payloads):
+    def run_payloads(self, payloads, on_result=None):
         assert self.gate.wait(30.0), "test never opened the gate"
         self.batches.append(len(payloads))
-        return self._inner.run_payloads(payloads)
+        return super().run_payloads(payloads, on_result)
 
 
-class FailingExecutor:
-    def run_payloads(self, payloads):
+class FailingExecutor(ExperimentExecutor):
+    def run_payloads(self, payloads, on_result=None):
         raise RuntimeError("backend down")
 
 

@@ -25,18 +25,18 @@ from repro.serve.server import MappingServer
 from repro.telemetry import MetricsRegistry, declare_pipeline_metrics
 
 
-class GatedExecutor:
-    """Backend that holds every batch until the test opens the gate."""
+class GatedExecutor(ExperimentExecutor):
+    """Serial backend that holds every batch until the test opens the gate."""
 
     def __init__(self):
+        super().__init__(workers=1)
         self.gate = threading.Event()
         self.batches = []
-        self._inner = ExperimentExecutor(workers=1)
 
-    def run_payloads(self, payloads):
+    def run_payloads(self, payloads, on_result=None):
         assert self.gate.wait(30.0), "test never opened the gate"
         self.batches.append(len(payloads))
-        return self._inner.run_payloads(payloads)
+        return super().run_payloads(payloads, on_result)
 
     def __repr__(self):
         return "GatedExecutor()"
