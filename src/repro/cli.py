@@ -1198,9 +1198,10 @@ FLAG_GROUPS = {
         _arg(
             "--batch-wait-ms",
             type=float,
-            default=5.0,
+            default=0.0,
             metavar="MS",
-            help="max wait to fill a micro-batch (default: 5 ms)",
+            help="hold a micro-batch open this long for more requests "
+            "(default: 0, dispatch what is queued)",
         ),
         _arg(
             "--request-timeout",

@@ -127,7 +127,7 @@ def compile_nest(
                     chunk = pool[m]
                     lines.append(
                         f"// iteration chunk {m} "
-                        f"({chunk.size} iterations, chunks {sorted(chunk.tag.chunks)})"
+                        f"({chunk.size} iterations, chunks {list(chunk.chunk_ids)})"
                     )
                     for producer in sorted(waits.get(c, {}).get(pos, ())):
                         directive = f"wait_for(client_{producer});"

@@ -82,7 +82,7 @@ class TagMatrix:
             grown[: self._n] = self._rows[: self._n]
             self._rows = grown
         row = self._rows[self._n]
-        for c in chunk.tag.chunks:
+        for c in chunk.chunk_ids:
             row[c] = 1.0
         self._n += 1
 

@@ -3,11 +3,13 @@
 Every iteration gets an *r*-bit tag (bit k set iff the iteration touches
 data chunk ``π_k``); iterations with identical tags form an *iteration
 chunk* ``γ_Λ``.  Formation is fully vectorised: all references evaluate
-over the whole iteration matrix at once, per-iteration chunk-id rows are
-canonicalised (sorted, in-row duplicates masked), and a row lexsort with
-a boundary diff yields the grouping.  The distinct rows are scattered
-once into a ``(chunks, r)`` 0/1 incidence matrix, which the affinity
-graph and the clustering stage read instead of the per-chunk tags.
+over the whole iteration matrix at once, and each per-iteration chunk-id
+row becomes one exact int64 key (:func:`_row_keys`).  The raw rows group
+by key; only the few hundred distinct raw rows are canonicalised (sorted,
+in-row duplicates masked) and grouped again by key, and composing the
+two groupings yields the chunks.  The distinct rows are scattered once
+into a ``(chunks, r)`` 0/1 incidence matrix, which the affinity graph
+and the clustering stage read instead of the per-chunk tags.
 
 Iterations are stored as **lexicographic ranks** into the nest's
 iteration space, so a chunk is just an int64 vector; the explicit
@@ -16,7 +18,6 @@ iteration space, so a chunk is just an int64 vector; the explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,27 +37,57 @@ __all__ = [
 _PAD = -1
 
 
-@dataclass
 class IterationChunk:
     """A maximal set of iterations sharing one data-chunk access tag.
 
     ``iterations`` holds lexicographic ranks (ascending) into the source
-    nest's iteration space.  Splitting during load balancing produces
-    chunks with equal tags and disjoint iteration sets.
+    nest's iteration space.  ``chunk_ids`` are the tag's set bits in
+    ascending order and ``nbits`` its width; the :class:`Tag` itself is
+    built on first use of :attr:`tag`, since the mapper reads tags as
+    incidence rows.  Splitting during load balancing produces chunks
+    with equal tags and disjoint iteration sets.
     """
 
-    tag: Tag
-    iterations: np.ndarray
+    __slots__ = ("chunk_ids", "nbits", "iterations", "_tag")
 
-    def __post_init__(self):
-        self.iterations = np.asarray(self.iterations, dtype=np.int64)
-        if self.iterations.ndim != 1 or len(self.iterations) == 0:
+    def __init__(self, tag: Tag, iterations: np.ndarray):
+        self._set(tuple(sorted(tag.chunks)), tag.nbits, iterations, tag)
+
+    @classmethod
+    def from_ids(
+        cls, chunk_ids: tuple[int, ...], nbits: int, iterations: np.ndarray
+    ) -> "IterationChunk":
+        """A chunk over ascending in-range ``chunk_ids``, its tag built lazily."""
+        chunk = cls.__new__(cls)
+        chunk._set(chunk_ids, nbits, iterations, None)
+        return chunk
+
+    def _set(self, chunk_ids, nbits, iterations, tag) -> None:
+        iterations = np.asarray(iterations, dtype=np.int64)
+        if iterations.ndim != 1 or len(iterations) == 0:
             raise ValueError("an iteration chunk needs a non-empty 1-D rank vector")
+        self.chunk_ids = chunk_ids
+        self.nbits = nbits
+        self.iterations = iterations
+        self._tag = tag
+
+    @property
+    def tag(self) -> Tag:
+        """``Λ``: the chunk's access tag (built on first use)."""
+        if self._tag is None:
+            self._tag = Tag(self.chunk_ids, self.nbits)
+        return self._tag
 
     @property
     def size(self) -> int:
         """S(γ_Λ): the number of iterations in the chunk."""
-        return int(len(self.iterations))
+        return len(self.iterations)
+
+    def with_iterations(self, iterations: np.ndarray) -> "IterationChunk":
+        """The same tag (ids and any built :class:`Tag` shared) over other ranks."""
+        chunk = IterationChunk.from_ids(self.chunk_ids, self.nbits, iterations)
+        chunk._tag = self._tag
+        return chunk
 
     def split(self, first_part: int) -> tuple["IterationChunk", "IterationChunk"]:
         """Split into (first ``first_part`` iterations, the rest)."""
@@ -65,12 +96,12 @@ class IterationChunk:
                 f"split point {first_part} must be inside (0, {self.size})"
             )
         return (
-            IterationChunk(self.tag, self.iterations[:first_part]),
-            IterationChunk(self.tag, self.iterations[first_part:]),
+            self.with_iterations(self.iterations[:first_part]),
+            self.with_iterations(self.iterations[first_part:]),
         )
 
     def __repr__(self) -> str:
-        return f"IterationChunk(size={self.size}, chunks={sorted(self.tag.chunks)})"
+        return f"IterationChunk(size={self.size}, chunks={list(self.chunk_ids)})"
 
 
 class IterationChunkSet:
@@ -98,7 +129,7 @@ class IterationChunkSet:
         if incidence is None:
             incidence = np.zeros((len(self.chunks), self.tag_width))
             for i, chunk in enumerate(self.chunks):
-                incidence[i, list(chunk.tag.chunks)] = 1.0
+                incidence[i, list(chunk.chunk_ids)] = 1.0
         elif incidence.shape != (len(self.chunks), self.tag_width):
             raise ValueError(
                 f"incidence must be ({len(self.chunks)}, {self.tag_width}), "
@@ -156,20 +187,72 @@ class IterationChunkSet:
         )
 
 
-def _group_rows(canon: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Distinct rows and each one's ascending row indices, by first appearance.
+#: Keys stay below this bound, so every key is an exact int64.
+_KEY_LIMIT = 2**63
 
-    A stable lexsort (column 0 primary) keeps every group's indices
-    ascending; a row differing from its sorted predecessor opens a group.
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One exact int64 key per row: two rows are equal iff their keys are.
+
+    Mixed radix over the columns, column 0 most significant: each column
+    is offset by its minimum and weighted by the product of the later
+    columns' ranges ``max - min + 1``.  Before a step whose keys could
+    reach 2⁶³, the keys so far are re-ranked densely (at most ``n``
+    values), and the column too if that is not enough, so the key is
+    exact for any int64 input.  Keys order the rows lexicographically.
     """
-    order = np.lexsort(canon.T[::-1])
-    ordered = canon[order]
-    opens = np.ones(len(canon), dtype=bool)
-    opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    if len(rows) == 0:
+        return keys
+    span = 1  # every key so far lies in [0, span)
+    for col in rows.T:
+        lo = int(col.min())
+        radix = int(col.max()) - lo + 1
+        if span * radix > _KEY_LIMIT:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            span = len(distinct)
+        if span * radix > _KEY_LIMIT:
+            distinct, col = np.unique(col, return_inverse=True)
+            lo, radix = 0, len(distinct)
+        keys = keys * radix + (col - lo)
+        span *= radix
+    return keys
+
+
+def _sort_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sorting order of ``keys`` and where in it each run opens.
+
+    ``opens[i]`` is true iff ``keys[order[i]]`` differs from its sorted
+    predecessor; stability keeps every run's positions ascending.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = ordered[1:] != ordered[:-1]
+    return order, opens
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Distinct rows and each one's ascending row indices, by first appearance."""
+    order, opens = _sort_keys(_row_keys(rows))
     starts = np.flatnonzero(opens)
-    groups = np.split(order, starts[1:])
     appearance = np.argsort(order[starts])
-    return ordered[starts[appearance]], [groups[g] for g in appearance]
+    ends = np.append(starts[1:], len(rows))[appearance].tolist()
+    starts = starts[appearance]
+    groups = [order[a:b] for a, b in zip(starts.tolist(), ends)]
+    return rows[order[starts]], groups
+
+
+def _canonical(rows: np.ndarray) -> np.ndarray:
+    """Rows as sets: sorted, in-row duplicates masked with the pad, re-sorted.
+
+    ``[2,1,2]`` and ``[1,2,2]`` both become ``[-1,1,2]``, so identical
+    *sets* compare equal.
+    """
+    rows = np.sort(rows, axis=1)
+    dup = np.zeros_like(rows, dtype=bool)
+    dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
+    return np.sort(np.where(dup, _PAD, rows), axis=1)
 
 
 def chunk_matrix_for(nest: LoopNest, data_space: DataSpace) -> np.ndarray:
@@ -202,20 +285,23 @@ def form_iteration_chunks(
         )
     n_iters = len(chunk_matrix)
 
-    # Canonicalise rows: sort ascending, then mask duplicates with the pad
-    # value and re-sort so e.g. [2,1,2] and [1,2,2] both become [-1,1,2]
-    # — identical *sets* must compare equal.
-    rows = np.sort(chunk_matrix, axis=1)
-    dup = np.zeros_like(rows, dtype=bool)
-    dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
-    canon = np.where(dup, _PAD, rows)
-    canon = np.sort(canon, axis=1)
+    # Group the raw rows by key, canonicalise one representative of each
+    # distinct raw row, group those by key, and compose the two.
+    order, opens = _sort_keys(_row_keys(chunk_matrix))
+    canon = _canonical(chunk_matrix[order[opens]])
+    _, tag_first, tag_of_raw = np.unique(
+        _row_keys(canon), return_index=True, return_inverse=True
+    )
+    tag_of = np.empty(n_iters, dtype=np.int64)
+    tag_of[order] = tag_of_raw[np.cumsum(opens) - 1]
+    tags, groups = _group_rows(tag_of[:, None])
+    distinct = canon[tag_first[tags[:, 0]]]
 
-    distinct, groups = _group_rows(canon)
     r = data_space.num_chunks
+    pads = (distinct == _PAD).sum(axis=1).tolist()
     chunks = [
-        IterationChunk(Tag([c for c in row if c != _PAD], r), ranks)
-        for row, ranks in zip(distinct.tolist(), groups)
+        IterationChunk.from_ids(tuple(row[pad:]), r, ranks)
+        for row, pad, ranks in zip(distinct.tolist(), pads, groups)
     ]
     # Scatter the canonical rows into the (chunks, r) 0/1 incidence matrix.
     incidence = np.zeros((len(distinct), r))

@@ -70,7 +70,7 @@ class Cluster:
         size = 0
         for m in self.members:
             size += pool[m].size
-            for c in pool[m].tag.chunks:
+            for c in pool[m].chunk_ids:
                 sig[c] += 1
         if size != self.size or not np.array_equal(sig, self.signature):
             raise ValueError("cluster bookkeeping out of sync with pool")

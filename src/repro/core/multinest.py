@@ -79,7 +79,7 @@ def combine_nests(
     for nest, offset in zip(combined.nests, combined.offsets):
         sub = form_iteration_chunks(nest, data_space)
         for ch in sub.chunks:
-            chunks.append(IterationChunk(ch.tag, ch.iterations + offset))
+            chunks.append(ch.with_iterations(ch.iterations + offset))
         incidence.append(sub.incidence)
     chunk_set = IterationChunkSet(
         combined,  # type: ignore[arg-type]

@@ -82,7 +82,7 @@ def schedule_group(
     n = len(client_chunks)
     members = [np.sort(np.asarray(c, dtype=np.int64)) for c in client_chunks]
     if tags is None:
-        tags = TagMatrix(pool, pool[0].tag.nbits if pool else 1)
+        tags = TagMatrix(pool, pool[0].nbits if pool else 1)
     if len(tags) != len(pool):
         raise ValueError("tag matrix out of sync with pool")
     rows = [tags.rows(idx) for idx in members]

@@ -12,7 +12,6 @@ from repro.hierarchy.policies import (
     LRUPolicy,
     FIFOPolicy,
     CLOCKPolicy,
-    LFUPolicy,
     make_policy,
 )
 from repro.hierarchy.cache import ChunkCache
@@ -30,7 +29,6 @@ __all__ = [
     "LRUPolicy",
     "FIFOPolicy",
     "CLOCKPolicy",
-    "LFUPolicy",
     "make_policy",
     "ChunkCache",
     "CacheStats",

@@ -3,12 +3,12 @@
 The paper manages every storage cache with LRU (§5.1) but stresses that
 the mapping is orthogonal to the policy ("our approach itself can work
 with any storage caching policy").  We ship LRU as the default plus
-FIFO, CLOCK, LFU, SRRIP and ARC, so the orthogonality claim can be
+FIFO, CLOCK, SRRIP and ARC, so the orthogonality claim can be
 exercised per hierarchy level (the scenario layer's policy matrix and
 the ablation bench).  LRU, FIFO, RRIP and ARC run inline on the fast
 engine's hot loops (:mod:`repro.simulator.fast`), which mutates their
-internal dicts directly; CLOCK and LFU, which no scenario, paper figure
-or benchmark uses, and any subclass run on the reference engine.
+internal dicts directly; CLOCK, which no scenario, paper figure or
+benchmark uses, and any subclass run on the reference engine.
 
 A policy tracks resident chunk ids and answers *which chunk to evict*.
 The hot path is ``touch``/``insert``/``evict``; LRU and FIFO are O(1)
@@ -26,7 +26,6 @@ __all__ = [
     "LRUPolicy",
     "FIFOPolicy",
     "CLOCKPolicy",
-    "LFUPolicy",
     "RRIPPolicy",
     "ARCPolicy",
     "make_policy",
@@ -213,64 +212,6 @@ class CLOCKPolicy(ReplacementPolicy):
         self._ref.clear()
 
 
-class LFUPolicy(ReplacementPolicy):
-    """Least-frequently-used, ties broken by recency (LRU among ties)."""
-
-    name = "lfu"
-
-    def __init__(self):
-        self._freq: dict[int, int] = {}  # insertion order tracks recency
-        self._clock = 0
-        self._last: dict[int, int] = {}
-
-    def _bump(self, chunk_id: int) -> None:
-        self._clock += 1
-        self._last[chunk_id] = self._clock
-
-    def touch(self, chunk_id: int) -> None:
-        if chunk_id not in self._freq:
-            raise KeyError(f"chunk {chunk_id} not resident")
-        self._freq[chunk_id] += 1
-        self._bump(chunk_id)
-
-    def insert(self, chunk_id: int) -> None:
-        if chunk_id in self._freq:
-            raise ValueError(f"chunk {chunk_id} already resident")
-        self._freq[chunk_id] = 1
-        self._bump(chunk_id)
-
-    def evict(self) -> int:
-        if not self._freq:
-            raise RuntimeError("evict from empty cache")
-        victim = min(
-            self._freq, key=lambda c: (self._freq[c], self._last[c])
-        )
-        del self._freq[victim]
-        del self._last[victim]
-        return victim
-
-    def remove(self, chunk_id: int) -> None:
-        try:
-            del self._freq[chunk_id]
-            del self._last[chunk_id]
-        except KeyError:
-            raise KeyError(f"chunk {chunk_id} not resident") from None
-
-    def __contains__(self, chunk_id: int) -> bool:
-        return chunk_id in self._freq
-
-    def __len__(self) -> int:
-        return len(self._freq)
-
-    def resident(self) -> list[int]:
-        return list(self._freq)
-
-    def clear(self) -> None:
-        self._freq.clear()
-        self._last.clear()
-        self._clock = 0
-
-
 class RRIPPolicy(ReplacementPolicy):
     """Static RRIP (Jaleel et al., ISCA'10) with ``m``-bit prediction.
 
@@ -454,7 +395,6 @@ _POLICIES = {
         LRUPolicy,
         FIFOPolicy,
         CLOCKPolicy,
-        LFUPolicy,
         RRIPPolicy,
         ARCPolicy,
     )

@@ -2,10 +2,13 @@
 
 Requests for the *same* :class:`~repro.exec.keys.ExperimentKey`
 collapse onto one in-flight computation (every waiter gets the same
-response document), distinct keys accumulate into micro-batches (up to
-``max_batch`` tasks or ``max_wait_ms``, whichever first), and the store
-is consulted **before** anything is enqueued — a warm key never
-simulates, never batches, never waits.  A batch runs on the batch
+response document), distinct keys accumulate into micro-batches, and
+the store is consulted **before** anything is enqueued — a warm key
+never simulates, never batches, never waits.  A batch is whatever is
+queued when the batcher comes round (up to ``max_batch`` tasks): under
+load, requests that arrive while one batch runs form the next, and a
+lone request dispatches at once.  ``max_wait_ms > 0`` opts in to
+holding a batch open that long for more arrivals.  A batch runs on the batch
 path's own miss path, :func:`~repro.exec.plan.run_misses`: tasks that
 share a :class:`~repro.exec.keys.MappingKey` map once, and the batch is
 one ``run_payloads`` call on the executor whose pool the server holds
@@ -74,7 +77,7 @@ class Coalescer:
         executor: ExperimentExecutor | None = None,
         store=None,
         max_batch: int = 8,
-        max_wait_ms: float = 5.0,
+        max_wait_ms: float = 0.0,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -168,8 +171,19 @@ class Coalescer:
     async def _collect_batch(
         self,
     ) -> list[tuple[ExperimentTask, SpanContext | None, asyncio.Future]]:
-        """One batch: first waiter, then up to max_batch/max_wait more."""
+        """One batch: the first waiter plus everything already queued.
+
+        One yield to the loop first lets submitters woken in the same
+        tick enqueue; then the queue is drained up to ``max_batch``
+        without waiting.  Only ``max_wait_s > 0`` holds the batch open
+        for later arrivals.
+        """
         batch = [await self._queue.get()]
+        await asyncio.sleep(0)
+        while len(batch) < self.max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
+        if self.max_wait_s <= 0:
+            return batch
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.max_wait_s
         while len(batch) < self.max_batch:

@@ -65,7 +65,7 @@ class ShardCluster:
         workers_per_shard: int = 1,
         max_queue: int = 64,
         max_batch: int = 8,
-        batch_wait_ms: float = 5.0,
+        batch_wait_ms: float = 0.0,
         request_timeout_s: float = 300.0,
         max_inflight: int = 64,
         default_scale: int = 0,

@@ -36,7 +36,7 @@ def build_worker(
     workers: int = 1,
     max_queue: int = 64,
     max_batch: int = 8,
-    max_wait_ms: float = 5.0,
+    max_wait_ms: float = 0.0,
     request_timeout_s: float = 300.0,
     drain_grace_s: float = 30.0,
     default_scale: int = 0,

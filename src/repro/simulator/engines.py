@@ -5,8 +5,8 @@ contract:
 
 * ``reference`` — the per-access Python loop of
   :mod:`repro.simulator.engine`; the semantic ground truth and the only
-  path that feeds trace recorders or runs the CLOCK/LFU policies
-  (and look-alike policy subclasses).
+  path that feeds trace recorders or runs the CLOCK policy (and
+  look-alike policy subclasses).
 * ``fast`` — the vectorized engine of :mod:`repro.simulator.fast`;
   bit-identical results (proven by the differential-equivalence suite)
   at several times less wall time for LRU/FIFO/ARC/RRIP hierarchies;

@@ -37,8 +37,8 @@ which may alter a single observable bit:
 
 Whole-run fallback: recorder-enabled runs, and hierarchies holding a
 policy object whose type is not exactly one of the four vectorized
-classes — CLOCK or LFU (which no scenario, paper figure or benchmark
-uses), or a look-alike subclass that may keep different internals —
+classes — CLOCK (which no scenario, paper figure or benchmark uses),
+or a look-alike subclass that may keep different internals —
 route the entire run to the reference engine unchanged: same inputs,
 same objects, same result.  After a fast run the hierarchy's caches and
 the filesystem's disks are left in the same externally observable state
@@ -196,7 +196,7 @@ def simulate(
     prefetching on a three-level tree take the lean tree loop; every
     other vectorizable run takes :func:`_general_loop`.  Both loops run
     LRU, FIFO, ARC and RRIP caches inline.  Only recorder-enabled runs
-    and hierarchies with another policy (CLOCK, LFU or a look-alike
+    and hierarchies with another policy (CLOCK or a look-alike
     subclass) fall back, whole, to the reference path.
     """
     latency = latency or LatencyModel()

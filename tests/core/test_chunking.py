@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.chunking import IterationChunk, IterationChunkSet, form_iteration_chunks
+from repro.core.chunking import (
+    IterationChunk,
+    IterationChunkSet,
+    _row_keys,
+    form_iteration_chunks,
+)
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.arrays import DataSpace, DiskArray
 from repro.polyhedral.iterspace import IterationSpace
@@ -34,6 +39,26 @@ class TestIterationChunk:
         assert a.size == 3 and b.size == 7
         assert a.tag == b.tag == c.tag
         assert np.array_equal(np.concatenate([a.iterations, b.iterations]), c.iterations)
+
+    def test_split_halves_share_ids_and_a_built_tag(self):
+        c = IterationChunk.from_ids((1, 3), 4, np.arange(10))
+        a, b = c.split(4)
+        assert a.chunk_ids is b.chunk_ids is c.chunk_ids
+        assert a.nbits == b.nbits == 4
+        tag = c.tag
+        x, y = c.split(2)
+        assert x.tag is tag and y.tag is tag
+
+    def test_from_ids_builds_the_tag_on_first_use(self):
+        c = IterationChunk.from_ids((0, 2), 4, np.arange(3))
+        assert c._tag is None
+        assert c.tag == Tag([0, 2], 4)
+        assert c.tag is c.tag
+        assert repr(c) == "IterationChunk(size=3, chunks=[0, 2])"
+
+    def test_eager_constructor_keeps_sorted_ids(self):
+        c = IterationChunk(Tag({3, 0, 2}, 4), np.arange(2))
+        assert c.chunk_ids == (0, 2, 3) and c.nbits == 4
 
     def test_split_bounds(self):
         c = IterationChunk(Tag([0], 4), np.arange(4))
@@ -84,6 +109,16 @@ class TestFormIterationChunks:
         assert frozenset({1}) in tags
         assert frozenset({0, 1, 2}) in tags
         assert cs.num_chunks == 2
+
+    def test_lazy_tags_equal_eager_tags(self):
+        refs = [ArrayRef("A", [AffineExpr([1])]), ArrayRef("A", [AffineExpr([1], 16)])]
+        nest, ds = simple_nest(n=64, d=8, refs=refs)
+        cs = form_iteration_chunks(nest, ds)
+        for chunk in cs.chunks:
+            assert chunk._tag is None
+            eager = Tag(chunk.chunk_ids, ds.num_chunks)
+            assert chunk.tag == eager and hash(chunk.tag) == hash(eager)
+            assert list(chunk.chunk_ids) == sorted(eager.chunks)
 
     def test_chunks_ordered_by_first_appearance(self):
         nest, ds = simple_nest(n=32, d=8)
@@ -150,3 +185,29 @@ class TestFormIterationChunks:
         # Tags really differ between chunks.
         tags = [c.tag for c in cs.chunks]
         assert len(set(tags)) == len(tags)
+
+
+class TestRowKeys:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Keys so far span 2⁶²+1 values, the next column 4: they re-rank
+            # first, or (2⁶², 0) would wrap onto (0, 0).
+            [[0, 0], [2**62, 0], [0, 3], [2**62, 3], [2**62, 1]],
+            # A column spanning all of int64 re-ranks itself.
+            [[-(2**63), 0], [2**63 - 1, 0], [0, 1], [-(2**63), 1], [5, 0]],
+        ],
+    )
+    def test_exact_and_lexicographic_at_the_int64_limits(self, rows):
+        rows = np.array(rows, dtype=np.int64)
+        keys = _row_keys(rows)
+        assert keys.dtype == np.int64
+        assert len(np.unique(keys)) == len(np.unique(rows, axis=0))
+        assert np.array_equal(
+            np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1])
+        )
+
+    def test_empty_and_single_column(self):
+        assert len(_row_keys(np.empty((0, 3), dtype=np.int64))) == 0
+        keys = _row_keys(np.array([[7], [-1], [7]]))
+        assert keys.tolist() == [8, 0, 8]

@@ -1,16 +1,18 @@
-"""Differential: lexsort chunk grouping vs ``np.unique(axis=0)``.
+"""Differential: int64-key chunk grouping vs ``np.unique(axis=0)``.
 
-Iteration-chunk formation groups canonical tag rows with a stable
-lexsort plus a boundary diff; the oracle groups them with
+Iteration-chunk formation groups rows by one exact int64 key per row
+(a stable sort plus a boundary diff); the oracle groups them with
 ``np.unique(axis=0)``.  Both must yield the same groups — same rows,
 same ascending members — in the same first-appearance order.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.chunking import _group_rows, form_iteration_chunks
+from repro.core.chunking import _group_rows, chunk_matrix_for, form_iteration_chunks
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.arrays import DataSpace, DiskArray
 from repro.polyhedral.iterspace import IterationSpace
@@ -86,5 +88,23 @@ def test_form_iteration_chunks_matches_oracle(case):
     nest, ds = case
     chunk_set = form_iteration_chunks(nest, ds)
     got = [(sorted(c.tag.chunks), c.iterations.tolist()) for c in chunk_set]
+    assert got == _reference_chunks(nest, ds)
+    chunk_set.validate_partition()
+
+
+def test_formation_rekeys_rows_too_wide_for_one_int64():
+    """R = 8 references over r = 300 chunks: 300⁸ > 2⁶³, so the key re-ranks."""
+    size = 1200
+    coeffs = [1, 7, 13, 29, -3, 101, 37, 211]
+    refs = [
+        ArrayRef("A", [AffineExpr([c], 5 * k, size)]) for k, c in enumerate(coeffs)
+    ]
+    nest = LoopNest("wide", IterationSpace.from_extents([size]), refs)
+    ds = DataSpace([DiskArray("A", (size,))], 4)
+    assert ds.num_chunks == 300
+    spans = [int(c.max()) - int(c.min()) + 1 for c in chunk_matrix_for(nest, ds).T]
+    assert math.prod(spans) > 2**63
+    chunk_set = form_iteration_chunks(nest, ds)
+    got = [(list(c.chunk_ids), c.iterations.tolist()) for c in chunk_set]
     assert got == _reference_chunks(nest, ds)
     chunk_set.validate_partition()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.chunking import form_iteration_chunks
 from repro.core.clustering import distribute_iterations
 from repro.core.mapper import InterProcessorMapper
 from repro.core.multinest import CombinedNest, combine_nests
@@ -69,6 +70,22 @@ class TestCombineNests:
         _, cs = combine_nests(nests, ds)
         expected = np.stack([c.tag.to_vector() for c in cs.chunks])
         assert np.array_equal(cs.incidence, expected)
+
+    def test_chunks_keep_their_tags(self, two_nests):
+        nests, ds = two_nests
+        combined, cs = combine_nests(nests, ds)
+        subs = [form_iteration_chunks(n, ds) for n in nests]
+        expected = [
+            (c.chunk_ids, c.tag, c.iterations + offset)
+            for sub, offset in zip(subs, combined.offsets)
+            for c in sub.chunks
+        ]
+        assert len(cs.chunks) == len(expected)
+        for chunk, (ids, tag, ranks) in zip(cs.chunks, expected):
+            assert chunk.chunk_ids == ids
+            assert chunk.nbits == ds.num_chunks
+            assert chunk.tag == tag
+            assert np.array_equal(chunk.iterations, ranks)
 
     def test_same_tag_chunks_not_premerged(self, two_nests):
         nests, ds = two_nests

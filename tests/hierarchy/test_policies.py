@@ -11,7 +11,7 @@ from repro.hierarchy.policies import (
 )
 
 
-@pytest.fixture(params=["lru", "fifo", "clock", "lfu", "rrip", "arc"])
+@pytest.fixture(params=["lru", "fifo", "clock", "rrip", "arc"])
 def policy(request):
     return make_policy(request.param, capacity=16)
 

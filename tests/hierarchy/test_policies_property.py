@@ -2,8 +2,8 @@
 
 One hypothesis-driven operation machine exercises insert/touch/evict/
 remove/clear against a shadow resident set; policy-family-specific
-properties (recency policies never evict the just-touched chunk, LFU
-evicts a minimum-frequency chunk, …) layer on top.
+properties (recency policies never evict the just-touched chunk, CLOCK
+grants a second chance, …) layer on top.
 """
 
 import pytest
@@ -16,11 +16,9 @@ CAPACITY = 8
 ALL_POLICIES = policy_names()
 
 #: Policies where a just-touched chunk strictly survives the next
-#: eviction.  FIFO is exempt by design (touch is a no-op); LFU is
-#: frequency-based and may evict a just-touched low-frequency chunk;
-#: CLOCK only guarantees survival while some resident chunk is
-#: unreferenced (all-bits-set degenerates to hand order) and gets its
-#: own test below.
+#: eviction.  FIFO is exempt by design (touch is a no-op); CLOCK only
+#: guarantees survival while some resident chunk is unreferenced
+#: (all-bits-set degenerates to hand order) and gets its own test below.
 STRICT_RECENCY_POLICIES = ("lru", "rrip", "arc")
 
 
@@ -208,29 +206,6 @@ class TestRecencyInvariant:
             assert policy.evict() != fresh_chunk
 
 
-class TestFrequencyInvariants:
-    @given(
-        touches=st.dictionaries(
-            st.integers(min_value=0, max_value=5),
-            st.integers(min_value=0, max_value=6),
-            min_size=2,
-            max_size=6,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_lfu_evicts_a_minimum_frequency_chunk(self, touches):
-        policy = make_policy("lfu", CAPACITY)
-        freq = {}
-        for chunk, extra in touches.items():
-            policy.insert(chunk)
-            freq[chunk] = 1
-            for _ in range(extra):
-                policy.touch(chunk)
-                freq[chunk] += 1
-        victim = policy.evict()
-        assert freq[victim] == min(freq.values())
-
-
 class TestCapacityPlumbing:
     def test_arc_requires_capacity(self):
         with pytest.raises(ValueError):
@@ -251,7 +226,6 @@ class TestCapacityPlumbing:
             "lru",
             "fifo",
             "clock",
-            "lfu",
             "rrip",
             "arc",
         }

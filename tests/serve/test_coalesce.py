@@ -22,9 +22,11 @@ class GatedExecutor(ExperimentExecutor):
     def __init__(self):
         super().__init__(workers=1)
         self.gate = threading.Event()
+        self.entered = 0
         self.batches = []
 
     def run_payloads(self, payloads, on_result=None):
+        self.entered += 1
         assert self.gate.wait(30.0), "test never opened the gate"
         self.batches.append(len(payloads))
         return super().run_payloads(payloads, on_result)
@@ -132,6 +134,79 @@ class TestCoalescing:
 
         asyncio.run(scenario())
         assert backend.batches == [1, 1]
+
+
+class TestBatching:
+    def test_lone_submit_dispatches_without_waiting(self, monkeypatch):
+        # Recorded rather than raised: a raise would kill the batcher and
+        # leave the request hanging instead of failing the test.
+        waits = []
+        real_wait_for = asyncio.wait_for
+
+        def recording_wait_for(*args, **kwargs):
+            waits.append(args)
+            return real_wait_for(*args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "wait_for", recording_wait_for)
+        backend = GatedExecutor()
+        backend.gate.set()
+
+        async def scenario():
+            coalescer = Coalescer(executor=backend, store=MemoryStore())
+            result = await coalescer.submit(make_task())
+            await coalescer.close()
+            return result
+
+        result = asyncio.run(scenario())
+        assert waits == [], "a lone request waited for batch-mates"
+        assert result.batch_size == 1
+        assert backend.batches == [1]
+
+    @pytest.mark.parametrize("queued, max_batch", [(3, 8), (5, 3)])
+    def test_requests_queued_during_a_batch_form_the_next(self, queued, max_batch):
+        backend = GatedExecutor()
+        workloads = ["hf", "sar", "contour", "astro", "e_elem", "apsi"]
+        tasks = [make_task(workload=w) for w in workloads[: queued + 1]]
+
+        async def scenario():
+            coalescer = Coalescer(
+                executor=backend, store=MemoryStore(), max_batch=max_batch
+            )
+            first = asyncio.ensure_future(coalescer.submit(tasks[0]))
+            # The first request's batch is in the backend before the
+            # rest arrive, so they can only queue behind it.
+            await _settle(lambda: backend.entered == 1)
+            rest = [asyncio.ensure_future(coalescer.submit(t)) for t in tasks[1:]]
+            await _settle(lambda: coalescer.inflight == queued + 1)
+            backend.gate.set()
+            results = await asyncio.gather(first, *rest)
+            await coalescer.close()
+            return results
+
+        results = asyncio.run(scenario())
+        next_batch = min(queued, max_batch)
+        assert [r.batch_size for r in results] == (
+            [1] + [next_batch] * next_batch + [queued - next_batch] * (queued - next_batch)
+        )
+
+    def test_explicit_wait_holds_the_batch_open(self):
+        backend = GatedExecutor()
+        backend.gate.set()
+
+        async def scenario():
+            coalescer = Coalescer(
+                executor=backend, store=MemoryStore(), max_batch=2, max_wait_ms=5000.0
+            )
+            first = asyncio.ensure_future(coalescer.submit(make_task(version="original")))
+            await asyncio.sleep(0.05)
+            second = asyncio.ensure_future(coalescer.submit(make_task(version="intra")))
+            results = await asyncio.gather(first, second)
+            await coalescer.close()
+            return results
+
+        results = asyncio.run(scenario())
+        assert [r.batch_size for r in results] == [2, 2]
+        assert backend.batches == [2]
 
 
 class TestFailure:

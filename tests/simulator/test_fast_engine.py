@@ -72,7 +72,7 @@ class TestVectorizability:
             h, _ = make_system(policy=levels)
             assert is_vectorizable(h)
 
-    @pytest.mark.parametrize("policy", ["clock", "lfu"])
+    @pytest.mark.parametrize("policy", ["clock"])
     def test_exotic_policies_do_not(self, policy):
         h, _ = make_system(policy=policy)
         assert not is_vectorizable(h)
