@@ -90,7 +90,10 @@ def load_manifest(path: str | pathlib.Path) -> dict[str, Any]:
     p = pathlib.Path(path)
     if p.is_dir():
         p = p / "manifest.json"
-    doc = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{p}: truncated or corrupt manifest: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("record") != MANIFEST_RECORD:
         raise ValueError(f"{p}: not a {MANIFEST_RECORD} document")
     version = doc.get("schema_version")
@@ -122,9 +125,11 @@ class ManifestWriter:
             prefix=f".{self.path.name}.", suffix=".tmp", dir=self.path.parent
         )
         try:
+            # One line through the C encoder: ``indent`` would force
+            # the pure-Python encoder, and a chunked campaign rewrites
+            # the whole document after every chunk while the pool idles.
             with os.fdopen(fd, "w") as fh:
-                json.dump(self.doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(self.doc, sort_keys=True) + "\n")
             os.replace(tmp_name, self.path)
         except BaseException:
             try:

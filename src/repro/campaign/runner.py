@@ -153,11 +153,12 @@ def run_campaign(
             except Exception as exc:  # noqa: BLE001 - one bad cell must not
                 # abort the campaign.  The pool path surfaces TaskError after
                 # its bounded retries; the serial path raises the original
-                # failure directly — both degrade the same way here.  A batch
-                # that raises loses its siblings' in-flight results (store
-                # write-back happens after the batch returns), so re-run the
-                # chunk cell by cell: store hits come back instantly, innocent
-                # cells re-simulate, and only the truly poisoned ones fail.
+                # failure directly — both degrade the same way here.  Groups
+                # that landed before the failure are already in the store;
+                # the rest of the batch is lost, so re-run the chunk cell by
+                # cell: store hits come back instantly, innocent cells that
+                # had not landed re-simulate, and only the truly poisoned
+                # ones fail.
                 _LOG.warning("chunk failed (%s); isolating cells", exc)
                 results = {}
                 for cell in chunk:

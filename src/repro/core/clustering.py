@@ -89,6 +89,9 @@ class DistributionResult:
     assignment: dict[int, list[int]]
     chunk_set: IterationChunkSet
     tags: TagMatrix
+    #: Seconds the distribution took to compute, when the caller timed
+    #: it (:meth:`repro.core.mapper.InterProcessorMapper.distribute`).
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def num_clients(self) -> int:

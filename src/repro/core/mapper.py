@@ -86,12 +86,30 @@ class InterProcessorMapper:
     ) -> Mapping:
         """Map ``nest`` onto ``hierarchy``'s clients.
 
+        :meth:`distribute` followed by :meth:`map_distribution`;
         ``chunk_matrix`` is the nest's
         :func:`~repro.core.chunking.chunk_matrix_for` matrix, when the
         caller already built it.
         """
-        rng = rng if rng is not None else make_rng()
+        return self.map_distribution(
+            self.distribute(nest, data_space, hierarchy, chunk_matrix),
+            hierarchy,
+            rng,
+        )
 
+    def distribute(
+        self,
+        nest: LoopNest,
+        data_space: DataSpace,
+        hierarchy: CacheHierarchy,
+        chunk_matrix: np.ndarray | None = None,
+    ) -> DistributionResult:
+        """The Fig. 5 distribution: chunk formation, graph, clustering.
+
+        Reads neither ``schedule`` nor ``alpha``/``beta``, so ``inter``
+        and ``inter+sched`` mappers with one ``balance_threshold`` agree
+        on it.  The result's ``elapsed_s`` is its measured time.
+        """
         with phase("mapping") as total:
             with phase("chunking"):
                 chunk_set = form_iteration_chunks(nest, data_space, chunk_matrix)
@@ -107,9 +125,8 @@ class InterProcessorMapper:
                 distribution = distribute_iterations(
                     chunk_set, hierarchy, self.balance_threshold, graph
                 )
-            mapping = self._finalize(distribution, hierarchy, rng)
-        mapping.mapping_time_s = total.elapsed
-        return mapping
+        distribution.elapsed_s = total.elapsed
+        return distribution
 
     def map_distribution(
         self,
@@ -117,15 +134,18 @@ class InterProcessorMapper:
         hierarchy: CacheHierarchy,
         rng: np.random.Generator | None = None,
     ) -> Mapping:
-        """Finalize a mapping from an externally produced distribution.
+        """Finalize a mapping from a distribution: order each client's chunks.
 
-        Used by the multi-nest extension, which builds the combined
-        chunk set itself before clustering.
+        The distribution is only read, so one may finalize several
+        mappings.  ``mapping_time_s`` is the distribution's
+        ``elapsed_s`` plus this call's own time, which is what
+        :meth:`map` measures.  The multi-nest extension builds its
+        combined distribution itself (``elapsed_s`` 0).
         """
         rng = rng if rng is not None else make_rng()
         with phase("mapping") as total:
             mapping = self._finalize(distribution, hierarchy, rng)
-        mapping.mapping_time_s = total.elapsed
+        mapping.mapping_time_s = distribution.elapsed_s + total.elapsed
         return mapping
 
     def _finalize(

@@ -13,9 +13,12 @@ version) inside :func:`~repro.simulator.runner.prepare_mapping` —
 never from pool scheduling order — and results are collected by task
 index, so ``workers=4`` reproduces ``workers=1`` exactly.
 
-A payload is one task, or a *group* of tasks that share a mapping
-(:func:`group_payload`): the worker maps once and simulates every cell
-of the group, each on its own fresh hierarchy.  The unit of retry and
+A payload is one task, or a *group* of tasks that share a
+:func:`~repro.exec.keys.group_key` (:func:`group_payload`): the worker
+prepares the group once (one nest build, one Fig. 5 distribution for
+``inter`` and ``inter+sched``, one mapping per
+:class:`~repro.exec.keys.MappingKey`) and simulates every cell of the
+group, each on its own fresh hierarchy.  The unit of retry and
 of timeout is the payload, so the per-payload timeout covers a whole
 group.
 
@@ -112,19 +115,22 @@ def task_payload(
 
 
 def group_payload(payloads: list[dict[str, Any]]) -> dict[str, Any]:
-    """One payload running several tasks that share a mapping.
+    """One payload running several tasks that prepare together.
 
     ``payloads`` are :func:`task_payload` documents of suite-workload
-    tasks with one :class:`~repro.exec.keys.MappingKey`; the group keeps
+    tasks with one :func:`~repro.exec.keys.group_key`; the group keeps
     the first one's workload, version and metrics flag and lists each
-    task's config and engine options as a cell.
+    task's version, config and engine options as a cell.
     """
     first = payloads[0]
     return {
         "workload": first["workload"],
         "version": first["version"],
         "collect_metrics": first["collect_metrics"],
-        "cells": [{"config": p["config"], "engine": p["engine"]} for p in payloads],
+        "cells": [
+            {"version": p["version"], "config": p["config"], "engine": p["engine"]}
+            for p in payloads
+        ],
     }
 
 
@@ -153,9 +159,8 @@ def _execute_payload(payload: dict[str, Any]) -> list:
         return [run_scenario_payload(payload, configs[0])]
     return run_cells(
         get_workload(payload["workload"]),
-        payload["version"],
         [
-            (config, _cell_options(cell.get("engine") or {}))
+            (cell["version"], config, _cell_options(cell.get("engine") or {}))
             for config, cell in zip(configs, cells)
         ],
     )
@@ -375,9 +380,13 @@ class ExperimentExecutor:
     ) -> list[dict[str, Any]]:
         """Execute payloads, returning results in payload order.
 
-        ``on_result(i)`` (optional) fires as payload ``i``'s result
-        lands — in submission order on the pool path — so callers can
-        report live progress without waiting for the whole batch.
+        ``on_result(i, out)`` (optional) fires with payload ``i``'s
+        output as it lands — in submission order on the pool path, with
+        in-process retries last — so callers can store results and
+        report progress while later payloads still run.  An exception
+        it raises ends the batch: it is never retried as a task failure,
+        and on the pool path the pool is dropped with the batch's
+        queued payloads cancelled (the next batch makes a fresh one).
         """
         reg = get_registry()
         reg.gauge("exec.workers").set(self.workers)
@@ -387,7 +396,7 @@ class ExperimentExecutor:
             for i, p in enumerate(payloads):
                 out.append(run_payload(p))
                 if on_result is not None:
-                    on_result(i)
+                    on_result(i, out[i])
             return out
 
         if self.workers <= 1 or len(payloads) <= 1:
@@ -408,9 +417,6 @@ class ExperimentExecutor:
                 for i, fut in enumerate(futures):
                     try:
                         out[i] = fut.result(timeout=self.task_timeout_s)
-                        reg.counter("exec.tasks.completed").inc()
-                        if on_result is not None:
-                            on_result(i)
                     except FutureTimeoutError as exc:
                         timed_out = True
                         reg.counter("exec.timeouts").inc()
@@ -443,6 +449,10 @@ class ExperimentExecutor:
                         failed.append((i, exc))
                     except Exception as exc:  # noqa: BLE001 - retried below
                         failed.append((i, exc))
+                    else:
+                        reg.counter("exec.tasks.completed").inc()
+                        if on_result is not None:
+                            on_result(i, out[i])
                 reg.histogram("exec.batch_seconds").observe(
                     time.perf_counter() - start
                 )
@@ -455,7 +465,7 @@ class ExperimentExecutor:
             out[i] = self._retry_in_process(payloads[i], exc)
             reg.counter("exec.tasks.completed").inc()
             if on_result is not None:
-                on_result(i)
+                on_result(i, out[i])
         return out  # type: ignore[return-value]
 
     def __repr__(self) -> str:

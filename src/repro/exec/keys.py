@@ -18,10 +18,17 @@ silently aliasing old entries.
 
 A :class:`MappingKey` names the coarser identity of a task's *mapping*:
 the workload, the version and exactly the config fields the mappers
-read.  Tasks that share one map once (:func:`repro.exec.plan.execute_plan`
-groups them); ``tests/exec/test_keys.py`` walks every
-:class:`~repro.experiments.config.SystemConfig` field and proves each one
-outside the key leaves the mapping golden unchanged.
+read.  Tasks that share one map once; ``tests/exec/test_keys.py`` walks
+every :class:`~repro.experiments.config.SystemConfig` field and proves
+each one outside the key leaves the mapping golden unchanged.
+
+:func:`group_key` is the coarser key misses travel and prepare under
+(:func:`repro.exec.plan.run_misses` groups by it).  It is a task's
+mapping key, except that ``inter+sched`` groups under the ``inter`` key
+of the same workload and config: Fig. 15 scheduling is one ordering
+pass on top of ``inter``'s Fig. 5 distribution, which reads exactly
+:data:`MAPPING_FIELDS` plus ``balance_threshold``, so a group computes
+that distribution once for both versions.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.util.fingerprint import canonical_json as _canonical_json
@@ -45,6 +53,7 @@ __all__ = [
     "MappingKey",
     "mapping_fields",
     "mapping_key",
+    "group_key",
 ]
 
 #: Bump when the key derivation changes; digests embed this version.
@@ -71,9 +80,9 @@ class ExperimentKey:
     engine_json: str = "{}"
     schema_version: int = field(default=KEY_SCHEMA_VERSION)
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Hex SHA-256 content address of this key."""
+        """Hex SHA-256 content address of this key (computed once per key)."""
         material = _canonical_json(
             {
                 "record": "repro-experiment-key",
@@ -193,3 +202,14 @@ def mapping_key(workload: str, config: "SystemConfig", version: str) -> MappingK
         version,
         tuple((name, getattr(config, name)) for name in mapping_fields(version)),
     )
+
+
+#: Versions that prepare under another version's key: ``inter+sched``
+#: is ``inter``'s distribution plus the Fig. 15 pass, whose only extra
+#: inputs (``alpha``/``beta``) the distribution never reads.
+_GROUP_VERSION = {"inter+sched": "inter"}
+
+
+def group_key(workload: str, config: "SystemConfig", version: str) -> MappingKey:
+    """The key a suite-workload task travels and prepares under."""
+    return mapping_key(workload, config, _GROUP_VERSION.get(version, version))

@@ -11,10 +11,13 @@ so a combined plan simulates every unique key exactly once.
 then the remaining misses through :func:`run_misses`.  That function
 is the one miss path — the serve coalescer calls it too — running the
 misses through the executor (process pool or in-process serial) with
-store write-back and worker-metric merging, all in deterministic task
-order.  Misses that share a :class:`~repro.exec.keys.MappingKey`
-travel as one group payload, so their worker maps once and simulates
-each of them.
+store write-back and worker-metric merging.  Misses that share a
+:func:`~repro.exec.keys.group_key` travel as one group payload, so
+their worker builds the nest once, computes ``inter`` and
+``inter+sched``'s shared distribution once and maps each
+:class:`~repro.exec.keys.MappingKey` once.  Each group's metrics,
+spans and store writes land as soon as its payload does, while the
+pool still runs later groups; results return in task order.
 
 :func:`plan_all` pre-plans everything ``repro all`` will need by
 asking each figure module for its own sweep (the modules export
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.exec.context import get_execution
 from repro.exec.executor import ExperimentExecutor, group_payload, task_payload
-from repro.exec.keys import ExperimentKey, MappingKey, experiment_key, mapping_key
+from repro.exec.keys import ExperimentKey, MappingKey, experiment_key, group_key
 from repro.obs.context import SpanContext, current_context
 from repro.obs.tracer import get_tracer, span
 from repro.simulator.metrics import ExperimentResult
@@ -76,12 +79,13 @@ class ExperimentTask:
 
         return json.loads(self.scenario) if self.scenario else None
 
-    def mapping_key(self) -> MappingKey | None:
-        """The task's mapping identity; ``None`` for a generator or trace
-        scenario, which has no mapper and is never grouped."""
+    def group_key(self) -> MappingKey | None:
+        """The key the task travels and prepares under
+        (:func:`~repro.exec.keys.group_key`); ``None`` for a generator
+        or trace scenario, which has no mapper and is never grouped."""
         if self.scenario:
             return None
-        return mapping_key(self.workload, self.config, self.version)
+        return group_key(self.workload, self.config, self.version)
 
 
 @dataclass
@@ -145,7 +149,8 @@ class SweepPlan:
 def group_by_mapping(
     tasks: list[ExperimentTask], workers: int = 1
 ) -> list[list[ExperimentTask]]:
-    """Tasks grouped by :class:`MappingKey`, groups in first-task order.
+    """Tasks grouped by :func:`~repro.exec.keys.group_key`, groups in
+    first-task order.
 
     When there are fewer groups than ``workers``, the largest group is
     halved until every worker has one or no group can split: mapping
@@ -153,7 +158,7 @@ def group_by_mapping(
     """
     groups: dict[Any, list[ExperimentTask]] = {}
     for t in tasks:
-        key = t.mapping_key()
+        key = t.group_key()
         groups.setdefault(key if key is not None else t.key.digest, []).append(t)
     out = list(groups.values())
     while len(out) < workers:
@@ -172,17 +177,20 @@ def run_misses(
     parents: list[SpanContext | None] | None = None,
     on_group: Callable[[list[ExperimentTask]], None] | None = None,
 ) -> list[tuple[ExperimentResult, str]]:
-    """The one miss path: simulate ``tasks`` and store them, in task order.
+    """The one miss path: simulate ``tasks`` and store them.
 
     Tasks grouped by :func:`group_by_mapping` run as one ``run_payloads``
-    call; worker metrics and spans merge into the active registry and
-    tracer.  A group's payload parents its ``exec.task`` span onto its
-    first task's entry in ``parents`` (default: the ambient span), and
-    every task of the group reports that span id.  The only spans opened
-    here are the ``store.put`` writes, parented explicitly onto it, so a
-    caller with no ambient span (the serve batcher) gets no orphan root.
-    ``on_group(group)`` fires as each group's results land.  Returns
-    ``(result, exec.task span id or "")`` per task.
+    call.  As each group's payload lands, its worker metrics and spans
+    merge into the active registry and tracer, its results go to
+    ``store``, and then ``on_group(group)`` fires; a group that fails
+    past its retries raises, with every group that landed before it
+    already stored.  A group's payload parents its ``exec.task`` span
+    onto its first task's entry in ``parents`` (default: the ambient
+    span), and every task of the group reports that span id.  The only
+    spans opened here are the ``store.put`` writes, parented explicitly
+    onto it, so a caller with no ambient span (the serve batcher) gets
+    no orphan root.  Returns ``(result, exec.task span id or "")`` per
+    task, in task order.
     """
     reg = get_registry()
     tracer = get_tracer()
@@ -214,33 +222,32 @@ def run_misses(
     _LOG.debug(
         "executing %d tasks in %d payloads on %r", len(tasks), len(payloads), executor
     )
-    outs = executor.run_payloads(
-        payloads,
-        on_result=None if on_group is None else lambda i: on_group(groups[i]),
-    )
-    fresh: dict[str, tuple[ExperimentResult, str, SpanContext | None]] = {}
-    for group, ctx, out in zip(groups, heads, outs):
+    fresh: dict[str, tuple[ExperimentResult, str]] = {}
+
+    def land(i: int, out: dict[str, Any]) -> None:
         if reg.enabled and out.get("metrics"):
             reg.merge_snapshot(out["metrics"])
         if out.get("spans"):
             tracer.ingest(out["spans"])
+        ctx = heads[i]
         span_id = out.get("span_id") or ""
         docs = out["results"] if "results" in out else [out["result"]]
-        for t, doc in zip(group, docs):
-            fresh[t.key.digest] = (result_from_dict(doc), span_id, ctx)
-    ran = []
-    for t in tasks:
-        result, span_id, ctx = fresh[t.key.digest]
-        if store is not None:
-            with span(
-                "store.put",
-                trace_id=ctx.trace_id if ctx else None,
-                parent_id=span_id or (ctx.span_id if ctx else None),
-                digest=t.key.digest[:12],
-            ):
-                store.put(t.key, result)
-        ran.append((result, span_id))
-    return ran
+        for t, doc in zip(groups[i], docs):
+            result = result_from_dict(doc)
+            if store is not None:
+                with span(
+                    "store.put",
+                    trace_id=ctx.trace_id if ctx else None,
+                    parent_id=span_id or (ctx.span_id if ctx else None),
+                    digest=t.key.digest[:12],
+                ):
+                    store.put(t.key, result)
+            fresh[t.key.digest] = (result, span_id)
+        if on_group is not None:
+            on_group(groups[i])
+
+    executor.run_payloads(payloads, on_result=land)
+    return [fresh[t.key.digest] for t in tasks]
 
 
 def execute_plan(

@@ -11,7 +11,6 @@ from repro.hierarchy.policies import (
     ReplacementPolicy,
     LRUPolicy,
     FIFOPolicy,
-    CLOCKPolicy,
     make_policy,
 )
 from repro.hierarchy.cache import ChunkCache
@@ -28,7 +27,6 @@ __all__ = [
     "ReplacementPolicy",
     "LRUPolicy",
     "FIFOPolicy",
-    "CLOCKPolicy",
     "make_policy",
     "ChunkCache",
     "CacheStats",

@@ -3,16 +3,15 @@
 The paper manages every storage cache with LRU (§5.1) but stresses that
 the mapping is orthogonal to the policy ("our approach itself can work
 with any storage caching policy").  We ship LRU as the default plus
-FIFO, CLOCK, SRRIP and ARC, so the orthogonality claim can be
-exercised per hierarchy level (the scenario layer's policy matrix and
-the ablation bench).  LRU, FIFO, RRIP and ARC run inline on the fast
-engine's hot loops (:mod:`repro.simulator.fast`), which mutates their
-internal dicts directly; CLOCK, which no scenario, paper figure or
-benchmark uses, and any subclass run on the reference engine.
+FIFO, SRRIP and ARC, so the orthogonality claim can be exercised per
+hierarchy level (the scenario layer's policy matrix and the ablation
+bench).  All four run inline on the fast engine's hot loops
+(:mod:`repro.simulator.fast`), which mutates their internal dicts
+directly; a subclass runs on the reference engine.
 
 A policy tracks resident chunk ids and answers *which chunk to evict*.
 The hot path is ``touch``/``insert``/``evict``; LRU and FIFO are O(1)
-via ordered dicts, CLOCK and RRIP are amortised O(1).  Policies that
+via ordered dicts, RRIP is amortised O(1).  Policies that
 need to know the cache size (ARC's ghost lists) take ``capacity``;
 :func:`make_policy` forwards it.
 """
@@ -25,7 +24,6 @@ __all__ = [
     "ReplacementPolicy",
     "LRUPolicy",
     "FIFOPolicy",
-    "CLOCKPolicy",
     "RRIPPolicy",
     "ARCPolicy",
     "make_policy",
@@ -160,56 +158,6 @@ class FIFOPolicy(ReplacementPolicy):
 
     def clear(self) -> None:
         self._order.clear()
-
-
-class CLOCKPolicy(ReplacementPolicy):
-    """Second-chance CLOCK: one reference bit per resident chunk."""
-
-    name = "clock"
-
-    def __init__(self):
-        self._ref: dict[int, bool] = {}  # insertion order = clock hand order
-
-    def touch(self, chunk_id: int) -> None:
-        if chunk_id not in self._ref:
-            raise KeyError(f"chunk {chunk_id} not resident")
-        self._ref[chunk_id] = True
-
-    def insert(self, chunk_id: int) -> None:
-        if chunk_id in self._ref:
-            raise ValueError(f"chunk {chunk_id} already resident")
-        self._ref[chunk_id] = False
-
-    def evict(self) -> int:
-        if not self._ref:
-            raise RuntimeError("evict from empty cache")
-        # Sweep from the hand (dict head), granting second chances by
-        # re-queueing referenced chunks with the bit cleared.
-        while True:
-            chunk_id = next(iter(self._ref))
-            referenced = self._ref.pop(chunk_id)
-            if referenced:
-                self._ref[chunk_id] = False  # moved to tail, bit cleared
-            else:
-                return chunk_id
-
-    def remove(self, chunk_id: int) -> None:
-        try:
-            del self._ref[chunk_id]
-        except KeyError:
-            raise KeyError(f"chunk {chunk_id} not resident") from None
-
-    def __contains__(self, chunk_id: int) -> bool:
-        return chunk_id in self._ref
-
-    def __len__(self) -> int:
-        return len(self._ref)
-
-    def resident(self) -> list[int]:
-        return list(self._ref)
-
-    def clear(self) -> None:
-        self._ref.clear()
 
 
 class RRIPPolicy(ReplacementPolicy):
@@ -394,7 +342,6 @@ _POLICIES = {
     for cls in (
         LRUPolicy,
         FIFOPolicy,
-        CLOCKPolicy,
         RRIPPolicy,
         ARCPolicy,
     )

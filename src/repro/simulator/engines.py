@@ -5,12 +5,12 @@ contract:
 
 * ``reference`` — the per-access Python loop of
   :mod:`repro.simulator.engine`; the semantic ground truth and the only
-  path that feeds trace recorders or runs the CLOCK policy (and
-  look-alike policy subclasses).
+  path that feeds trace recorders.
 * ``fast`` — the vectorized engine of :mod:`repro.simulator.fast`;
   bit-identical results (proven by the differential-equivalence suite)
-  at several times less wall time for LRU/FIFO/ARC/RRIP hierarchies;
-  any other run falls back, whole, to the reference path.
+  at several times less wall time.  Every registered policy runs on
+  it; only recorder runs and hierarchies holding a look-alike policy
+  subclass fall back, whole, to the reference path.
 
 The selector threads through every :class:`SimulationResult` producer:
 :func:`repro.simulator.runner.run_experiment`,

@@ -35,11 +35,11 @@ which may alter a single observable bit:
   chain (float accumulation order is preserved, so ``busy_ms`` and
   ``per_client_io_ms`` stay bit-identical).
 
-Whole-run fallback: recorder-enabled runs, and hierarchies holding a
-policy object whose type is not exactly one of the four vectorized
-classes — CLOCK (which no scenario, paper figure or benchmark uses),
-or a look-alike subclass that may keep different internals —
-route the entire run to the reference engine unchanged: same inputs,
+Whole-run fallback: recorder runs and look-alike subclasses only.  A
+run with an enabled recorder, or a hierarchy holding a policy object
+whose type is a subclass of (not exactly) one of the four registered
+classes, which may keep different internals, routes the entire run to
+the reference engine unchanged: same inputs,
 same objects, same result.  After a fast run the hierarchy's caches and
 the filesystem's disks are left in the same externally observable state
 the reference engine leaves them in (stats, residency order, ARC ghost
@@ -195,9 +195,9 @@ def simulate(
     :func:`repro.simulator.engine.simulate`.  Read-only runs without
     prefetching on a three-level tree take the lean tree loop; every
     other vectorizable run takes :func:`_general_loop`.  Both loops run
-    LRU, FIFO, ARC and RRIP caches inline.  Only recorder-enabled runs
-    and hierarchies with another policy (CLOCK or a look-alike
-    subclass) fall back, whole, to the reference path.
+    LRU, FIFO, ARC and RRIP caches inline.  Only recorder runs and
+    look-alike policy subclasses fall back, whole, to the reference
+    path.
     """
     latency = latency or LatencyModel()
     k = hierarchy.num_clients

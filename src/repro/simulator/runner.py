@@ -13,8 +13,11 @@ task's :class:`~repro.exec.keys.MappingKey` (paper §4: the mapping is
 computed once, at compile time, whatever the caching policy).
 :func:`prepare_cell` then builds one cell's fresh hierarchy, file
 system and streams, and :func:`simulate_prepared` simulates it.
-:func:`run_cells` maps once and simulates every cell of a group that
-shares a mapping; :func:`run_experiment` is the one-cell case.
+:func:`run_cells` prepares a group of cells that share a
+:func:`~repro.exec.keys.group_key` once — one nest build, one Fig. 5
+distribution for ``inter`` and ``inter+sched``, one mapping per
+``MappingKey`` — and simulates every cell; :func:`run_experiment` is
+the one-cell case.
 :func:`prepare_experiment` stops before simulating, so the trace
 subsystem can capture its output once and re-simulate it many times
 (:mod:`repro.trace.replay`).
@@ -29,6 +32,7 @@ import numpy as np
 
 from repro.core.baselines import IntraProcessorMapper, OriginalMapper
 from repro.core.chunking import chunk_matrix_for
+from repro.core.clustering import DistributionResult
 from repro.core.mapper import InterProcessorMapper
 from repro.core.mapping import Mapping
 from repro.hierarchy.topology import CacheHierarchy
@@ -120,28 +124,67 @@ class PreparedExperiment:
     filesystem: ParallelFileSystem
 
 
+class _Group:
+    """What one group of cells prepares once.
+
+    The nest and its chunk matrix are built for the first cell; the
+    Fig. 5 distribution is kept from the first ``inter``-family mapping
+    and finalized again for the other version (counted as
+    ``prepare.distribution_reused``); each
+    :class:`~repro.exec.keys.MappingKey`'s mapping is made once (later
+    cells count ``prepare.reused``).
+    """
+
+    def __init__(self, workload: Workload):
+        self.workload = workload
+        self._built: tuple[LoopNest, DataSpace, np.ndarray] | None = None
+        self._distribution: DistributionResult | None = None
+        self._mappings: dict[Any, PreparedMapping] = {}
+
+    def mapping(self, config: "SystemConfig", version: str) -> PreparedMapping:
+        from repro.exec.keys import mapping_key
+
+        name = self.workload.name
+        key = mapping_key(name, config, version)
+        prepared = self._mappings.get(key)
+        if prepared is not None:
+            get_registry().counter("prepare.reused").inc()
+            return prepared
+        if self._built is None:
+            params = WorkloadParams(
+                chunk_elems=config.chunk_elems, data_chunks=config.data_chunks
+            )
+            with phase("workload_build"):
+                nest, data_space = self.workload.build(params)
+                self._built = (nest, data_space, chunk_matrix_for(nest, data_space))
+        nest, data_space, chunk_matrix = self._built
+        mapper = make_mapper(version, config)
+        rng = make_rng(derive_seed(config.seed, name, version))
+        # The mapper reads only the hierarchy's shape, never its caches.
+        hierarchy = config.build_hierarchy()
+        if self._distribution is None:
+            mapping = mapper.map(
+                nest, data_space, hierarchy, rng, chunk_matrix=chunk_matrix
+            )
+            self._distribution = mapping.distribution
+        else:
+            get_registry().counter("prepare.distribution_reused").inc()
+            mapping = mapper.map_distribution(self._distribution, hierarchy, rng)
+        mapping.validate(nest.num_iterations)
+        prepared = PreparedMapping(
+            name, version, nest, data_space, chunk_matrix, mapping
+        )
+        self._mappings[key] = prepared
+        return prepared
+
+
 def prepare_mapping(
     workload: Workload,
     config: "SystemConfig",
     version: str,
 ) -> PreparedMapping:
     """Build the workload, map it and validate the mapping."""
-    params = WorkloadParams(
-        chunk_elems=config.chunk_elems, data_chunks=config.data_chunks
-    )
-    with phase("workload_build"):
-        nest, data_space = workload.build(params)
-        chunk_matrix = chunk_matrix_for(nest, data_space)
-    mapper = make_mapper(version, config)
-    rng = make_rng(derive_seed(config.seed, workload.name, version))
-    # The mapper reads only the hierarchy's shape, never its caches.
-    mapping = mapper.map(
-        nest, data_space, config.build_hierarchy(), rng, chunk_matrix=chunk_matrix
-    )
-    mapping.validate(nest.num_iterations)
-    return PreparedMapping(
-        workload.name, version, nest, data_space, chunk_matrix, mapping
-    )
+    return _Group(workload).mapping(config, version)
 
 
 def prepare_cell(
@@ -232,28 +275,29 @@ def simulate_prepared(
 
 def run_cells(
     workload: Workload,
-    version: str,
-    cells: Sequence[tuple["SystemConfig", dict[str, Any]]],
+    cells: Sequence[tuple[str, "SystemConfig", dict[str, Any]]],
 ) -> list[ExperimentResult]:
-    """Map once, then simulate every ``(config, options)`` cell.
+    """Prepare a group once, then simulate every ``(version, config, options)`` cell.
 
-    The cells must share one :class:`~repro.exec.keys.MappingKey`; the
-    mapping is prepared from the first config and every later cell
-    reuses it (counted as ``prepare.reused``), so all of them report
-    the one measured ``mapping_time_s``.  ``options`` are
-    :func:`simulate_prepared`'s keyword arguments.  Each cell's
-    ``prepare`` phase covers its streams; the first also covers the
-    workload build and the mapping.
+    The cells must share one :func:`~repro.exec.keys.group_key`
+    (``ValueError`` otherwise).  The nest is built once, ``inter`` and
+    ``inter+sched`` share one distribution, and cells sharing a
+    :class:`~repro.exec.keys.MappingKey` share its mapping and report
+    its one ``mapping_time_s``: the distribution's time plus that
+    mapping's own finalize time, as a lone :func:`prepare_mapping`
+    measures it.  ``options`` are :func:`simulate_prepared`'s keyword
+    arguments.  Each cell's ``prepare`` phase covers its streams, plus
+    whatever it is the first cell to need.
     """
-    prepared = None
+    from repro.exec.keys import group_key
+
+    if len({group_key(workload.name, config, v) for v, config, _ in cells}) > 1:
+        raise ValueError("run_cells: cells must share one group key")
+    group = _Group(workload)
     results = []
-    for config, options in cells:
+    for version, config, options in cells:
         with phase("prepare"):
-            if prepared is None:
-                prepared = prepare_mapping(workload, config, version)
-            else:
-                get_registry().counter("prepare.reused").inc()
-            prep = prepare_cell(prepared, config)
+            prep = prepare_cell(group.mapping(config, version), config)
         results.append(simulate_prepared(prep, config, **options))
     return results
 
@@ -276,5 +320,5 @@ def run_experiment(
     (``reference``/``fast``); ``None`` uses the process default.
     """
     options = {"sync_counts": sync_counts, "recorder": recorder, "engine": engine}
-    (result,) = run_cells(workload, version, [(config, options)])
+    (result,) = run_cells(workload, [(version, config, options)])
     return result

@@ -30,6 +30,7 @@ PIPELINE_COUNTERS = (
     "disk.writes",
     "simulator.simulations",
     "prepare.reused",
+    "prepare.distribution_reused",
     "exec.tasks.submitted",
     "exec.tasks.completed",
     "exec.retries",

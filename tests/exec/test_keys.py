@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.exec.keys import (
@@ -9,6 +10,7 @@ from repro.exec.keys import (
     MAPPING_FIELDS,
     ExperimentKey,
     experiment_key,
+    group_key,
     mapping_fields,
     mapping_key,
 )
@@ -186,3 +188,57 @@ class TestMappingKey:
                 ), key
                 checked += 1
         assert checked
+
+
+class TestGroupKey:
+    """``inter+sched`` prepares under ``inter``'s key: they share a distribution.
+
+    The distribution is Fig. 5 alone, so it reads :data:`MAPPING_FIELDS`
+    plus ``balance_threshold``; the field walk below proves that
+    ``alpha`` and ``beta``, which only the Fig. 15 pass reads, leave the
+    ``inter+sched`` mapper's distribution equal to the ``inter`` one.
+    """
+
+    SCALE = 8
+
+    def test_inter_sched_groups_under_inter(self):
+        base = scaled_config(self.SCALE)
+        for version in VERSIONS:
+            expected = "inter" if version == "inter+sched" else version
+            assert group_key("hf", base, version) == mapping_key("hf", base, expected)
+        weighted = dataclasses.replace(base, alpha=0.9, beta=0.1)
+        assert group_key("hf", weighted, "inter+sched") == group_key(
+            "hf", base, "inter"
+        )
+        rebalanced = dataclasses.replace(base, balance_threshold=0.25)
+        assert group_key("hf", rebalanced, "inter+sched") != group_key(
+            "hf", base, "inter+sched"
+        )
+
+    @pytest.mark.parametrize("field,value", [("alpha", 0.9), ("beta", 0.1)])
+    def test_fig15_weights_leave_the_distribution_unchanged(self, field, value):
+        from repro.core.chunking import chunk_matrix_for
+        from repro.simulator.runner import make_mapper
+        from repro.workloads.base import WorkloadParams
+        from repro.workloads.suite import get_workload
+
+        base = scaled_config(self.SCALE)
+        perturbed = dataclasses.replace(base, **{field: value})
+        params = WorkloadParams(
+            chunk_elems=base.chunk_elems, data_chunks=base.data_chunks
+        )
+        for workload in workload_names():
+            nest, space = get_workload(workload).build(params)
+            matrix = chunk_matrix_for(nest, space)
+            inter, sched = (
+                make_mapper(version, config).distribute(
+                    nest, space, config.build_hierarchy(), matrix
+                )
+                for version, config in (("inter", base), ("inter+sched", perturbed))
+            )
+            assert sched.assignment == inter.assignment, workload
+            assert [c.chunk_ids for c in sched.pool] == [
+                c.chunk_ids for c in inter.pool
+            ], workload
+            for a, b in zip(sched.pool, inter.pool):
+                assert np.array_equal(a.iterations, b.iterations), workload

@@ -11,7 +11,8 @@ from repro.exec import (
     plan_all,
     use_execution,
 )
-from repro.exec.plan import group_by_mapping
+from repro.exec.executor import TaskError
+from repro.exec.plan import group_by_mapping, run_misses
 from repro.experiments.config import scaled_config
 from repro.experiments.harness import run_suite
 from repro.experiments.report import ExperimentReport
@@ -162,7 +163,7 @@ class TestCachedReport:
 
 
 class TestGroupByMapping:
-    """Misses sharing a MappingKey travel as one payload."""
+    """Misses sharing a group key travel as one payload."""
 
     @staticmethod
     def _plan(config):
@@ -181,7 +182,7 @@ class TestGroupByMapping:
         assert [len(g) for g in groups] == [2, 2, 2, 2]
         assert [t for g in groups for t in g] == tasks
         for g in groups:
-            assert len({t.mapping_key() for t in g}) == 1
+            assert len({t.group_key() for t in g}) == 1
 
     def test_split_only_when_fewer_groups_than_workers(self, config):
         tasks = [t for t in self._plan(config) if t.workload == "hf"]
@@ -198,7 +199,7 @@ class TestGroupByMapping:
         spec = resolve_scenario("zipf-hot")
         add_to_plan(plan, spec, config)
         add_to_plan(plan, spec, config.with_cache_capacities(256, 512, 2048))
-        assert [t.mapping_key() for t in plan] == [None, None]
+        assert [t.group_key() for t in plan] == [None, None]
         assert [len(g) for g in group_by_mapping(list(plan))] == [1, 1]
 
     def test_execute_plan_maps_once_per_group(self, config):
@@ -220,6 +221,60 @@ class TestGroupByMapping:
             assert _strip(result_to_dict(results[t.key.digest])) == _strip(
                 result_to_dict(direct)
             )
+
+
+    def test_inter_and_sched_share_one_distribution(self, config):
+        from dataclasses import replace
+
+        plan = SweepPlan()
+        for v in ("inter", "inter+sched"):
+            for cfg in (config, replace(config, writeback=True, prefetch_degree=2)):
+                plan.add("hf", cfg, v)
+        assert [len(g) for g in group_by_mapping(list(plan))] == [4]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            results = execute_plan(plan, store=MemoryStore())
+        assert registry.counter("simulator.simulations").value == 4
+        assert registry.counter("prepare.reused").value == 2
+        assert registry.counter("prepare.distribution_reused").value == 1
+        clustering = [
+            h["count"]
+            for h in registry.as_dict()["histograms"]
+            if h["name"] == "phase.duration_seconds"
+            and h["labels"]["phase"].endswith("/clustering")
+        ]
+        assert sum(clustering) == 1
+        for t in plan:
+            assert _strip(result_to_dict(results[t.key.digest])) == _strip(
+                result_to_dict(_run_direct(t))
+            )
+
+
+class TestStoreOnLand:
+    """Each group's results reach the store as the group lands."""
+
+    @pytest.mark.parametrize(
+        "workers,error", [(1, KeyError), (2, TaskError)], ids=["serial", "pool"]
+    )
+    def test_groups_before_a_failed_one_are_stored(self, config, workers, error):
+        plan = SweepPlan()
+        for w, v in (("hf", "original"), ("hf", "intra"), ("no-such", "original")):
+            plan.add(w, config, v)
+        tasks = list(plan)
+        store = MemoryStore()
+        landed = []
+        with pytest.raises(error):
+            run_misses(
+                tasks,
+                ExperimentExecutor(workers=workers, retries=1, backoff_s=0.0),
+                store,
+                on_group=lambda group: landed.append(
+                    [store.get(t.key) is not None for t in group]
+                ),
+            )
+        # Stored before its progress tick, and before the failure raised.
+        assert landed == [[True], [True]]
+        assert [store.get(t.key) is not None for t in tasks] == [True, True, False]
 
 
 def _strip(doc):

@@ -12,6 +12,7 @@ from repro.exec.executor import (
 )
 from repro.exec.progress import ProgressReporter
 from repro.experiments.config import scaled_config
+from repro.telemetry import MetricsRegistry, use_registry
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,9 @@ class TestOnResult:
             task_payload("hf", config, v) for v in ("original", "inter")
         ]
         ticks = []
-        ExperimentExecutor(workers=1).run_payloads(payloads, on_result=ticks.append)
+        ExperimentExecutor(workers=1).run_payloads(
+            payloads, on_result=lambda i, out: ticks.append(i)
+        )
         assert ticks == [0, 1]
 
     def test_pool_executor_callback(self, config):
@@ -70,9 +73,22 @@ class TestOnResult:
         ]
         ticks = []
         ex = ExperimentExecutor(workers=2)
-        out = ex.run_payloads(payloads, on_result=ticks.append)
+        out = ex.run_payloads(payloads, on_result=lambda i, out: ticks.append(i))
         assert len(out) == 3
         assert sorted(ticks) == [0, 1, 2]
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_callback_error_ends_the_batch_unretried(self, config, workers):
+        payloads = [task_payload("hf", config, v) for v in ("original", "intra")]
+
+        def fail(i, out):
+            raise OSError("store is full")
+
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(OSError, match="store is full"):
+            ExperimentExecutor(workers=workers).run_payloads(payloads, on_result=fail)
+        assert registry.counter("exec.retries").value == 0
 
 
 class TestExecutorEvents:

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hierarchy.policies import (
-    CLOCKPolicy,
     FIFOPolicy,
     LRUPolicy,
     make_policy,
 )
 
 
-@pytest.fixture(params=["lru", "fifo", "clock", "rrip", "arc"])
+@pytest.fixture(params=["lru", "fifo", "rrip", "arc"])
 def policy(request):
     return make_policy(request.param, capacity=16)
 
@@ -87,29 +86,10 @@ class TestFIFO:
         assert p.evict() == 1  # still first in
 
 
-class TestCLOCK:
-    def test_second_chance(self):
-        p = CLOCKPolicy()
-        for c in (1, 2, 3):
-            p.insert(c)
-        p.touch(1)
-        # 1 is referenced: gets a second chance, 2 is the victim.
-        assert p.evict() == 2
-
-    def test_all_referenced_degenerates_to_fifo(self):
-        p = CLOCKPolicy()
-        for c in (1, 2, 3):
-            p.insert(c)
-        for c in (1, 2, 3):
-            p.touch(c)
-        assert p.evict() == 1
-
-
 class TestFactory:
     def test_known_names(self):
         assert make_policy("LRU").name == "lru"
         assert make_policy("fifo").name == "fifo"
-        assert make_policy("clock").name == "clock"
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

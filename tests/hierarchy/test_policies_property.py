@@ -2,8 +2,8 @@
 
 One hypothesis-driven operation machine exercises insert/touch/evict/
 remove/clear against a shadow resident set; policy-family-specific
-properties (recency policies never evict the just-touched chunk, CLOCK
-grants a second chance, …) layer on top.
+properties (recency policies never evict the just-touched chunk, ARC
+adapts, …) layer on top.
 """
 
 import pytest
@@ -16,9 +16,7 @@ CAPACITY = 8
 ALL_POLICIES = policy_names()
 
 #: Policies where a just-touched chunk strictly survives the next
-#: eviction.  FIFO is exempt by design (touch is a no-op); CLOCK only
-#: guarantees survival while some resident chunk is unreferenced
-#: (all-bits-set degenerates to hand order) and gets its own test below.
+#: eviction.  FIFO is exempt by design (touch is a no-op).
 STRICT_RECENCY_POLICIES = ("lru", "rrip", "arc")
 
 
@@ -141,41 +139,6 @@ class TestRecencyInvariant:
             resident.discard(victim)
         assert touched in policy
 
-    @given(churn=st.lists(st.integers(min_value=0, max_value=39), max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_clock_just_touched_survives_while_unreferenced_exists(
-        self, churn
-    ):
-        """CLOCK's second chance: a touched chunk outlives any eviction
-        that still has an unreferenced chunk to take (only the all-
-        bits-set degenerate case falls back to hand order)."""
-        policy = fresh("clock")
-        resident = set()
-
-        def admit(chunk):
-            if chunk in resident:
-                policy.touch(chunk)
-                return
-            if len(resident) >= CAPACITY:
-                resident.discard(policy.evict())
-            policy.insert(chunk)
-            resident.add(chunk)
-
-        touched = 100
-        admit(touched)
-        for chunk in churn:
-            admit(chunk)
-        admit(touched)
-        policy.touch(touched)
-        # Guarantee an unreferenced chunk exists, then evict.
-        unreferenced = 200
-        if len(resident) >= CAPACITY:
-            resident.discard(policy.evict())
-        policy.insert(unreferenced)
-        resident.add(unreferenced)
-        assert policy.evict() != touched
-        assert touched in policy
-
     @pytest.mark.parametrize("insertion_policy_name", ["lru", "fifo"])
     @given(churn=st.lists(st.integers(min_value=0, max_value=39), max_size=40))
     @settings(max_examples=40, deadline=None)
@@ -183,8 +146,8 @@ class TestRecencyInvariant:
         self, insertion_policy_name, churn
     ):
         """LRU/FIFO treat insertion as most-recent: a chunk inserted
-        immediately before an eviction is never the victim.  (CLOCK,
-        SRRIP and ARC deliberately do NOT honour this — fresh inserts
+        immediately before an eviction is never the victim.  (SRRIP
+        and ARC deliberately do NOT honour this — fresh inserts
         carry a long re-reference prediction / land in T1, which is
         what makes them scan-resistant.)"""
         policy = fresh(insertion_policy_name)
@@ -225,7 +188,6 @@ class TestCapacityPlumbing:
         assert set(ALL_POLICIES) >= {
             "lru",
             "fifo",
-            "clock",
             "rrip",
             "arc",
         }

@@ -535,6 +535,20 @@ class TestErrorBoundary:
         assert "repro: error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["status", "report", "diff"])
+    def test_truncated_manifest_names_the_file(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        out.mkdir()
+        manifest = out / "manifest.json"
+        manifest.write_text('{"record": "repro-campaign-manifest", "cells": {"hf/i')
+        argv = ["campaign", command, str(out)]
+        if command == "diff":
+            argv.append(str(out))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {manifest}: truncated or corrupt manifest:" in err
+        assert "Traceback" not in err
+
     def test_failure_under_trace_and_telemetry(self, tmp_path, capsys):
         spans = tmp_path / "s.jsonl"
         manifest = tmp_path / "m.json"

@@ -19,7 +19,7 @@ from repro.trace.replay import config_fingerprint
 from tests.serve.test_server import ServerHarness
 
 #: Policies removed from the registry.
-DELETED = ["mq", "lfu"]
+DELETED = ["mq", "lfu", "clock"]
 
 
 @pytest.mark.parametrize("name", DELETED)

@@ -188,7 +188,11 @@ class TestParallelExecution:
 
 
 def run_both(per_client, *, policy="lru", prefetch_degree=0, masks=None,
-             capacities=(2, 4, 8)):
+             capacities=(2, 4, 8), recorded=False):
+    """Both engines' results and machine digests; with ``recorded``, each
+    run feeds its own recorder and its events join the comparison."""
+    from repro.trace.recorder import MemoryRecorder
+
     k = 4
     streams = {c: np.empty(0, dtype=np.int64) for c in range(k)}
     for c, trace in enumerate(per_client[:k]):
@@ -205,13 +209,16 @@ def run_both(per_client, *, policy="lru", prefetch_degree=0, masks=None,
     for engine in (reference, fast):
         h = three_level_hierarchy(k, 2, 1, capacities, policy=policy)
         fs = ParallelFileSystem(1, chunk_bytes=64 * 1024)
+        recorder = MemoryRecorder() if recorded else None
         sim = engine(
             streams, h, fs,
             write_masks=write_masks,
             prefetch_degree=prefetch_degree,
             num_data_chunks=32,
+            recorder=recorder,
         )
-        out.append((_sim_to_dict(sim), machine_digest(h, fs)))
+        events = recorder.events if recorded else None
+        out.append((_sim_to_dict(sim), machine_digest(h, fs), events))
     return out
 
 
@@ -244,12 +251,16 @@ class TestPropertyEquivalence:
         assert fst == ref
 
     @settings(max_examples=25, deadline=None)
-    @given(traces, st.just("clock"))
-    def test_fallback_policies_bit_identical(self, per_client, policy):
-        """Non-vectorized policies route to the reference loop — the
-        dispatcher must still produce identical output to calling the
-        reference directly."""
-        ref, fst = run_both(per_client, policy=policy)
+    @given(
+        traces, st.sampled_from(["lru", "fifo", "arc", "rrip"]), st.integers(0, 2)
+    )
+    def test_fallback_policies_bit_identical(self, per_client, policy, pf):
+        """Recorder runs route to the reference loop — the dispatcher
+        must still produce identical output and the same event trace as
+        calling the reference directly."""
+        ref, fst = run_both(
+            per_client, policy=policy, prefetch_degree=pf, recorded=True
+        )
         assert fst == ref
 
     @settings(max_examples=25, deadline=None)

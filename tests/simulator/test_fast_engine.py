@@ -24,6 +24,13 @@ def streams_for(traces, k=4):
     return out
 
 
+def _lookalike(policy):
+    """A fresh policy of an empty subclass of ``policy``'s exact type."""
+    cls = type(policy)
+    lookalike = type(f"LookAlike{cls.__name__}", (cls,), {})
+    return lookalike(policy.capacity) if hasattr(policy, "capacity") else lookalike()
+
+
 class TestEngineRegistry:
     def test_engine_names(self):
         assert engines.ENGINE_NAMES == ("reference", "fast")
@@ -72,13 +79,11 @@ class TestVectorizability:
             h, _ = make_system(policy=levels)
             assert is_vectorizable(h)
 
-    @pytest.mark.parametrize("policy", ["clock"])
-    def test_exotic_policies_do_not(self, policy):
-        h, _ = make_system(policy=policy)
-        assert not is_vectorizable(h)
-
     def test_one_exotic_level_disables_the_whole_hierarchy(self):
-        h, _ = make_system(policy=("lru", "clock", "arc"))
+        h, _ = make_system(policy=("lru", "rrip", "arc"))
+        assert is_vectorizable(h)
+        cache = h.caches_at_level(h.level_names()[1])[0]
+        cache.policy = _lookalike(cache.policy)
         assert not is_vectorizable(h)
 
     def test_lookalike_policy_subclass_is_rejected(self):
@@ -201,9 +206,11 @@ class TestFallback:
         assert _sim_to_dict(res) == _sim_to_dict(ref)
 
     def test_exotic_policy_run_matches_reference(self):
-        h, fs = make_system(policy="clock")
+        h, fs = make_system(policy="rrip")
+        for cache in h.caches_at_level(h.level_names()[1]):
+            cache.policy = _lookalike(cache.policy)
         res = fast_simulate(streams_for([[0, 1, 2, 0, 1]]), h, fs)
-        h2, fs2 = make_system(policy="clock")
+        h2, fs2 = make_system(policy="rrip")
         ref = reference_simulate(streams_for([[0, 1, 2, 0, 1]]), h2, fs2)
         assert _sim_to_dict(res) == _sim_to_dict(ref)
 
