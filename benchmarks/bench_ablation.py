@@ -24,7 +24,6 @@ from repro.experiments.harness import normalized_suite, run_suite
 from repro.experiments.report import ExperimentReport
 from repro.simulator.engine import simulate
 from repro.simulator.streams import build_client_streams
-from repro.storage.filesystem import ParallelFileSystem
 from repro.util.rng import make_rng
 from repro.workloads.base import WorkloadParams
 from repro.workloads.suite import get_workload
@@ -56,13 +55,10 @@ def _io_for_distribution(workload_name, config, distribution_fn):
     dist = distribution_fn(cs, hierarchy, config.balance_threshold)
     mapping = InterProcessorMapper().map_distribution(dist, hierarchy, make_rng(1))
     streams = build_client_streams(mapping, nest, ds)
-    fs = ParallelFileSystem(
-        config.num_storage_nodes, config.chunk_elems * 1024, config.disk
-    )
     sim = simulate(
         streams,
         hierarchy,
-        fs,
+        config.build_filesystem(),
         latency=config.latency,
         iterations_per_client=mapping.iteration_counts(),
     )
@@ -182,15 +178,10 @@ def test_chunk_order_of_unscheduled_scheme(benchmark, bench_config, report_sink)
                 mapper = InterProcessorMapper(chunk_order=order)
                 mapping = mapper.map(nest, ds, h, make_rng(7))
                 streams = build_client_streams(mapping, nest, ds)
-                fs = ParallelFileSystem(
-                    bench_config.num_storage_nodes,
-                    bench_config.chunk_elems * 1024,
-                    bench_config.disk,
-                )
                 sim = simulate(
                     streams,
                     h,
-                    fs,
+                    bench_config.build_filesystem(),
                     latency=bench_config.latency,
                     iterations_per_client=mapping.iteration_counts(),
                 )

@@ -18,7 +18,6 @@ from repro.core.mapper import InterProcessorMapper
 from repro.core.scheduling import schedule_clients
 from repro.simulator.engine import simulate
 from repro.simulator.streams import build_client_streams
-from repro.storage.filesystem import ParallelFileSystem
 from repro.util.rng import make_rng
 from repro.workloads.base import WorkloadParams
 from repro.workloads.suite import get_workload
@@ -83,9 +82,7 @@ def test_simulation_engine(benchmark, setup):
     cfg = setup["config"]
 
     def run():
-        fs = ParallelFileSystem(
-            cfg.num_storage_nodes, cfg.chunk_elems * 1024, cfg.disk
-        )
+        fs = cfg.build_filesystem()
         return simulate(
             setup["streams"],
             setup["hierarchy"],
@@ -107,9 +104,7 @@ def test_simulation_engine_fast(benchmark, setup):
     cfg = setup["config"]
 
     def run():
-        fs = ParallelFileSystem(
-            cfg.num_storage_nodes, cfg.chunk_elems * 1024, cfg.disk
-        )
+        fs = cfg.build_filesystem()
         return fast_simulate(
             setup["streams"],
             setup["hierarchy"],
@@ -132,9 +127,7 @@ def test_simulation_engine_null_recorder(benchmark, setup):
     recorder = NullRecorder()
 
     def run():
-        fs = ParallelFileSystem(
-            cfg.num_storage_nodes, cfg.chunk_elems * 1024, cfg.disk
-        )
+        fs = cfg.build_filesystem()
         return simulate(
             setup["streams"],
             setup["hierarchy"],
@@ -158,9 +151,7 @@ def test_simulation_engine_live_registry(benchmark, setup):
     cfg = setup["config"]
 
     def run():
-        fs = ParallelFileSystem(
-            cfg.num_storage_nodes, cfg.chunk_elems * 1024, cfg.disk
-        )
+        fs = cfg.build_filesystem()
         with use_registry(MetricsRegistry()):
             return simulate(
                 setup["streams"],

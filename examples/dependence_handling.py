@@ -21,7 +21,6 @@ from repro.experiments.discussion import dependent_nest
 from repro.polyhedral.dependence import find_dependences, outermost_parallel_loop
 from repro.simulator.engine import simulate
 from repro.simulator.streams import build_client_streams
-from repro.storage.filesystem import ParallelFileSystem
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
 
@@ -48,9 +47,7 @@ def main() -> None:
         result = simulate(
             streams,
             hierarchy,
-            ParallelFileSystem(
-                config.num_storage_nodes, config.chunk_elems * 1024
-            ),
+            config.build_filesystem(),
             latency=config.latency,
             sync_counts=syncs,
             iterations_per_client=mapping.iteration_counts(),

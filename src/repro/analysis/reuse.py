@@ -68,9 +68,6 @@ class ReuseProfile:
     def miss_rate(self, capacity: int) -> float:
         return 1.0 - self.hit_rate(capacity)
 
-    def hit_rate_curve(self, capacities: list[int]) -> dict[int, float]:
-        return {c: self.hit_rate(c) for c in capacities}
-
     def percentile(self, q: float) -> float:
         """q-th percentile of the finite reuse distances."""
         if self.num_reuses == 0:

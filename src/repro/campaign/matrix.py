@@ -79,9 +79,6 @@ class CampaignPlan:
     #: Combinations that collapsed onto an earlier cell's key.
     duplicates: int = 0
 
-    def cell_by_digest(self) -> dict[str, CampaignCell]:
-        return {c.key_digest: c for c in self.cells}
-
     def __len__(self) -> int:
         return len(self.cells)
 

@@ -187,8 +187,9 @@ class IterationChunkSet:
         )
 
 
-#: Keys stay below this bound, so every key is an exact int64.
-_KEY_LIMIT = 2**63
+#: Spans (and so keys and radixes) stay at or below int64's maximum, so
+#: every key and every radix it is multiplied by is an exact int64.
+_KEY_LIMIT = 2**63 - 1
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

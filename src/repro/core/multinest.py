@@ -45,10 +45,6 @@ class CombinedNest:
     def num_iterations(self) -> int:
         return self.offsets[-1]
 
-    @property
-    def num_nests(self) -> int:
-        return len(self.nests)
-
     def locate(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Global ranks -> (nest index, local rank), vectorised."""
         r = np.asarray(ranks, dtype=np.int64)

@@ -44,10 +44,6 @@ class ParallelizationPlan:
     def is_fully_sequential(self) -> bool:
         return self.parallel_level is None
 
-    @property
-    def num_parallel_loops(self) -> int:
-        return sum(self.parallel)
-
 
 def _carried_levels(depth: int, distances) -> list[bool]:
     """Which (original) loops carry a dependence, given the distances."""

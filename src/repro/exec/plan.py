@@ -71,6 +71,28 @@ class ExperimentTask:
     #: A string, not a dict, so the frozen task stays hashable.
     scenario: str = ""
 
+    @classmethod
+    def create(
+        cls,
+        workload: str,
+        config: "SystemConfig",
+        version: str,
+        engine: Mapping[str, Any] | None = None,
+        scenario: Mapping[str, Any] | None = None,
+    ) -> "ExperimentTask":
+        """The task for one experiment, keyed by
+        :func:`~repro.exec.keys.experiment_key` on the same inputs."""
+        from repro.util.fingerprint import canonical_json
+
+        return cls(
+            key=experiment_key(workload, config, version, engine, scenario),
+            workload=workload,
+            config=config,
+            version=version,
+            engine=tuple(sorted((engine or {}).items())),
+            scenario=canonical_json(dict(scenario)) if scenario else "",
+        )
+
     def engine_dict(self) -> dict[str, Any]:
         return dict(self.engine)
 
@@ -106,25 +128,14 @@ class SweepPlan:
         scenario: Mapping[str, Any] | None = None,
     ) -> ExperimentKey:
         """Add one task (idempotent per key); returns its key."""
-        from repro.util.fingerprint import canonical_json
-
         name = workload if isinstance(workload, str) else workload.name
-        key = experiment_key(name, config, version, engine, scenario)
-        if key.digest in self._seen:
+        task = ExperimentTask.create(name, config, version, engine, scenario)
+        if task.key.digest in self._seen:
             self.duplicates += 1
-            return key
-        self._seen.add(key.digest)
-        self.tasks.append(
-            ExperimentTask(
-                key=key,
-                workload=name,
-                config=config,
-                version=version,
-                engine=tuple(sorted((engine or {}).items())),
-                scenario=canonical_json(dict(scenario)) if scenario else "",
-            )
-        )
-        return key
+        else:
+            self._seen.add(task.key.digest)
+            self.tasks.append(task)
+        return task.key
 
     def add_suite(
         self,

@@ -272,7 +272,6 @@ class ResultStore:
 
     def _write(self, key: ExperimentKey, kind: str, payload: Any) -> pathlib.Path:
         path = self._path(key.digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "record": _RECORD,
             "schema_version": RESULT_STORE_SCHEMA_VERSION,
@@ -283,10 +282,18 @@ class ResultStore:
         }
         # Write-then-rename: the temp file lives in the destination
         # directory so the final os.replace is atomic on every POSIX
-        # filesystem (no cross-device rename).
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key.digest[:12]}.", suffix=".tmp", dir=path.parent
-        )
+        # filesystem (no cross-device rename).  The shard directory is
+        # made only by the first write into it.
+        prefix = f".{key.digest[:12]}."
+        try:
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=prefix, suffix=".tmp", dir=path.parent
+            )
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                prefix=prefix, suffix=".tmp", dir=path.parent
+            )
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps(doc, sort_keys=True))

@@ -35,6 +35,7 @@ from repro.hierarchy.policies import check_policy_name
 from repro.hierarchy.topology import CacheHierarchy, three_level_hierarchy
 from repro.simulator.engine import LatencyModel
 from repro.storage.disk import DiskParameters
+from repro.storage.filesystem import ParallelFileSystem
 from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["PAPER_TABLE1", "SystemConfig", "DEFAULT_CONFIG", "scaled_config"]
@@ -136,6 +137,18 @@ class SystemConfig:
             self.num_storage_nodes,
             tuple(self.capacity_chunks(l) for l in range(3)),
             self.level_policies(),
+        )
+
+    def build_filesystem(self) -> ParallelFileSystem:
+        """The striped file system under the storage caches.
+
+        The scaling rule lives here: one element models 1 KB, so a
+        ``chunk_elems``-element chunk (== stripe) is ``chunk_elems`` KB.
+        """
+        return ParallelFileSystem(
+            self.num_storage_nodes,
+            chunk_bytes=self.chunk_elems * 1024,
+            disk_params=self.disk,
         )
 
     def with_topology(self, w: int, x: int, y: int) -> "SystemConfig":

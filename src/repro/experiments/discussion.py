@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.chunking import form_iteration_chunks
 from repro.core.clustering import distribute_iterations
 from repro.core.dependences import (
     DependenceStrategy,
     count_cross_client_syncs,
 )
-from repro.core.graph import build_affinity_graph
 from repro.core.mapper import InterProcessorMapper
 from repro.core.multinest import combine_nests
 from repro.experiments.config import SystemConfig, scaled_config
@@ -34,9 +32,8 @@ from repro.polyhedral.arrays import DataSpace, DiskArray
 from repro.polyhedral.iterspace import IterationSpace
 from repro.polyhedral.nest import LoopNest
 from repro.polyhedral.references import ArrayRef
-from repro.simulator.engines import resolve_engine
+from repro.simulator.runner import simulate_streams
 from repro.simulator.streams import build_client_streams
-from repro.storage.filesystem import ParallelFileSystem
 from repro.util.rng import make_rng
 
 __all__ = ["run_multinest", "run_dependences", "run", "two_phase_nests", "dependent_nest"]
@@ -88,21 +85,6 @@ def dependent_nest(config: SystemConfig) -> tuple[LoopNest, DataSpace]:
     return LoopNest("recurrence", space, refs), ds
 
 
-def _simulate_streams(streams, config: SystemConfig, iterations, sync_counts=None):
-    hierarchy = config.build_hierarchy()
-    fs = ParallelFileSystem(
-        config.num_storage_nodes, config.chunk_elems * 1024, config.disk
-    )
-    return resolve_engine(None)(
-        streams,
-        hierarchy,
-        fs,
-        latency=config.latency,
-        sync_counts=sync_counts,
-        iterations_per_client=iterations,
-    )
-
-
 def run_multinest(config: SystemConfig | None = None) -> ExperimentReport:
     """Build (or fetch from the active result store) the multi-nest report."""
     config = config or scaled_config(4)
@@ -128,8 +110,10 @@ def _build_multinest(config: SystemConfig) -> ExperimentReport:
         for c in range(config.num_clients):
             streams_sep[c].append(s[c])
             iters_sep[c] += len(mapping.client_order[c])
-    sep = _simulate_streams(
-        {c: np.concatenate(v) for c, v in streams_sep.items()}, config, iters_sep
+    sep = simulate_streams(
+        {c: np.concatenate(v) for c, v in streams_sep.items()},
+        config,
+        iterations_per_client=iters_sep,
     )
 
     # Combined mapping: one G set over both nests (paper §5.4).
@@ -139,7 +123,9 @@ def _build_multinest(config: SystemConfig) -> ExperimentReport:
     )
     mapping = mapper.map_distribution(distribution, hierarchy, rng)
     streams = build_client_streams(mapping, combined, ds)
-    joint = _simulate_streams(streams, config, mapping.iteration_counts())
+    joint = simulate_streams(
+        streams, config, iterations_per_client=mapping.iteration_counts()
+    )
 
     hit_gain = (
         (joint.total_cache_hits() - sep.total_cache_hits())
@@ -186,8 +172,11 @@ def _build_dependences(config: SystemConfig) -> ExperimentReport:
         syncs = count_cross_client_syncs(mapping, nest)
         total_syncs = sum(syncs.values())
         streams = build_client_streams(mapping, nest, ds)
-        sim = _simulate_streams(
-            streams, config, mapping.iteration_counts(), sync_counts=syncs
+        sim = simulate_streams(
+            streams,
+            config,
+            iterations_per_client=mapping.iteration_counts(),
+            sync_counts=syncs,
         )
         rows.append(
             [

@@ -13,17 +13,13 @@ measures:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.footprint import mapping_footprints
 from repro.analysis.reuse import reuse_distance_profile
 from repro.analysis.sharing import mapping_affinity_quality
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig
 from repro.experiments.report import ExperimentReport
-from repro.simulator.runner import make_mapper
+from repro.simulator.runner import prepare_mapping
 from repro.simulator.streams import build_client_streams
-from repro.util.rng import derive_seed, make_rng
-from repro.workloads.base import WorkloadParams
 from repro.workloads.suite import get_workload
 
 __all__ = ["run"]
@@ -34,24 +30,23 @@ def run(
 ) -> ExperimentReport:
     config = config or DEFAULT_CONFIG
     workload = get_workload(workload_name)
-    params = WorkloadParams(
-        chunk_elems=config.chunk_elems, data_chunks=config.data_chunks
-    )
-    nest, data_space = workload.build(params)
+    hierarchy = config.build_hierarchy()
     l1_chunks = config.capacity_chunks(0)
 
     rows = []
     for version in ("original", "inter", "inter+sched"):
-        hierarchy = config.build_hierarchy()
-        mapper = make_mapper(version, config)
-        rng = make_rng(derive_seed(config.seed, workload_name, version))
-        mapping = mapper.map(nest, data_space, hierarchy, rng)
+        prepared = prepare_mapping(workload, config, version)
+        mapping, nest, data_space = (
+            prepared.mapping, prepared.nest, prepared.data_space
+        )
 
         footprints = mapping_footprints(mapping, nest, data_space)
         total_fp = sum(footprints.values())
         max_fp = max(footprints.values())
 
-        streams = build_client_streams(mapping, nest, data_space)
+        streams = build_client_streams(
+            mapping, nest, data_space, chunk_matrix=prepared.chunk_matrix
+        )
         longest = max(streams.values(), key=len)
         profile = reuse_distance_profile(longest)
         l1_hit = profile.hit_rate(l1_chunks)

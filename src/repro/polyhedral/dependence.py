@@ -69,10 +69,6 @@ class Dependence:
     distance: tuple[int, ...] | None
 
     @property
-    def is_uniform(self) -> bool:
-        return self.distance is not None
-
-    @property
     def level(self) -> int:
         """Loop level carrying the dependence (0 = outermost).
 

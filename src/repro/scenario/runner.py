@@ -202,34 +202,24 @@ def run_scenario_payload(
     Called by :func:`repro.exec.executor.run_payload` when a payload
     carries a ``scenario`` fingerprint; the mapping stage is skipped —
     streams come from the generator or trace the fingerprint names —
-    and the engine simulates them against the config's hierarchy.
+    and :func:`~repro.simulator.runner.simulate_streams` simulates them
+    on the config's machine.
     """
-    from repro.simulator.engines import resolve_engine
     from repro.simulator.metrics import ExperimentResult
-    from repro.storage.filesystem import ParallelFileSystem
+    from repro.simulator.runner import simulate_streams
     from repro.telemetry import phase
 
-    simulate = resolve_engine((payload.get("engine") or {}).get("engine"))
     scen = payload["scenario"]
     kind = scen["kind"]
     params = scen.get("params") or {}
     with phase("scenario_streams"):
         streams, num_chunks = _scenario_streams(kind, params, config)
-    hierarchy = config.build_hierarchy()
-    filesystem = ParallelFileSystem(
-        config.num_storage_nodes,
-        chunk_bytes=config.chunk_elems * 1024,  # 1 element == 1 KB
-        disk_params=config.disk,
+    sim = simulate_streams(
+        streams,
+        config,
+        num_data_chunks=num_chunks,
+        engine=(payload.get("engine") or {}).get("engine"),
     )
-    with phase("simulate"):
-        sim = simulate(
-            streams,
-            hierarchy,
-            filesystem,
-            latency=config.latency,
-            prefetch_degree=config.prefetch_degree,
-            num_data_chunks=num_chunks,
-        )
     return ExperimentResult(
         workload=payload["workload"],
         version=payload["version"],

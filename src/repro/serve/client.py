@@ -32,6 +32,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from repro.serve.http import MalformedResponse, http_exchange
 from repro.serve.protocol import (
     ERROR_RECORD,
     batch_request_doc,
@@ -339,42 +340,18 @@ class AsyncServeClient:
         body: bytes | None = None,
         extra_headers: Mapping[str, str] | None = None,
     ) -> tuple[int, bytes, dict[str, str]]:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
-            payload = body or b""
-            extra = "".join(
-                f"{name}: {value}\r\n"
-                for name, value in (extra_headers or {}).items()
+            return await http_exchange(
+                self.host,
+                self.port,
+                method,
+                path,
+                body or b"",
+                extra_headers,
+                read_timeout=self.timeout,
             )
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"{extra}"
-                f"Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("ascii") + payload)
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.read(), self.timeout)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        header_blob, _, rest = raw.partition(b"\r\n\r\n")
-        lines = header_blob.decode("latin-1").split("\r\n")
-        try:
-            status = int(lines[0].split()[1])
-        except (IndexError, ValueError):
-            raise ServeError("internal", f"malformed response: {lines[:1]}") from None
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or len(rest))
-        return status, rest[:length], headers
+        except MalformedResponse as exc:
+            raise ServeError("internal", str(exc)) from None
 
     async def _post_with_retries(
         self,

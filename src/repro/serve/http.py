@@ -25,6 +25,10 @@ Subclasses implement ``_route(path, request, writer)`` plus optional
 * graceful drain: SIGINT/SIGTERM stop the listener, in-flight
   dispatches finish (bounded by ``drain_grace_s``), idle keep-alive
   connections are cut, and the process exits 0.
+
+:func:`http_exchange` is the client half of the same dialect: the one
+request/response exchange both the router → worker hop and
+:class:`~repro.serve.client.AsyncServeClient` speak.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import signal
 import threading
 import time
 from contextvars import ContextVar
+from typing import Mapping
 
 from repro.obs.context import (
     REQUEST_ID_HEADER,
@@ -55,7 +60,9 @@ __all__ = [
     "SHARD_HEADER",
     "AsyncHttpServer",
     "HttpRequest",
+    "MalformedResponse",
     "current_request_id",
+    "http_exchange",
 ]
 
 _LOG = get_logger("serve.http")
@@ -91,6 +98,63 @@ _REQUEST_ID: ContextVar[str] = ContextVar("repro_serve_request_id", default="")
 def current_request_id() -> str:
     """The id of the request being dispatched ("" outside a dispatch)."""
     return _REQUEST_ID.get()
+
+
+class MalformedResponse(OSError):
+    """A peer's response had no parsable HTTP status line."""
+
+
+async def http_exchange(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    body: bytes = b"",
+    headers: Mapping[str, str] | None = None,
+    read_timeout: float | None = None,
+) -> tuple[int, bytes, dict[str, str]]:
+    """One HTTP/1.1 exchange over a fresh connection.
+
+    Returns ``(status, body, headers)``, header names lower-cased.
+    Connection errors propagate as :class:`OSError`, a response without
+    a status line raises :class:`MalformedResponse`, and reading the
+    response past ``read_timeout`` seconds raises
+    :class:`asyncio.TimeoutError`.
+    """
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        extra = "".join(
+            f"{name}: {value}\r\n" for name, value in (headers or {}).items()
+        )
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {host}:{port}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"{extra}"
+            f"Connection: close\r\n\r\n"
+        )
+        writer.write(head.encode("ascii") + body)
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), read_timeout)
+    finally:
+        writer.close()
+        with contextlib.suppress(ConnectionError, OSError):
+            await writer.wait_closed()
+    header_blob, _, rest = raw.partition(b"\r\n\r\n")
+    lines = header_blob.decode("latin-1").split("\r\n")
+    try:
+        status = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise MalformedResponse(
+            f"malformed response from {host}:{port}: {lines[:1]}"
+        ) from None
+    response_headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        response_headers[name.strip().lower()] = value.strip()
+    length = int(response_headers.get("content-length") or len(rest))
+    return status, rest[:length], response_headers
 
 
 class HttpRequest:

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.exec.keys import ExperimentKey, experiment_key
+from repro.exec.keys import ExperimentKey
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -154,38 +154,19 @@ class MappingRequest:
         ), fingerprint
 
     def to_key(self) -> ExperimentKey:
-        if self.scenario is not None:
-            workload, version, config, fingerprint = self._scenario_identity()
-            return experiment_key(
-                workload, config, version, self.engine, scenario=fingerprint
-            )
-        return experiment_key(
-            self.workload, self.resolve_config(), self.version, self.engine
-        )
+        return self.to_task().key
 
     def to_task(self):
         """The :class:`~repro.exec.plan.ExperimentTask` to execute."""
         from repro.exec.plan import ExperimentTask
-        from repro.util.fingerprint import canonical_json
 
         if self.scenario is not None:
             workload, version, config, fingerprint = self._scenario_identity()
-            return ExperimentTask(
-                key=experiment_key(
-                    workload, config, version, self.engine, scenario=fingerprint
-                ),
-                workload=workload,
-                config=config,
-                version=version,
-                engine=tuple(sorted(dict(self.engine).items())),
-                scenario=canonical_json(fingerprint) if fingerprint else "",
+            return ExperimentTask.create(
+                workload, config, version, self.engine, fingerprint
             )
-        return ExperimentTask(
-            key=self.to_key(),
-            workload=self.workload,
-            config=self.resolve_config(),
-            version=self.version,
-            engine=tuple(sorted(dict(self.engine).items())),
+        return ExperimentTask.create(
+            self.workload, self.resolve_config(), self.version, self.engine
         )
 
 

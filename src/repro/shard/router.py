@@ -50,6 +50,7 @@ from repro.serve.http import (
     AsyncHttpServer,
     HttpRequest,
     current_request_id,
+    http_exchange,
 )
 from repro.serve.protocol import (
     BATCH_RESPONSE_RECORD,
@@ -92,49 +93,6 @@ _RELAY_HEADERS = (
     "x-repro-shard",
     "retry-after",
 )
-
-
-async def _http_request(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: bytes = b"",
-    headers: dict[str, str] | None = None,
-) -> tuple[int, bytes, dict[str, str]]:
-    """One HTTP/1.1 exchange over a fresh connection (router → worker)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in (headers or {}).items()
-        )
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"{extra}"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()
-        raw = await reader.read()
-    finally:
-        writer.close()
-        with contextlib.suppress(ConnectionError, OSError):
-            await writer.wait_closed()
-    header_blob, _, rest = raw.partition(b"\r\n\r\n")
-    lines = header_blob.decode("latin-1").split("\r\n")
-    try:
-        status = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise OSError(f"malformed response from {host}:{port}") from None
-    response_headers: dict[str, str] = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        response_headers[name.strip().lower()] = value.strip()
-    length = int(response_headers.get("content-length") or len(rest))
-    return status, rest[:length], response_headers
 
 
 class ShardRouter(AsyncHttpServer):
@@ -305,7 +263,7 @@ class ShardRouter(AsyncHttpServer):
             headers[REQUEST_ID_HEADER] = request_id
         try:
             return await asyncio.wait_for(
-                _http_request(host, port, method, path, body, headers),
+                http_exchange(host, port, method, path, body, headers),
                 timeout_s or self.request_timeout_s,
             )
         except asyncio.TimeoutError:

@@ -11,8 +11,8 @@ An experiment runs in two halves.  :func:`prepare_mapping` builds the
 workload and maps it — the expensive stage, and a pure function of the
 task's :class:`~repro.exec.keys.MappingKey` (paper §4: the mapping is
 computed once, at compile time, whatever the caching policy).
-:func:`prepare_cell` then builds one cell's fresh hierarchy, file
-system and streams, and :func:`simulate_prepared` simulates it.
+:func:`prepare_cell` then generates one cell's streams, and
+:func:`simulate_prepared` simulates them.
 :func:`run_cells` prepares a group of cells that share a
 :func:`~repro.exec.keys.group_key` once — one nest build, one Fig. 5
 distribution for ``inter`` and ``inter+sched``, one mapping per
@@ -21,6 +21,12 @@ the one-cell case.
 :func:`prepare_experiment` stops before simulating, so the trace
 subsystem can capture its output once and re-simulate it many times
 (:mod:`repro.trace.replay`).
+
+:func:`simulate_streams` is the one place a config becomes a machine
+and the engine runs on it: cells, scenario payloads, trace replays and
+the §5.4 discussion all simulate through it, so a replay under an
+artifact's recorded config reproduces :func:`run_experiment` by
+construction.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from repro.hierarchy.topology import CacheHierarchy
 from repro.polyhedral.arrays import DataSpace
 from repro.polyhedral.nest import LoopNest
 from repro.simulator.engines import resolve_engine
-from repro.simulator.metrics import ExperimentResult
+from repro.simulator.metrics import ExperimentResult, SimulationResult
 from repro.simulator.streams import (
     build_client_streams,
     build_client_streams_with_writes,
@@ -59,6 +65,7 @@ __all__ = [
     "prepare_mapping",
     "prepare_cell",
     "prepare_experiment",
+    "simulate_streams",
     "simulate_prepared",
     "run_cells",
     "run_experiment",
@@ -111,7 +118,7 @@ class PreparedMapping:
 
 @dataclass
 class PreparedExperiment:
-    """Everything the simulator needs, with the mapping stage done."""
+    """One cell's simulator inputs (no machine), with the mapping stage done."""
 
     workload: str
     version: str
@@ -120,8 +127,6 @@ class PreparedExperiment:
     iterations_per_client: dict[int, int]
     num_data_chunks: int
     mapping: Mapping
-    hierarchy: CacheHierarchy
-    filesystem: ParallelFileSystem
 
 
 class _Group:
@@ -190,14 +195,8 @@ def prepare_mapping(
 def prepare_cell(
     prepared: PreparedMapping, config: "SystemConfig"
 ) -> PreparedExperiment:
-    """One cell's simulator inputs: a fresh hierarchy and file system, streams."""
+    """One cell's simulator inputs: its streams (and write masks)."""
     mapping, nest, data_space = prepared.mapping, prepared.nest, prepared.data_space
-    hierarchy = config.build_hierarchy()
-    filesystem = ParallelFileSystem(
-        config.num_storage_nodes,
-        chunk_bytes=config.chunk_elems * 1024,  # 1 element == 1 KB
-        disk_params=config.disk,
-    )
     with phase("streams"):
         if config.writeback:
             streams, write_masks = build_client_streams_with_writes(
@@ -216,8 +215,6 @@ def prepare_cell(
         iterations_per_client=mapping.iteration_counts(),
         num_data_chunks=data_space.num_chunks,
         mapping=mapping,
-        hierarchy=hierarchy,
-        filesystem=filesystem,
     )
 
 
@@ -231,6 +228,43 @@ def prepare_experiment(
         return prepare_cell(prepare_mapping(workload, config, version), config)
 
 
+def simulate_streams(
+    streams: dict[int, np.ndarray],
+    config: "SystemConfig",
+    *,
+    engine: str | None = None,
+    hierarchy: CacheHierarchy | None = None,
+    filesystem: ParallelFileSystem | None = None,
+    prefetch_degree: int | None = None,
+    **inputs: Any,
+) -> SimulationResult:
+    """Simulate ``streams`` on a fresh machine built from ``config``.
+
+    The engine runs with the config's latency model and prefetch degree;
+    ``inputs`` are its per-run arguments (``write_masks``,
+    ``iterations_per_client``, ``sync_counts``, ``num_data_chunks``,
+    ``recorder``).  ``hierarchy``/``filesystem`` replace the built
+    machine, to inspect its state afterwards; ``prefetch_degree``
+    replaces the config's degree.
+    """
+    if hierarchy is None:
+        hierarchy = config.build_hierarchy()
+    if filesystem is None:
+        filesystem = config.build_filesystem()
+    if prefetch_degree is None:
+        prefetch_degree = config.prefetch_degree
+    simulate = resolve_engine(engine)
+    with phase("simulate"):
+        return simulate(
+            streams,
+            hierarchy,
+            filesystem,
+            latency=config.latency,
+            prefetch_degree=prefetch_degree,
+            **inputs,
+        )
+
+
 def simulate_prepared(
     prep: PreparedExperiment,
     config: "SystemConfig",
@@ -239,20 +273,16 @@ def simulate_prepared(
     engine: str | None = None,
 ) -> ExperimentResult:
     """Simulate one prepared cell and wrap the outcome as a result."""
-    simulate = resolve_engine(engine)
-    with phase("simulate"):
-        sim = simulate(
-            prep.streams,
-            prep.hierarchy,
-            prep.filesystem,
-            latency=config.latency,
-            sync_counts=sync_counts,
-            iterations_per_client=prep.iterations_per_client,
-            write_masks=prep.write_masks,
-            prefetch_degree=config.prefetch_degree,
-            num_data_chunks=prep.num_data_chunks,
-            recorder=recorder,
-        )
+    sim = simulate_streams(
+        prep.streams,
+        config,
+        write_masks=prep.write_masks,
+        iterations_per_client=prep.iterations_per_client,
+        sync_counts=sync_counts,
+        num_data_chunks=prep.num_data_chunks,
+        recorder=recorder,
+        engine=engine,
+    )
     result = ExperimentResult(
         workload=prep.workload,
         version=prep.version,

@@ -12,8 +12,10 @@ methodology of the related graph-layout work in PAPERS.md).
 
 Round-trip guarantee: replaying an artifact under its recorded config
 reproduces the direct :func:`repro.simulator.runner.run_experiment`
-result exactly — both paths share :func:`prepare_experiment` and the
-engine resets all state up front.
+result exactly, by construction: both paths take their inputs from
+:func:`prepare_experiment` and simulate them through the one
+:func:`~repro.simulator.runner.simulate_streams`, which builds the same
+machine from the same config, and the engine resets all state up front.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig
-from repro.simulator.engine import LatencyModel
-from repro.simulator.engines import resolve_engine
 from repro.simulator.metrics import SimulationResult
-from repro.simulator.runner import prepare_experiment
+from repro.simulator.runner import prepare_experiment, simulate_streams
 from repro.storage.filesystem import ParallelFileSystem
 from repro.util.fingerprint import config_fingerprint, config_from_fingerprint
 from repro.workloads.suite import get_workload
@@ -195,7 +195,6 @@ def replay(
     config: SystemConfig | None = None,
     hierarchy=None,
     filesystem: ParallelFileSystem | None = None,
-    latency: LatencyModel | None = None,
     prefetch_degree: int | None = None,
     recorder=None,
     engine: str | None = None,
@@ -203,41 +202,30 @@ def replay(
     """Re-simulate a recorded workload without re-running the mapping.
 
     With no overrides the recorded configuration is reproduced exactly.
-    Pass ``config`` (or individual ``hierarchy`` / ``filesystem`` /
-    ``latency`` / ``prefetch_degree`` overrides) for what-if sweeps over
-    cache sizes, policies, latencies or prefetching — the recorded
-    streams stay fixed, only the machine under them changes.  ``engine``
-    selects the simulation engine (``reference``/``fast``); ``None``
-    uses the process default.
+    Pass ``config`` (or a ``prefetch_degree`` override) for what-if
+    sweeps over cache sizes, policies, latencies or prefetching — the
+    recorded streams stay fixed, only the machine under them changes.
+    ``hierarchy`` / ``filesystem`` run on a caller-built machine whose
+    state the caller inspects afterwards.  ``engine`` selects the
+    simulation engine (``reference``/``fast``); ``None`` uses the
+    process default.
     """
     if not isinstance(artifact, TraceArtifact):
         artifact = load_artifact(artifact)
-    cfg = config or artifact.config
-    if hierarchy is None:
-        hierarchy = cfg.build_hierarchy()
-    if filesystem is None:
-        filesystem = ParallelFileSystem(
-            cfg.num_storage_nodes,
-            chunk_bytes=cfg.chunk_elems * 1024,
-            disk_params=cfg.disk,
-        )
-    if latency is None:
-        latency = cfg.latency
-    if prefetch_degree is None:
-        prefetch_degree = (
-            cfg.prefetch_degree if config is not None else artifact.prefetch_degree
-        )
-    return resolve_engine(engine)(
+    if prefetch_degree is None and config is None:
+        prefetch_degree = artifact.prefetch_degree
+    return simulate_streams(
         artifact.streams,
-        hierarchy,
-        filesystem,
-        latency=latency,
-        sync_counts=artifact.sync_counts,
-        iterations_per_client=artifact.iterations_per_client,
+        config or artifact.config,
         write_masks=artifact.write_masks,
-        prefetch_degree=prefetch_degree,
+        iterations_per_client=artifact.iterations_per_client,
+        sync_counts=artifact.sync_counts,
         num_data_chunks=artifact.num_data_chunks,
         recorder=recorder,
+        engine=engine,
+        hierarchy=hierarchy,
+        filesystem=filesystem,
+        prefetch_degree=prefetch_degree,
     )
 
 

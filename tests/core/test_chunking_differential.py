@@ -9,7 +9,7 @@ same ascending members — in the same first-appearance order.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.chunking import _group_rows, chunk_matrix_for, form_iteration_chunks
@@ -53,6 +53,8 @@ def test_lexsort_grouping_matches_unique(canon):
         elements=st.integers(-(2**62), 2**62),
     )
 )
+# One column spanning exactly 2**63 values: its radix is one past int64.
+@example(np.array([[2**62 - 1], [-(2**62)]], dtype=np.int64))
 def test_grouping_wide_values(canon):
     assert_same_groups(_group_rows(canon), group_rows(canon))
 

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import pathlib
 
 import pytest
 
@@ -64,6 +65,30 @@ class TestRoundTrip:
         assert s.entries == 1
         assert s.results == 1
         assert s.bytes > 0
+
+    def test_shard_directory_made_once(self, tmp_path, monkeypatch, config, result):
+        store = ResultStore(tmp_path)
+        first = experiment_key("hf", config, "original")
+        second = next(
+            k
+            for k in (
+                experiment_key("hf", config, "original", {"n": i})
+                for i in range(10_000)
+            )
+            if k.digest[:2] == first.digest[:2]
+        )
+        assert store.put(first, result).parent.name == first.digest[:2]
+        mkdirs = []
+        real_mkdir = pathlib.Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            mkdirs.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", counting_mkdir)
+        store.put(second, result)
+        assert mkdirs == []
+        assert store.get(first) is not None and store.get(second) is not None
 
     def test_report_round_trip(self, tmp_path, config):
         store = ResultStore(tmp_path)

@@ -1,5 +1,7 @@
 """Tests for the system configuration (Table 1 analogue)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import (
@@ -8,6 +10,7 @@ from repro.experiments.config import (
     SystemConfig,
     scaled_config,
 )
+from repro.storage.disk import DiskParameters
 
 
 class TestPaperTable1:
@@ -45,6 +48,14 @@ class TestSystemConfig:
         h = scaled_config(8).build_hierarchy()
         assert h.num_clients == 8
         assert h.level_names() == ["L1", "L2", "L3"]
+
+    def test_build_filesystem(self):
+        disk = DiskParameters(rpm=7_200, avg_seek_ms=8.5)
+        cfg = replace(scaled_config(8), chunk_elems=32, disk=disk)
+        fs = cfg.build_filesystem()
+        assert fs.num_storage_nodes == cfg.num_storage_nodes == 2
+        assert fs.chunk_bytes == cfg.chunk_elems * 1024  # 1 element == 1 KB
+        assert all(d.params == disk for d in fs.disks)
 
     def test_with_topology(self):
         cfg = DEFAULT_CONFIG.with_topology(128, 32, 16)

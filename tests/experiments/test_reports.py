@@ -122,6 +122,13 @@ class TestDiscussion:
         reports = discussion.run(scaled_config(8))
         assert len(reports) == 2
 
+    def test_dependences_honour_prefetch_degree(self):
+        def exec_sync(**overrides):
+            config = scaled_config(16, **overrides)
+            return discussion._build_dependences(config).summary["exec_sync"]
+
+        assert exec_sync(prefetch_degree=2) != exec_sync()
+
 
 class TestExplain:
     def test_structure(self, tiny):

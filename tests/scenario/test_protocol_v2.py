@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from repro.exec.plan import SweepPlan
 from repro.experiments.config import scaled_config
 from repro.scenario.registry import get_scenario
-from repro.scenario.runner import scenario_key
+from repro.scenario.runner import add_to_plan, scenario_key
 from repro.scenario.spec import ScenarioSpec, spec_to_dict
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -82,6 +83,9 @@ class TestScenarioRequests:
         scen = task.scenario_dict()
         assert scen is not None
         assert scen["kind"] == "zipf"
+        plan = SweepPlan()
+        add_to_plan(plan, get_scenario("zipf-hot"), scaled_config(8))
+        assert plan.tasks == [task]
 
 
 class TestCompatibility:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.exec.keys import experiment_key
+from repro.exec.plan import SweepPlan
 from repro.experiments.config import DEFAULT_CONFIG, scaled_config
 from repro.serve.protocol import (
     ERROR_STATUS,
@@ -117,6 +118,9 @@ class TestResolution:
         task = req.to_task()
         assert task.key == expected
         assert task.engine_dict() == {"a": 1}
+        plan = SweepPlan()
+        plan.add("hf", scaled_config(16), "inter", {"a": 1})
+        assert plan.tasks == [task]
 
 
 class TestDocs:

@@ -47,14 +47,7 @@ def main() -> int:
     for name in workload_names():
         artifact = record(name, config=config, version=GOLDEN_VERSION)
         save_artifact(golden_path(name), artifact)
-        hierarchy = config.build_hierarchy()
-        from repro.storage.filesystem import ParallelFileSystem
-
-        fs = ParallelFileSystem(
-            config.num_storage_nodes,
-            chunk_bytes=config.chunk_elems * 1024,
-            disk_params=config.disk,
-        )
+        hierarchy, fs = config.build_hierarchy(), config.build_filesystem()
         sim = reference(
             artifact.streams,
             hierarchy,

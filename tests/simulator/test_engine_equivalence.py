@@ -40,13 +40,7 @@ WORKLOADS = golden_workloads()
 
 
 def fresh_machine(config):
-    hierarchy = config.build_hierarchy()
-    fs = ParallelFileSystem(
-        config.num_storage_nodes,
-        chunk_bytes=config.chunk_elems * 1024,
-        disk_params=config.disk,
-    )
-    return hierarchy, fs
+    return config.build_hierarchy(), config.build_filesystem()
 
 
 def replay_on(artifact, engine_name):
