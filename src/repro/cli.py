@@ -341,7 +341,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tracer=tracer,
             max_queue=args.max_queue,
             max_batch=args.max_batch,
-            max_wait_ms=args.batch_wait_ms,
             request_timeout_s=args.request_timeout,
             default_scale=args.scale,
         )
@@ -398,7 +397,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             workers_per_shard=max(1, args.workers),
             max_queue=args.max_queue,
             max_batch=args.max_batch,
-            batch_wait_ms=args.batch_wait_ms,
             request_timeout_s=args.request_timeout,
             max_inflight=args.max_inflight,
             default_scale=args.scale,
@@ -424,7 +422,6 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
         workers=max(1, args.workers),
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        max_wait_ms=args.batch_wait_ms,
         request_timeout_s=args.request_timeout,
         default_scale=args.scale,
         cache_max_bytes=_cache_max_bytes(args),
@@ -1194,14 +1191,6 @@ FLAG_GROUPS = {
             default=8,
             metavar="N",
             help="micro-batch size fed to the backend executor (default: 8)",
-        ),
-        _arg(
-            "--batch-wait-ms",
-            type=float,
-            default=0.0,
-            metavar="MS",
-            help="hold a micro-batch open this long for more requests "
-            "(default: 0, dispatch what is queued)",
         ),
         _arg(
             "--request-timeout",

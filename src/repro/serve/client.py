@@ -17,8 +17,9 @@ saturated or draining shard.  The same clients talk to a single
 ``repro serve`` and to a shard cluster's router; the protocol is
 identical by construction.
 
-Used by the ``repro request`` CLI, the serve/shard tests, the CI smoke
-jobs and ``benchmarks/bench_serve.py`` / ``bench_shard.py``.
+Used by the ``repro request`` CLI, the shard cluster's start-up health
+poll, the serve/shard tests and ``benchmarks/bench_serve.py`` /
+``bench_shard.py``.
 """
 
 from __future__ import annotations
@@ -143,17 +144,28 @@ def _raise_for_error(status: int, body: bytes, headers: Mapping[str, str]):
     )
 
 
-def _build_response(
-    status: int, body: bytes, headers: Mapping[str, str]
-) -> ServeResponse:
+def _decode(
+    status: int, body: bytes, headers: Mapping[str, str], text: bool = False
+) -> Any:
+    """A successful answer's body: its JSON document, or ``text``.
+
+    Error statuses raise their typed :class:`ServeError`, and so does a
+    body that does not decode.
+    """
     if status >= 400:
         _raise_for_error(status, body, headers)
     try:
-        doc = json.loads(body.decode("utf-8"))
+        decoded = body.decode("utf-8")
+        return decoded if text else json.loads(decoded)
     except (UnicodeDecodeError, ValueError) as exc:
         raise ServeError("internal", f"undecodable response body: {exc}") from None
+
+
+def _build_response(
+    status: int, body: bytes, headers: Mapping[str, str]
+) -> ServeResponse:
     return ServeResponse(
-        doc=doc,
+        doc=_decode(status, body, headers),
         status=status,
         body=body,
         source=headers.get("x-repro-source", ""),
@@ -289,36 +301,21 @@ class ServeClient:
 
     def admin_drain(self, shard: str) -> dict[str, Any]:
         """POST /admin/drain — remove one member from a shard cluster."""
-        status, body, headers = self._request(
-            "POST", "/admin/drain", encode_doc({"shard": shard})
+        return _decode(
+            *self._request("POST", "/admin/drain", encode_doc({"shard": shard}))
         )
-        if status >= 400:
-            _raise_for_error(status, body, headers)
-        return json.loads(body)
 
     def debugz(self) -> dict[str, Any]:
-        status, body, headers = self._request("GET", "/debugz")
-        if status >= 400:
-            _raise_for_error(status, body, headers)
-        return json.loads(body)
+        return _decode(*self._request("GET", "/debugz"))
 
     def health(self) -> dict[str, Any]:
-        status, body, _ = self._request("GET", "/healthz")
-        if status != 200:
-            raise ServeError("internal", f"healthz returned {status}", status)
-        return json.loads(body)
+        return _decode(*self._request("GET", "/healthz"))
 
     def statusz(self) -> dict[str, Any]:
-        status, body, headers = self._request("GET", "/statusz")
-        if status >= 400:
-            _raise_for_error(status, body, headers)
-        return json.loads(body)
+        return _decode(*self._request("GET", "/statusz"))
 
     def metrics_text(self) -> str:
-        status, body, headers = self._request("GET", "/metrics")
-        if status >= 400:
-            _raise_for_error(status, body, headers)
-        return body.decode("utf-8")
+        return _decode(*self._request("GET", "/metrics"), text=True)
 
 
 class AsyncServeClient:
@@ -412,19 +409,10 @@ class AsyncServeClient:
         )
 
     async def debugz(self) -> dict[str, Any]:
-        status, body, headers = await self._request("GET", "/debugz")
-        if status >= 400:
-            _raise_for_error(status, body, headers)
-        return json.loads(body)
+        return _decode(*await self._request("GET", "/debugz"))
 
     async def statusz(self) -> dict[str, Any]:
-        status, body, headers = await self._request("GET", "/statusz")
-        if status >= 400:
-            _raise_for_error(status, body, headers)
-        return json.loads(body)
+        return _decode(*await self._request("GET", "/statusz"))
 
     async def health(self) -> dict[str, Any]:
-        status, body, _ = await self._request("GET", "/healthz")
-        if status != 200:
-            raise ServeError("internal", f"healthz returned {status}", status)
-        return json.loads(body)
+        return _decode(*await self._request("GET", "/healthz"))

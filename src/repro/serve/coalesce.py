@@ -7,12 +7,11 @@ the store is consulted **before** anything is enqueued — a warm key
 never simulates, never batches, never waits.  A batch is whatever is
 queued when the batcher comes round (up to ``max_batch`` tasks): under
 load, requests that arrive while one batch runs form the next, and a
-lone request dispatches at once.  ``max_wait_ms > 0`` opts in to
-holding a batch open that long for more arrivals.  A batch runs on the batch
-path's own miss path, :func:`~repro.exec.plan.run_misses`: tasks that
-share a :class:`~repro.exec.keys.MappingKey` map once, and the batch is
-one ``run_payloads`` call on the executor whose pool the server holds
-for its whole life.
+lone request dispatches at once.  A batch runs on the batch path's own
+miss path, :func:`~repro.exec.plan.run_misses`: tasks that share a
+:class:`~repro.exec.keys.MappingKey` map once, and the batch is one
+``run_payloads`` call on the executor whose pool the server holds for
+its whole life.
 
 Threading model: all coalescer state (in-flight map, pending queue)
 lives on the event loop; only the miss path itself runs in a worker
@@ -77,16 +76,12 @@ class Coalescer:
         executor: ExperimentExecutor | None = None,
         store=None,
         max_batch: int = 8,
-        max_wait_ms: float = 0.0,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self.executor = executor if executor is not None else ExperimentExecutor()
         self.store = store
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_ms / 1000.0
         self._inflight: dict[str, asyncio.Future] = {}
         # Queue entries carry the submitting request's span context so
         # the worker-side exec.task span reattaches to the *leader*
@@ -175,27 +170,12 @@ class Coalescer:
 
         One yield to the loop first lets submitters woken in the same
         tick enqueue; then the queue is drained up to ``max_batch``
-        without waiting.  Only ``max_wait_s > 0`` holds the batch open
-        for later arrivals.
+        without waiting.
         """
         batch = [await self._queue.get()]
         await asyncio.sleep(0)
         while len(batch) < self.max_batch and not self._queue.empty():
             batch.append(self._queue.get_nowait())
-        if self.max_wait_s <= 0:
-            return batch
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_wait_s
-        while len(batch) < self.max_batch:
-            timeout = deadline - loop.time()
-            if timeout <= 0:
-                break
-            try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), timeout)
-                )
-            except asyncio.TimeoutError:
-                break
         return batch
 
     async def _run_batches(self) -> None:

@@ -10,9 +10,16 @@ any of it.  A deliberately small HTTP/1.1 implementation over
 and can't share event-loop state such as the coalescer or the router's
 per-shard gates).
 
-Subclasses implement ``_route(path, request, writer)`` plus optional
-``_startup()`` / ``_shutdown()`` hooks; the base owns:
+Subclasses declare their endpoints in ``ENDPOINTS`` (path →
+``(method, handler name)``, extending the base table that holds
+``/metricsz`` and ``/debugz``) plus optional ``_startup()`` /
+``_shutdown()`` hooks; the base owns:
 
+* dispatch from that table: an unknown path is a typed ``not_found``,
+  a known path asked with the wrong method a ``method_not_allowed``;
+* the server's lifetime: ``serve_forever`` installs ``registry`` and
+  ``tracer`` (when given) as the process-wide active ones until the
+  drain ends;
 * request framing and limits (header count, body size) with typed
   :class:`~repro.serve.protocol.ProtocolError` rejections;
 * the per-dispatch request id (client-supplied ids are echoed when
@@ -46,13 +53,14 @@ from repro.obs.context import (
     new_request_id,
     sanitize_request_id,
 )
+from repro.obs.tracer import use_tracer
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     encode_doc,
     error_doc,
 )
-from repro.telemetry import get_registry
+from repro.telemetry import get_registry, use_registry
 from repro.util.log import get_logger
 
 __all__ = [
@@ -169,14 +177,24 @@ class HttpRequest:
 
 
 class AsyncHttpServer:
-    """One event loop, one listener, graceful drain; routing is yours.
+    """One event loop, one listener, graceful drain; endpoints are yours.
 
     ``serve_forever()`` blocks until a drain completes and returns the
     process exit code; tests (and the shard cluster) drive the same
     object from a thread via ``ready``/``port``/``request_shutdown()``.
-    ``shard_id``, when set, stamps every response with the
-    ``X-Repro-Shard`` attribution header.
+    ``registry`` (a live :class:`~repro.telemetry.MetricsRegistry`) and
+    ``tracer`` (a live :class:`~repro.obs.tracer.Tracer`) are installed
+    process-wide for the server's lifetime; ``None`` leaves whatever is
+    already active.  ``shard_id``, when set, stamps every response with
+    the ``X-Repro-Shard`` attribution header.
     """
+
+    #: path → (HTTP method, handler method name).  Subclasses extend it:
+    #: ``ENDPOINTS = {**AsyncHttpServer.ENDPOINTS, "/x": ("GET", "_handle_x")}``.
+    ENDPOINTS: Mapping[str, tuple[str, str]] = {
+        "/metricsz": ("GET", "_handle_metricsz"),
+        "/debugz": ("GET", "_handle_debugz"),
+    }
 
     def __init__(
         self,
@@ -184,11 +202,15 @@ class AsyncHttpServer:
         port: int = 0,
         drain_grace_s: float = 30.0,
         shard_id: str = "",
+        registry=None,
+        tracer=None,
     ):
         self.host = host
         self.port = port
         self.drain_grace_s = drain_grace_s
         self.shard_id = shard_id
+        self.registry = registry
+        self.tracer = tracer
         #: Set once the listener is bound (``port`` is then the real one).
         self.ready = threading.Event()
         self._busy = 0
@@ -203,7 +225,12 @@ class AsyncHttpServer:
 
     def serve_forever(self, install_signals: bool = True) -> int:
         """Run until shutdown; returns the process exit code (0 = drained)."""
-        return asyncio.run(self._serve(install_signals))
+        with contextlib.ExitStack() as stack:
+            if self.registry is not None:
+                stack.enter_context(use_registry(self.registry))
+            if self.tracer is not None:
+                stack.enter_context(use_tracer(self.tracer))
+            return asyncio.run(self._serve(install_signals))
 
     def request_shutdown(self) -> None:
         """Begin a graceful drain; thread-safe, callable from anywhere."""
@@ -412,15 +439,20 @@ class AsyncHttpServer:
         )
         token = _REQUEST_ID.set(request_id)
         try:
-            await self._route(path, request, writer)
+            endpoint = self.ENDPOINTS.get(path)
+            if endpoint is None:
+                raise ProtocolError("not_found", f"no such endpoint {path!r}")
+            method, handler = endpoint
+            if request.method != method:
+                raise ProtocolError(
+                    "method_not_allowed",
+                    f"{request.target} takes {method}, not {request.method}",
+                )
+            await getattr(self, handler)(request, writer)
         except ProtocolError as exc:
             await self._respond_error(writer, exc, keep_alive=request.keep_alive)
         finally:
             _REQUEST_ID.reset(token)
-
-    async def _route(self, path: str, request: HttpRequest, writer) -> None:
-        """Subclass hook: handle one request or raise a ProtocolError."""
-        raise ProtocolError("not_found", f"no such endpoint {path!r}")
 
     # -- shared ops endpoints -----------------------------------------------------
 
@@ -432,7 +464,6 @@ class AsyncHttpServer:
         folds, histograms included (shared ``BUCKET_BOUNDS`` make the
         bucket counts add element-wise across shards).
         """
-        self._require_method(request, "GET")
         doc = {
             "record": "repro-serve-metricsz",
             "protocol_version": PROTOCOL_VERSION,
@@ -453,7 +484,6 @@ class AsyncHttpServer:
         from repro.obs.slo import slo_report
         from repro.obs.tracer import get_tracer
 
-        self._require_method(request, "GET")
         tracer = get_tracer()
         spans = tracer.spans()
         doc = {
@@ -471,10 +501,3 @@ class AsyncHttpServer:
         await self._respond(
             writer, 200, encode_doc(doc), keep_alive=request.keep_alive
         )
-
-    def _require_method(self, request: HttpRequest, method: str) -> None:
-        if request.method != method:
-            raise ProtocolError(
-                "method_not_allowed",
-                f"{request.target} takes {method}, not {request.method}",
-            )

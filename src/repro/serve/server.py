@@ -35,24 +35,23 @@ as a shard worker (``shard_id`` set) every response also carries the
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import time
 
-from repro.obs.tracer import span, use_tracer
+from repro.obs.tracer import span
 from repro.serve.coalesce import Coalescer
 from repro.serve.http import AsyncHttpServer, HttpRequest, current_request_id
 from repro.serve.protocol import (
-    BATCH_RESPONSE_RECORD,
     PROTOCOL_VERSION,
     ProtocolError,
     apply_default_scale,
+    batch_response_doc,
     encode_doc,
     error_doc,
     parse_batch_request,
     parse_request,
     response_doc,
 )
-from repro.telemetry import get_registry, to_prometheus_text, use_registry
+from repro.telemetry import get_registry, to_prometheus_text
 from repro.util.log import get_logger
 
 __all__ = ["SERVE_COUNTERS", "MappingServer"]
@@ -77,16 +76,20 @@ class MappingServer(AsyncHttpServer):
     :class:`~repro.exec.store.MemoryStore` at least, or warm keys will
     re-simulate once their in-flight window closes).  ``serve_forever``
     holds the executor's ``with`` block until the drain ends, so its
-    pool is forked once and joined on exit.  ``registry``
-    (a live :class:`~repro.telemetry.MetricsRegistry`) is installed as
-    the process-wide active registry for the server's lifetime so
-    ``/metrics`` and ``/statusz`` have something to report; ``None``
-    leaves whatever registry is already active.
-
-    ``serve_forever()`` blocks until a drain completes and returns the
-    process exit code; tests drive the same object from a thread via
-    ``ready``/``port``/``request_shutdown()``.
+    pool is forked once and joined on exit.  ``registry`` and
+    ``tracer`` are installed for the server's lifetime by
+    :class:`~repro.serve.http.AsyncHttpServer`, so ``/metrics``,
+    ``/statusz`` and ``/debugz`` have something to report.
     """
+
+    ENDPOINTS = {
+        **AsyncHttpServer.ENDPOINTS,
+        "/healthz": ("GET", "_handle_healthz"),
+        "/statusz": ("GET", "_handle_statusz"),
+        "/metrics": ("GET", "_handle_metrics"),
+        "/v1/experiment": ("POST", "_handle_experiment"),
+        "/v1/batch": ("POST", "_handle_batch"),
+    }
 
     def __init__(
         self,
@@ -98,7 +101,6 @@ class MappingServer(AsyncHttpServer):
         tracer=None,
         max_queue: int = 64,
         max_batch: int = 8,
-        max_wait_ms: float = 0.0,
         request_timeout_s: float = 300.0,
         drain_grace_s: float = 30.0,
         default_scale: int = 0,
@@ -107,36 +109,26 @@ class MappingServer(AsyncHttpServer):
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         super().__init__(
-            host=host, port=port, drain_grace_s=drain_grace_s, shard_id=shard_id
+            host=host,
+            port=port,
+            drain_grace_s=drain_grace_s,
+            shard_id=shard_id,
+            registry=registry,
+            tracer=tracer,
         )
-        self.registry = registry
-        #: Live :class:`~repro.obs.tracer.Tracer` installed process-wide
-        #: for the server's lifetime (``None`` = tracing off, the
-        #: default); feeds ``/debugz`` and the span log.
-        self.tracer = tracer
         self.max_queue = max_queue
         self.request_timeout_s = request_timeout_s
         self.default_scale = default_scale
-        self.coalescer = Coalescer(
-            executor=executor,
-            store=store,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-        )
+        self.coalescer = Coalescer(executor=executor, store=store, max_batch=max_batch)
         self._active = 0
 
     # -- lifecycle ----------------------------------------------------------------
 
     def serve_forever(self, install_signals: bool = True) -> int:
         """Run until shutdown; returns the process exit code (0 = drained)."""
-        with contextlib.ExitStack() as stack:
-            if self.registry is not None:
-                stack.enter_context(use_registry(self.registry))
-            if self.tracer is not None:
-                stack.enter_context(use_tracer(self.tracer))
-            # Every batch shares the executor's one pool; leaving the
-            # block after the drain (or a failed start) joins its workers.
-            stack.enter_context(self.coalescer.executor)
+        # Every batch shares the executor's one pool; leaving the block
+        # after the drain (or a failed start) joins its workers.
+        with self.coalescer.executor:
             return super().serve_forever(install_signals)
 
     async def _startup(self) -> None:
@@ -151,34 +143,14 @@ class MappingServer(AsyncHttpServer):
     def _describe(self) -> str:
         return (
             f"max_queue={self.max_queue}, "
-            f"batch={self.coalescer.max_batch}/"
-            f"{self.coalescer.max_wait_s * 1000:.0f}ms, "
+            f"max_batch={self.coalescer.max_batch}, "
             f"backend={self.coalescer.executor!r}"
             + (f", shard={self.shard_id}" if self.shard_id else "")
         )
 
-    # -- routing ------------------------------------------------------------------
-
-    async def _route(self, path: str, request: HttpRequest, writer) -> None:
-        if path == "/healthz":
-            await self._handle_healthz(request, writer)
-        elif path == "/statusz":
-            await self._handle_statusz(request, writer)
-        elif path == "/metrics":
-            await self._handle_metrics(request, writer)
-        elif path == "/metricsz":
-            await self._handle_metricsz(request, writer)
-        elif path == "/debugz":
-            await self._handle_debugz(request, writer)
-        elif path == "/v1/experiment":
-            await self._handle_experiment(request, writer)
-        elif path == "/v1/batch":
-            await self._handle_batch(request, writer)
-        else:
-            raise ProtocolError("not_found", f"no such endpoint {path!r}")
+    # -- ops endpoints ------------------------------------------------------------
 
     async def _handle_healthz(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "GET")
         status = "draining" if self.draining else "ok"
         await self._respond(
             writer,
@@ -188,7 +160,6 @@ class MappingServer(AsyncHttpServer):
         )
 
     async def _handle_statusz(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "GET")
         reg = get_registry()
 
         def count(name: str) -> int:
@@ -210,7 +181,6 @@ class MappingServer(AsyncHttpServer):
                 "coalesced": count("serve.coalesced"),
                 "batches": count("serve.batches"),
                 "max_batch": self.coalescer.max_batch,
-                "max_wait_ms": self.coalescer.max_wait_s * 1000.0,
             },
             "store": store.stats().as_dict() if store is not None else None,
             "backend": {
@@ -228,7 +198,6 @@ class MappingServer(AsyncHttpServer):
         )
 
     async def _handle_metrics(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "GET")
         text = to_prometheus_text(get_registry())
         await self._respond(
             writer,
@@ -298,7 +267,6 @@ class MappingServer(AsyncHttpServer):
         return submitted, source
 
     async def _handle_experiment(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "POST")
         # Saturation answers before the body is even parsed — rejection
         # stays cheap exactly when the server can least afford work.
         self._admit()
@@ -344,7 +312,6 @@ class MappingServer(AsyncHttpServer):
         back as typed error documents *inside* the batch response, in
         request order, so one bad item never costs the rest.
         """
-        self._require_method(request, "POST")
         mappings = parse_batch_request(request.body)
         self._admit(len(mappings))
         start = time.perf_counter()
@@ -360,15 +327,10 @@ class MappingServer(AsyncHttpServer):
             get_registry().histogram("serve.request_seconds").observe(
                 time.perf_counter() - start
             )
-        doc = {
-            "record": BATCH_RESPONSE_RECORD,
-            "protocol_version": PROTOCOL_VERSION,
-            "items": items,
-        }
         await self._respond(
             writer,
             200,
-            encode_doc(doc),
+            encode_doc(batch_response_doc(items)),
             extra_headers={
                 "X-Repro-Batch-Size": str(len(mappings)),
                 "X-Repro-Sources": ",".join(sources),

@@ -37,6 +37,7 @@ import subprocess
 import sys
 import time
 
+from repro.serve.client import ServeClient, ServeError
 from repro.shard.partition import partition_dir, rebalance, shard_ids
 from repro.shard.ring import DEFAULT_VNODES, HashRing
 from repro.shard.router import ShardRouter
@@ -65,7 +66,6 @@ class ShardCluster:
         workers_per_shard: int = 1,
         max_queue: int = 64,
         max_batch: int = 8,
-        batch_wait_ms: float = 0.0,
         request_timeout_s: float = 300.0,
         max_inflight: int = 64,
         default_scale: int = 0,
@@ -82,7 +82,6 @@ class ShardCluster:
         self.workers_per_shard = workers_per_shard
         self.max_queue = max_queue
         self.max_batch = max_batch
-        self.batch_wait_ms = batch_wait_ms
         self.request_timeout_s = request_timeout_s
         self.default_scale = default_scale
         self.cache_max_bytes = cache_max_bytes
@@ -130,8 +129,6 @@ class ShardCluster:
             str(self.max_queue),
             "--max-batch",
             str(self.max_batch),
-            "--batch-wait-ms",
-            str(self.batch_wait_ms),
             "--request-timeout",
             str(self.request_timeout_s),
         ]
@@ -163,8 +160,6 @@ class ShardCluster:
         self._wait_healthy()
 
     def _wait_healthy(self) -> None:
-        import http.client
-
         deadline = time.monotonic() + self.startup_timeout_s
         for shard, (host, port) in sorted(self.router.backends.items()):
             while True:
@@ -174,14 +169,10 @@ class ShardCluster:
                         f"{shard} exited with {proc.returncode} during startup"
                     )
                 try:
-                    conn = http.client.HTTPConnection(host, port, timeout=5.0)
-                    try:
-                        conn.request("GET", "/healthz")
-                        if conn.getresponse().status == 200:
-                            break
-                    finally:
-                        conn.close()
-                except OSError:
+                    with ServeClient(f"http://{host}:{port}", timeout=5.0) as client:
+                        client.health()
+                    break
+                except (OSError, ServeError):
                     pass
                 if time.monotonic() > deadline:
                     raise RuntimeError(f"{shard} never became healthy")

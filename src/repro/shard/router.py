@@ -39,12 +39,11 @@ Zero lost requests, zero re-simulation.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import time
 
 from repro.obs.context import REQUEST_ID_HEADER
-from repro.obs.tracer import span, use_tracer
+from repro.obs.tracer import span
 from repro.serve.http import (
     SHARD_HEADER,
     AsyncHttpServer,
@@ -58,6 +57,7 @@ from repro.serve.protocol import (
     ProtocolError,
     apply_default_scale,
     batch_request_doc,
+    batch_response_doc,
     encode_doc,
     error_doc,
     parse_batch_request,
@@ -68,7 +68,6 @@ from repro.telemetry import (
     get_registry,
     label_snapshot,
     to_prometheus_text,
-    use_registry,
 )
 from repro.util.log import get_logger
 
@@ -84,15 +83,16 @@ SHARD_COUNTERS = (
     "shard.drains",
 )
 
-#: The per-request headers relayed from a worker answer to the client.
-_RELAY_HEADERS = (
-    "x-repro-source",
-    "x-repro-batch-size",
-    "x-repro-sources",
-    "x-repro-digest",
-    "x-repro-shard",
-    "retry-after",
-)
+#: The per-request headers relayed from a worker answer to the client:
+#: lower-cased name as received → name as sent.
+_RELAY_HEADERS = {
+    "x-repro-source": "X-Repro-Source",
+    "x-repro-batch-size": "X-Repro-Batch-Size",
+    "x-repro-sources": "X-Repro-Sources",
+    "x-repro-digest": "X-Repro-Digest",
+    "x-repro-shard": SHARD_HEADER,
+    "retry-after": "Retry-After",
+}
 
 
 class ShardRouter(AsyncHttpServer):
@@ -105,6 +105,16 @@ class ShardRouter(AsyncHttpServer):
     ``store_root`` (the partition root) is required for drain and
     reported in ``/statusz``.
     """
+
+    ENDPOINTS = {
+        **AsyncHttpServer.ENDPOINTS,
+        "/healthz": ("GET", "_handle_healthz"),
+        "/statusz": ("GET", "_handle_statusz"),
+        "/metrics": ("GET", "_handle_metrics"),
+        "/v1/experiment": ("POST", "_handle_experiment"),
+        "/v1/batch": ("POST", "_handle_batch"),
+        "/admin/drain": ("POST", "_handle_drain"),
+    }
 
     def __init__(
         self,
@@ -124,12 +134,16 @@ class ShardRouter(AsyncHttpServer):
     ):
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
-        super().__init__(host=host, port=port, drain_grace_s=drain_grace_s)
+        super().__init__(
+            host=host,
+            port=port,
+            drain_grace_s=drain_grace_s,
+            registry=registry,
+            tracer=tracer,
+        )
         self.ring = ring
         self.backends = dict(backends)
         self.store_root = store_root
-        self.registry = registry
-        self.tracer = tracer
         self.max_inflight = max_inflight
         self.request_timeout_s = request_timeout_s
         #: Ops fan-out timeout (healthz/statusz/metrics polls) — short,
@@ -153,14 +167,6 @@ class ShardRouter(AsyncHttpServer):
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def serve_forever(self, install_signals: bool = True) -> int:
-        with contextlib.ExitStack() as stack:
-            if self.registry is not None:
-                stack.enter_context(use_registry(self.registry))
-            if self.tracer is not None:
-                stack.enter_context(use_tracer(self.tracer))
-            return super().serve_forever(install_signals)
-
     async def _startup(self) -> None:
         # Coverage is checked here, not in __init__: the cluster
         # constructs the router first and fills ``backends`` as workers
@@ -176,28 +182,6 @@ class ShardRouter(AsyncHttpServer):
             f"router over {len(self.backends)} shard(s) "
             f"{list(self.ring.members)}, max_inflight={self.max_inflight}/shard"
         )
-
-    # -- routing ------------------------------------------------------------------
-
-    async def _route(self, path: str, request: HttpRequest, writer) -> None:
-        if path == "/healthz":
-            await self._handle_healthz(request, writer)
-        elif path == "/statusz":
-            await self._handle_statusz(request, writer)
-        elif path == "/metrics":
-            await self._handle_metrics(request, writer)
-        elif path == "/metricsz":
-            await self._handle_metricsz(request, writer)
-        elif path == "/debugz":
-            await self._handle_debugz(request, writer)
-        elif path == "/v1/experiment":
-            await self._handle_experiment(request, writer)
-        elif path == "/v1/batch":
-            await self._handle_batch(request, writer)
-        elif path == "/admin/drain":
-            await self._handle_drain(request, writer)
-        else:
-            raise ProtocolError("not_found", f"no such endpoint {path!r}")
 
     # -- placement + admission ----------------------------------------------------
 
@@ -279,24 +263,15 @@ class ShardRouter(AsyncHttpServer):
 
     @staticmethod
     def _relay_headers(headers: dict[str, str]) -> dict[str, str]:
-        canonical = {
-            "x-repro-source": "X-Repro-Source",
-            "x-repro-batch-size": "X-Repro-Batch-Size",
-            "x-repro-sources": "X-Repro-Sources",
-            "x-repro-digest": "X-Repro-Digest",
-            "x-repro-shard": SHARD_HEADER,
-            "retry-after": "Retry-After",
-        }
         return {
-            canonical[lower]: headers[lower]
-            for lower in _RELAY_HEADERS
+            name: headers[lower]
+            for lower, name in _RELAY_HEADERS.items()
             if lower in headers
         }
 
     # -- the protocol endpoints ---------------------------------------------------
 
     async def _handle_experiment(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "POST")
         digest = self._routing_digest(parse_request(request.body))
         shard = await self._owner(digest)
         self._admit(shard)
@@ -332,7 +307,6 @@ class ShardRouter(AsyncHttpServer):
 
     async def _handle_batch(self, request: HttpRequest, writer) -> None:
         """Fan a batch out shard-by-shard, reassemble in request order."""
-        self._require_method(request, "POST")
         mappings = parse_batch_request(request.body)
         # The raw per-item documents, for verbatim sub-batch forwarding.
         raw_items = json.loads(request.body.decode("utf-8"))["requests"]
@@ -396,15 +370,10 @@ class ShardRouter(AsyncHttpServer):
             await asyncio.gather(
                 *(run_shard(s, idx) for s, idx in sorted(by_shard.items()))
             )
-        doc = {
-            "record": BATCH_RESPONSE_RECORD,
-            "protocol_version": PROTOCOL_VERSION,
-            "items": items,
-        }
         await self._respond(
             writer,
             200,
-            encode_doc(doc),
+            encode_doc(batch_response_doc(items)),
             extra_headers={
                 "X-Repro-Batch-Size": str(len(mappings)),
                 "X-Repro-Sources": ",".join(sources),
@@ -432,7 +401,6 @@ class ShardRouter(AsyncHttpServer):
         return dict(results)
 
     async def _handle_healthz(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "GET")
         polled = await self._poll_shards("/healthz")
         shards = {
             shard: (doc or {}).get("status", "unreachable")
@@ -452,7 +420,6 @@ class ShardRouter(AsyncHttpServer):
         )
 
     async def _handle_statusz(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "GET")
         reg = self._reg()
         shards = await self._poll_shards("/statusz")
         totals = {"simulations": 0, "store_entries": 0, "active": 0}
@@ -497,7 +464,6 @@ class ShardRouter(AsyncHttpServer):
         histogram bucket bounds make even latency distributions compose
         exactly across the cluster.
         """
-        self._require_method(request, "GET")
         merged = MetricsRegistry()
         for shard, doc in (await self._poll_shards("/metricsz")).items():
             if not doc:
@@ -578,7 +544,6 @@ class ShardRouter(AsyncHttpServer):
         }
 
     async def _handle_drain(self, request: HttpRequest, writer) -> None:
-        self._require_method(request, "POST")
         try:
             doc = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):

@@ -36,7 +36,6 @@ def build_worker(
     workers: int = 1,
     max_queue: int = 64,
     max_batch: int = 8,
-    max_wait_ms: float = 0.0,
     request_timeout_s: float = 300.0,
     drain_grace_s: float = 30.0,
     default_scale: int = 0,
@@ -65,7 +64,6 @@ def build_worker(
         tracer=tracer,
         max_queue=max_queue,
         max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
         request_timeout_s=request_timeout_s,
         drain_grace_s=drain_grace_s,
         default_scale=default_scale,

@@ -1,21 +1,15 @@
-"""Tag bit-vectors and cluster signatures (paper §4.2-4.3).
+"""Tag bit-vectors (paper §4.2).
 
 The paper assigns every loop iteration an *r*-bit tag ``Λ = λ0 λ1 … λ(r-1)``
-where bit *k* is set iff the iteration touches data chunk ``π_k``.  Two
-derived quantities drive the whole mapping algorithm:
-
-* the **dot product** ``Λi • Λj`` — for 0/1 tags this equals
-  ``popcount(Λi AND Λj)``, the number of data chunks the two tags share
-  (the edge weight of the affinity graph, Fig. 5);
-* the **bitwise sum** of the tags in a cluster — the cluster's
-  *signature*.  Signatures are integer count vectors, so the dot product
-  between signatures weighs chunks by how many member tags touch them.
+where bit *k* is set iff the iteration touches data chunk ``π_k``.  The
+**dot product** ``Λi • Λj`` — for 0/1 tags ``popcount(Λi AND Λj)``, the
+number of data chunks the two tags share — is the edge weight of the
+affinity graph (Fig. 5).
 
 Tags are sparse in practice (an iteration touches a handful of chunks out
 of thousands), so :class:`Tag` stores the set of set-bit indices and the
-universe size ``r``.  :class:`Signature` is a dense ``int64`` vector for
-vectorised dot products; the clustering loop manipulates only a few dozen
-signatures at a time, so dense storage is cheap.
+universe size ``r``.  Clustering works on per-cluster chunk count arrays
+(:mod:`repro.core.clustering`), not on tags.
 """
 
 from __future__ import annotations
@@ -24,19 +18,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Tag", "Signature", "popcount", "hamming_distance"]
+__all__ = ["Tag", "popcount"]
 
 
 def popcount(mask: int) -> int:
     """Number of set bits in an arbitrary-precision Python integer."""
     return int(mask).bit_count()
-
-
-def hamming_distance(a: "Tag", b: "Tag") -> int:
-    """Number of bit positions where two tags differ (paper §4.2)."""
-    if a.nbits != b.nbits:
-        raise ValueError(f"tag widths differ: {a.nbits} != {b.nbits}")
-    return len(a.chunks.symmetric_difference(b.chunks))
 
 
 class Tag:
@@ -128,9 +115,6 @@ class Tag:
         )
         return sum(1 for c in small if c in large)
 
-    def hamming(self, other: "Tag") -> int:
-        return hamming_distance(self, other)
-
     def union(self, other: "Tag") -> "Tag":
         if self.nbits != other.nbits:
             raise ValueError(f"tag widths differ: {self.nbits} != {other.nbits}")
@@ -144,10 +128,6 @@ class Tag:
     def popcount(self) -> int:
         """Number of distinct data chunks this tag touches."""
         return len(self.chunks)
-
-    def signature(self) -> "Signature":
-        """Promote to a count-vector signature (each set bit counts once)."""
-        return Signature(self.to_vector())
 
     # -- dunder ------------------------------------------------------------------
 
@@ -175,87 +155,3 @@ class Tag:
             return f"Tag({self.to_bitstring()!r})"
         return f"Tag(nbits={self.nbits}, chunks={sorted(self.chunks)!r})"
 
-
-class Signature:
-    """A cluster signature: the element-wise ("bitwise") sum of member tags.
-
-    The paper's clustering stage merges the pair of clusters whose
-    signatures maximise the dot product ``αp • αq`` (Fig. 5, Stage 1).
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: np.ndarray):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ValueError("signature must be a 1-D count vector")
-        if (counts < 0).any():
-            raise ValueError("signature counts must be non-negative")
-        self.counts = counts
-
-    @classmethod
-    def zeros(cls, nbits: int) -> "Signature":
-        return cls(np.zeros(nbits, dtype=np.int64))
-
-    @classmethod
-    def from_tags(cls, tags: Iterable[Tag], nbits: int) -> "Signature":
-        sig = np.zeros(nbits, dtype=np.int64)
-        for tag in tags:
-            if tag.nbits != nbits:
-                raise ValueError(f"tag width {tag.nbits} != signature width {nbits}")
-            for c in tag.chunks:
-                sig[c] += 1
-        return cls(sig)
-
-    @property
-    def nbits(self) -> int:
-        return int(self.counts.shape[0])
-
-    def dot(self, other: "Signature | Tag") -> int:
-        if isinstance(other, Tag):
-            if other.nbits != self.nbits:
-                raise ValueError("width mismatch")
-            if not other.chunks:
-                return 0
-            idx = np.fromiter(other.chunks, dtype=np.int64)
-            return int(self.counts[idx].sum())
-        if other.nbits != self.nbits:
-            raise ValueError("width mismatch")
-        return int(np.dot(self.counts, other.counts))
-
-    def add(self, other: "Signature | Tag") -> "Signature":
-        """Return a new signature with ``other`` accumulated in."""
-        if isinstance(other, Tag):
-            other = other.signature()
-        if other.nbits != self.nbits:
-            raise ValueError("width mismatch")
-        return Signature(self.counts + other.counts)
-
-    def subtract(self, other: "Signature | Tag") -> "Signature":
-        if isinstance(other, Tag):
-            other = other.signature()
-        if other.nbits != self.nbits:
-            raise ValueError("width mismatch")
-        out = self.counts - other.counts
-        if (out < 0).any():
-            raise ValueError("signature subtraction went negative")
-        return Signature(out)
-
-    def support(self) -> Tag:
-        """The OR of member tags: which chunks the cluster touches at all."""
-        return Tag(np.flatnonzero(self.counts).tolist(), self.nbits)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def copy(self) -> "Signature":
-        return Signature(self.counts.copy())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Signature) and np.array_equal(self.counts, other.counts)
-
-    def __repr__(self) -> str:
-        nz = np.flatnonzero(self.counts)
-        pairs = {int(k): int(self.counts[k]) for k in nz[:16]}
-        suffix = "…" if len(nz) > 16 else ""
-        return f"Signature(nbits={self.nbits}, {pairs}{suffix})"

@@ -104,9 +104,7 @@ class TestCoalescedSharing:
                 return await coalescer.submit(task)
 
         async def scenario():
-            coalescer = Coalescer(
-                executor=backend, store=MemoryStore(), max_wait_ms=5.0
-            )
+            coalescer = Coalescer(executor=backend, store=MemoryStore())
             task = MappingRequest("hf", "inter", scale=16).to_task()
             waiters = [
                 asyncio.ensure_future(one(i, coalescer, task))

@@ -52,9 +52,7 @@ class TestCoalescing:
         backend = GatedExecutor()
 
         async def scenario():
-            coalescer = Coalescer(
-                executor=backend, store=MemoryStore(), max_wait_ms=5.0
-            )
+            coalescer = Coalescer(executor=backend, store=MemoryStore())
             task = make_task()
             waiters = [
                 asyncio.ensure_future(coalescer.submit(task)) for _ in range(5)
@@ -101,9 +99,7 @@ class TestCoalescing:
         backend = GatedExecutor()
 
         async def scenario():
-            coalescer = Coalescer(
-                executor=backend, store=MemoryStore(), max_wait_ms=500.0
-            )
+            coalescer = Coalescer(executor=backend, store=MemoryStore())
             waiters = [
                 asyncio.ensure_future(coalescer.submit(make_task(version=v)))
                 for v in ("original", "intra")
@@ -125,9 +121,7 @@ class TestCoalescing:
         backend.gate.set()
 
         async def scenario():
-            coalescer = Coalescer(
-                executor=backend, store=None, max_batch=1, max_wait_ms=0.0
-            )
+            coalescer = Coalescer(executor=backend, store=None, max_batch=1)
             for v in ("original", "intra"):
                 await coalescer.submit(make_task(version=v))
             await coalescer.close()
@@ -189,25 +183,6 @@ class TestBatching:
             [1] + [next_batch] * next_batch + [queued - next_batch] * (queued - next_batch)
         )
 
-    def test_explicit_wait_holds_the_batch_open(self):
-        backend = GatedExecutor()
-        backend.gate.set()
-
-        async def scenario():
-            coalescer = Coalescer(
-                executor=backend, store=MemoryStore(), max_batch=2, max_wait_ms=5000.0
-            )
-            first = asyncio.ensure_future(coalescer.submit(make_task(version="original")))
-            await asyncio.sleep(0.05)
-            second = asyncio.ensure_future(coalescer.submit(make_task(version="intra")))
-            results = await asyncio.gather(first, second)
-            await coalescer.close()
-            return results
-
-        results = asyncio.run(scenario())
-        assert [r.batch_size for r in results] == [2, 2]
-        assert backend.batches == [2]
-
 
 class TestFailure:
     def test_backend_error_reaches_every_waiter(self):
@@ -235,8 +210,6 @@ class TestValidation:
     def test_bad_limits_rejected(self):
         with pytest.raises(ValueError):
             Coalescer(max_batch=0)
-        with pytest.raises(ValueError):
-            Coalescer(max_wait_ms=-1.0)
 
     def test_submitted_defaults(self):
         s = Submitted({"x": 1})

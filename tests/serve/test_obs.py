@@ -62,7 +62,7 @@ class TestRequestId:
             with ServeClient(url, timeout=60.0) as c:
                 outcomes[version] = c.experiment("hf", version, scale=16)
 
-        with ServerHarness(executor=backend, max_queue=2, max_wait_ms=0.0) as h:
+        with ServerHarness(executor=backend, max_queue=2) as h:
             threads = [
                 threading.Thread(target=fire, args=(v, h.url), daemon=True)
                 for v in ("original", "intra")

@@ -83,7 +83,7 @@ def broke_warnings():
 class TestOnePoolPerServer:
     def test_batches_share_one_pool(self):
         ex, made = pooled_executor()
-        with ServerHarness(executor=ex, max_wait_ms=200.0) as h, h.client() as c:
+        with ServerHarness(executor=ex) as h, h.client() as c:
             for pairs in BATCHES:
                 send(c, pairs)
             status = c.statusz()
@@ -94,7 +94,7 @@ class TestOnePoolPerServer:
     def test_no_pool_worker_outlives_serve_forever(self):
         ex, made = pooled_executor()
         before = live_children()
-        with ServerHarness(executor=ex, max_wait_ms=200.0) as h, h.client() as c:
+        with ServerHarness(executor=ex) as h, h.client() as c:
             for pairs in BATCHES[:2]:
                 send(c, pairs)
             # The pool stays up between batches, held by the server.
@@ -128,7 +128,7 @@ class TestOnePoolPerServer:
         # hf/original; the in-process retry in the server survives it.
         monkeypatch.setattr(executor_module, "run_payload", _exit_in_worker)
         ex, made = pooled_executor()
-        with ServerHarness(executor=ex, max_wait_ms=200.0) as h, h.client() as c:
+        with ServerHarness(executor=ex) as h, h.client() as c:
             send(c, BATCHES[0])
             assert len(broke_warnings()) == 1
             # The broken pool is dropped; none is made until a batch needs one.
@@ -154,7 +154,7 @@ class TestSharedMapping:
             for fp in configs
         ]
         k = len(items)
-        with ServerHarness(max_wait_ms=200.0) as h, h.client() as c:
+        with ServerHarness() as h, h.client() as c:
             r = c.batch(items)
             assert r.sources == ("simulated",) * k
             together = [_strip_wallclock(doc["result"]) for doc in r.items]

@@ -22,6 +22,8 @@ from repro.exec.executor import ExperimentExecutor
 from repro.exec.store import MemoryStore, ResultStore
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import MappingServer
+from repro.shard.ring import HashRing
+from repro.shard.router import ShardRouter
 from repro.telemetry import MetricsRegistry, declare_pipeline_metrics
 
 
@@ -87,6 +89,48 @@ class ServerHarness:
                 time.sleep(0.01)
 
 
+@pytest.fixture(scope="module")
+def front_ends():
+    """A MappingServer and a 1-shard ShardRouter in front of it, in threads."""
+
+    def start(front_end):
+        thread = threading.Thread(
+            target=lambda: front_end.serve_forever(install_signals=False),
+            daemon=True,
+        )
+        thread.start()
+        assert front_end.ready.wait(30.0), f"{front_end!r} never became ready"
+        return front_end, thread
+
+    server = MappingServer(port=0, store=MemoryStore(), default_scale=16)
+    running = [start(server)]
+    router = ShardRouter(
+        ring=HashRing(["shard-0"]),
+        backends={"shard-0": ("127.0.0.1", server.port)},
+        port=0,
+    )
+    running.append(start(router))
+    yield {type(f).__name__: f"http://127.0.0.1:{f.port}" for f, _ in running}
+    for front_end, thread in reversed(running):
+        front_end.request_shutdown()
+        thread.join(30.0)
+        assert not thread.is_alive(), f"{front_end!r} did not drain"
+
+
+def _wrong_methods():
+    for front_end in (MappingServer, ShardRouter):
+        for path, (method, _) in front_end.ENDPOINTS.items():
+            for wrong in ("GET", "POST", "DELETE"):
+                if wrong != method:
+                    yield pytest.param(
+                        front_end.__name__,
+                        path,
+                        method,
+                        wrong,
+                        id=f"{front_end.__name__}-{wrong}-{path}",
+                    )
+
+
 class TestOpsEndpoints:
     def test_health_statusz_metrics(self):
         with ServerHarness() as h, h.client() as c:
@@ -102,13 +146,23 @@ class TestOpsEndpoints:
             assert "exec_retries" in text
         assert h.exit_code == 0
 
-    def test_unknown_endpoint_and_methods(self):
-        with ServerHarness() as h, h.client() as c:
-            status, body, _ = c._request("GET", "/no/such/path")
-            assert status == 404
-            assert json.loads(body)["error"]["code"] == "not_found"
-            status, body, _ = c._request("GET", "/v1/experiment")
+    @pytest.mark.parametrize("front_end, path, method, wrong", _wrong_methods())
+    def test_unknown_endpoint_and_methods(
+        self, front_ends, front_end, path, method, wrong
+    ):
+        with ServeClient(front_ends[front_end], timeout=60.0) as c:
+            status, body, _ = c._request(wrong, path)
             assert status == 405
+            assert json.loads(body)["error"] == {
+                "code": "method_not_allowed",
+                "message": f"{path} takes {method}, not {wrong}",
+            }
+            status, body, _ = c._request(method, path + "/no/such/path")
+            assert status == 404
+            assert json.loads(body)["error"] == {
+                "code": "not_found",
+                "message": f"no such endpoint {path + '/no/such/path'!r}",
+            }
             status, body, _ = c._request("POST", "/v1/experiment", b"{nope")
             assert status == 400
             assert json.loads(body)["error"]["code"] == "bad_json"
@@ -197,7 +251,7 @@ class TestServing:
             with ServeClient(url, timeout=60.0) as c:
                 outcomes[version] = c.experiment("hf", version, scale=16)
 
-        with ServerHarness(executor=backend, max_queue=2, max_wait_ms=0.0) as h:
+        with ServerHarness(executor=backend, max_queue=2) as h:
             threads = [
                 threading.Thread(target=fire, args=(v, h.url), daemon=True)
                 for v in ("original", "intra")

@@ -1,10 +1,9 @@
-"""Tests for tag bit-vectors and cluster signatures."""
+"""Tests for tag bit-vectors."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.bitset import Signature, Tag, hamming_distance, popcount
+from repro.util.bitset import Tag, popcount
 
 
 def tags(nbits=st.integers(4, 64)):
@@ -116,12 +115,6 @@ class TestTagAlgebra:
         with pytest.raises(ValueError):
             Tag([0], 4).dot(Tag([0], 5))
 
-    def test_hamming_symmetric_difference(self):
-        assert Tag([0, 1, 2], 8).hamming(Tag([1, 2, 3], 8)) == 2
-
-    def test_hamming_distance_module_function(self):
-        assert hamming_distance(Tag([0], 4), Tag([0], 4)) == 0
-
     def test_union_and_intersection(self):
         a, b = Tag([0, 1], 8), Tag([1, 2], 8)
         assert a.union(b).chunks == frozenset({0, 1, 2})
@@ -153,12 +146,6 @@ class TestTagAlgebra:
         a, b = pair
         assert a.dot(b) == len(a.chunks & b.chunks)
 
-    @given(tag_pairs())
-    def test_hamming_triangle_with_zero(self, pair):
-        a, b = pair
-        zero = Tag([], a.nbits)
-        assert a.hamming(b) <= a.hamming(zero) + zero.hamming(b)
-
     @given(tags())
     def test_self_dot_is_popcount(self, t):
         assert t.dot(t) == t.popcount()
@@ -167,64 +154,3 @@ class TestTagAlgebra:
     def test_mask_roundtrip(self, t):
         assert Tag.from_mask(t.mask, t.nbits) == t
 
-
-class TestSignature:
-    def test_from_tags_counts(self):
-        sig = Signature.from_tags([Tag([0, 1], 4), Tag([1, 2], 4)], 4)
-        assert sig.counts.tolist() == [1, 2, 1, 0]
-
-    def test_dot_with_tag(self):
-        sig = Signature(np.array([1, 2, 0, 3]))
-        assert sig.dot(Tag([1, 3], 4)) == 5
-
-    def test_dot_with_signature(self):
-        a = Signature(np.array([1, 2, 0]))
-        b = Signature(np.array([0, 1, 5]))
-        assert a.dot(b) == 2
-
-    def test_add_subtract_roundtrip(self):
-        sig = Signature(np.array([1, 1, 0]))
-        t = Tag([2], 3)
-        assert sig.add(t).subtract(t) == sig
-
-    def test_subtract_negative_raises(self):
-        with pytest.raises(ValueError):
-            Signature.zeros(3).subtract(Tag([0], 3))
-
-    def test_support(self):
-        sig = Signature(np.array([0, 3, 0, 1]))
-        assert sig.support().chunks == frozenset({1, 3})
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            Signature.zeros(3).dot(Tag([0], 4))
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            Signature(np.array([-1, 0]))
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            Signature(np.zeros((2, 2)))
-
-    def test_total(self):
-        assert Signature(np.array([1, 2, 3])).total() == 6
-
-    @given(st.lists(st.sets(st.integers(0, 15)), min_size=1, max_size=8))
-    def test_signature_dot_is_sum_of_tag_dots(self, chunksets):
-        ts = [Tag(s, 16) for s in chunksets]
-        sig = Signature.from_tags(ts, 16)
-        probe = Tag([0, 5, 9], 16)
-        assert sig.dot(probe) == sum(t.dot(probe) for t in ts)
-
-
-class TestTagSignatureBridge:
-    def test_tag_signature(self):
-        sig = Tag([1, 3], 6).signature()
-        assert sig.counts.tolist() == [0, 1, 0, 1, 0, 0]
-
-    def test_signature_copy_is_independent(self):
-        sig = Signature(np.array([1, 2]))
-        clone = sig.copy()
-        clone.counts[0] = 99
-        assert sig.counts[0] == 1
