@@ -20,6 +20,23 @@ MAPPINGS_PATH = GOLDEN_DIR / "mappings.json"
 
 SCALES = (4, 8)
 VERSIONS = ("intra", "inter", "inter+sched")
+#: Scale 1 maps each workload at full size, so Stage 1 clusters the
+#: most chunks (n in the thousands) and takes the most merge steps; one
+#: ``inter`` cell per workload pins that regime without paying for every
+#: version.
+FULL_SCALE = 1
+FULL_SCALE_VERSIONS = ("inter",)
+
+
+def golden_cells() -> list[tuple[int, str, str]]:
+    """Every pinned ``(scale, workload, version)`` cell."""
+    from repro.workloads.suite import workload_names
+
+    cells = [(s, w, v) for s in SCALES for w in workload_names() for v in VERSIONS]
+    cells += [
+        (FULL_SCALE, w, v) for w in workload_names() for v in FULL_SCALE_VERSIONS
+    ]
+    return cells
 
 
 def mapping_digest(mapping, distances) -> str:

@@ -5,7 +5,8 @@ Usage::
     PYTHONPATH=src python tests/core/golden/regenerate.py
 
 Maps every suite workload at every golden scale with each mapper
-version and writes the digests to ``tests/core/golden/mappings.json``.
+version, plus the full-scale ``inter`` cells, and writes the digests to
+``tests/core/golden/mappings.json``.
 Run this only after an intentional mapping-semantics change, and say so
 in the commit: a digest change here is a behaviour change.
 """
@@ -18,23 +19,18 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[3]))
 
 from tests.core.golden import (  # noqa: E402
     MAPPINGS_PATH,
-    SCALES,
-    VERSIONS,
     compute_digest,
+    golden_cells,
     golden_key,
 )
 
 
 def main() -> int:
-    from repro.workloads.suite import workload_names
-
     digests = {}
-    for scale in SCALES:
-        for workload in workload_names():
-            for version in VERSIONS:
-                key = golden_key(scale, workload, version)
-                digests[key] = compute_digest(scale, workload, version)
-                print(f"{key}: {digests[key][:12]}")
+    for scale, workload, version in golden_cells():
+        key = golden_key(scale, workload, version)
+        digests[key] = compute_digest(scale, workload, version)
+        print(f"{key}: {digests[key][:12]}")
     record = {"record": "repro-mapping-golden", "mappings": digests}
     with open(MAPPINGS_PATH, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
