@@ -21,11 +21,11 @@ Stage 1 specifics, following the paper:
   the count matches (splitting a single iteration chunk in half when a
   cluster has only one member).
 
-Merging runs on arrays: the initial clusters are rows of an ``(n, r)``
-support matrix gathered from the tag rows, each merge step is one
-matvec against it plus an update of a per-row best-partner cache (valid
-by the monotonicity of OR-dots), and ``Cluster`` objects are built only
-for the survivors.
+Merging runs on arrays: the initial clusters are rows of a float32
+support matrix gathered from the tag rows (used columns only), each
+merge step is one matvec against it plus an update of a per-row
+best-partner cache (valid by the monotonicity of OR-dots), and
+``Cluster`` objects are built only for the survivors.
 """
 
 from __future__ import annotations
@@ -216,60 +216,77 @@ def _merge_down(
     window of Fig. 6 — and merge unrelated clusters, contradicting the
     paper's own Fig. 9 outcome.)
 
-    Supports live in an ``(n, r)`` 0/1 matrix ``S``.  The pairwise dot
-    products ``S @ S.T`` are needed once, to seed a per-row best-partner
-    cache ``best``/``bestw``; after that every dot a step reads is at the
-    merged cluster ``p``, which is the fresh ``row = S @ S[p]``, so no
-    pairwise matrix is kept.  OR-dots are monotone under support growth,
-    so after merging q into p a cached best only changes where it pointed
-    at q (p ⊇ q now beats it) or where column p now beats it: one mask,
-    ``(best == q) | (row > bestw)``, repoints both to p.  Row p itself
-    rescans ``row``.
+    Supports live in an ``(n, w + 1)`` float32 matrix ``S``: the ``w``
+    data chunks some member touches (unused columns add nothing to a
+    dot), plus a sentinel column that is 1 on a live row and ``-inf``
+    once the row is absorbed.  Every dot is an integer of at most
+    ``w + 1``, exact in float32 in any summation order while ``w`` is
+    below 2**24.  The sentinel shifts every live dot by the same +1, so
+    no comparison changes, and it puts every dead column at ``-inf``.
 
-    Dead rows are kept out by two invariants.  An absorbed q gets
-    ``bestw[q] = -inf`` at once: the mask never reaches row q, whose
-    cached best is not q and whose fresh dot is ``-inf``, so without it
-    a stale ``bestw[q]`` would let q be picked again.  And a ``-inf``
-    penalty vector, added to every fresh row, keeps dead columns from
-    being chosen or from repointing live rows; dead rows the mask does
-    reach only receive ``-inf``.  Ties break by lowest index: ``argmax``
-    over ``bestw`` picks p (dead rows sit at ``-inf``, live ones at
-    >= 0), and ``argmax`` over p's row picks its partner.
+    The pairwise dot products ``S @ S.T`` are needed once, to seed a
+    per-row best-partner cache ``best``/``bestw``; after that every dot
+    a step reads is at the merged cluster ``p``, which is the fresh
+    ``row = S @ S[p]``, so no pairwise matrix is kept.  The cache keeps
+    one invariant: ``bestw`` holds each live row's exact maximum dot.
+    OR-dots are monotone under support growth, so after merging q into
+    p that maximum only moves where column p beats it: the update is one
+    ``row > bestw`` repoint and one ``np.maximum``.  A row whose partner
+    was q keeps its value, since p ⊇ q ties or beats it, and only its
+    pointer goes stale: ``into`` records where each absorbed row went,
+    and the pick resolves ``best[p]`` through it (with path halving), as
+    if the row had been repointed at every merge.  Row p itself rescans
+    ``row``; an absorbed q gets ``bestw[q] = -inf`` so it is never
+    picked again.  Ties break by lowest index: ``argmax`` over ``bestw``
+    picks p, and ``argmax`` over p's row picks its partner.
     """
     n = len(members)
     # One gather of the members' 0/1 tag rows; forced groups OR theirs.
     flat = [m for group in members for m in group]
-    S = tags.rows(flat)
+    rows = tags.rows(flat)
     sizes = [pool[m].size for m in flat]
     if len(flat) > n:
         starts = np.cumsum([0] + [len(group) for group in members[:-1]])
-        S = np.maximum.reduceat(S, starts, axis=0)
+        rows = np.maximum.reduceat(rows, starts, axis=0)
         sizes = np.add.reduceat(sizes, starts).tolist()
+    used = rows.any(axis=0)
+    width = int(np.count_nonzero(used))
+    if width >= 1 << 24:
+        raise ValueError(
+            f"{width} data chunks in one clustering: float32 dots are exact "
+            "only below 2**24"
+        )
+    S = np.empty((n, width + 1), dtype=np.float32)
+    S[:, :width] = rows[:, used]
+    S[:, width] = 1.0
     W = S @ S.T
     np.fill_diagonal(W, -np.inf)
     best = W.argmax(axis=1)
     bestw = W[np.arange(n), best]
     del W
-    penalty = np.zeros(n)  # 0 for live clusters, -inf once absorbed
+    into = list(range(n))  # absorbed row -> the row it merged into
     for _ in range(n - target):
         p = int(bestw.argmax())
-        q = int(best[p])
+        q = best.item(p)
+        while into[q] != q:
+            into[q] = into[into[q]]
+            q = into[q]
+        into[q] = p
         # Merge q into p (members and sizes add; support ORs).
         members[p] += members[q]
         sizes[p] += sizes[q]
-        np.maximum(S[p], S[q], out=S[p])
-        penalty[q] = -np.inf
+        sp = S[p]
+        np.maximum(sp, S[q], out=sp)
+        S[q, width] = -np.inf
         bestw[q] = -np.inf
-        row = S @ S[p]
-        row += penalty
+        row = S.dot(sp)  # dispatches faster than ``@`` on small operands
         row[p] = -np.inf
-        repoint = (best == q) | (row > bestw)
-        np.copyto(best, p, where=repoint)
-        np.copyto(bestw, row, where=repoint)
+        np.copyto(best, p, where=row > bestw)
+        np.maximum(bestw, row, out=bestw)
         b = int(row.argmax())
         best[p] = b
-        bestw[p] = row[b]
-    alive = np.flatnonzero(penalty == 0).tolist()
+        bestw[p] = row.item(b)
+    alive = np.flatnonzero(S[:, width] > 0).tolist()
     survivors = sorted(alive, key=lambda i: min(members[i]))
     return [
         Cluster(members[i], tags.rows(members[i]).sum(axis=0), sizes[i])

@@ -18,7 +18,7 @@ from repro.analysis.reuse import reuse_distance_profile
 from repro.analysis.sharing import mapping_affinity_quality
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig
 from repro.experiments.report import ExperimentReport
-from repro.simulator.runner import prepare_mapping
+from repro.simulator.runner import prepare_mappings
 from repro.simulator.streams import build_client_streams
 from repro.workloads.suite import get_workload
 
@@ -34,8 +34,9 @@ def run(
     l1_chunks = config.capacity_chunks(0)
 
     rows = []
-    for version in ("original", "inter", "inter+sched"):
-        prepared = prepare_mapping(workload, config, version)
+    for prepared in prepare_mappings(
+        workload, config, ("original", "inter", "inter+sched")
+    ):
         mapping, nest, data_space = (
             prepared.mapping, prepared.nest, prepared.data_space
         )
@@ -54,7 +55,7 @@ def run(
         quality = mapping_affinity_quality(mapping, nest, data_space, hierarchy)
         rows.append(
             [
-                version,
+                prepared.version,
                 total_fp,
                 max_fp,
                 f"{l1_hit:.2f}",

@@ -63,6 +63,7 @@ __all__ = [
     "VERSIONS",
     "make_mapper",
     "prepare_mapping",
+    "prepare_mappings",
     "prepare_cell",
     "prepare_experiment",
     "simulate_streams",
@@ -167,14 +168,17 @@ class _Group:
         rng = make_rng(derive_seed(config.seed, name, version))
         # The mapper reads only the hierarchy's shape, never its caches.
         hierarchy = config.build_hierarchy()
-        if self._distribution is None:
+        if self._distribution is not None and isinstance(
+            mapper, InterProcessorMapper
+        ):
+            get_registry().counter("prepare.distribution_reused").inc()
+            mapping = mapper.map_distribution(self._distribution, hierarchy, rng)
+        else:
             mapping = mapper.map(
                 nest, data_space, hierarchy, rng, chunk_matrix=chunk_matrix
             )
-            self._distribution = mapping.distribution
-        else:
-            get_registry().counter("prepare.distribution_reused").inc()
-            mapping = mapper.map_distribution(self._distribution, hierarchy, rng)
+            if self._distribution is None:
+                self._distribution = mapping.distribution
         mapping.validate(nest.num_iterations)
         prepared = PreparedMapping(
             name, version, nest, data_space, chunk_matrix, mapping
@@ -183,13 +187,28 @@ class _Group:
         return prepared
 
 
+def prepare_mappings(
+    workload: Workload,
+    config: "SystemConfig",
+    versions: Sequence[str],
+) -> list[PreparedMapping]:
+    """Map one workload under each version, as one group.
+
+    The workload and its chunk matrix are built once, and ``inter`` and
+    ``inter+sched`` share one Fig. 5 distribution.
+    """
+    group = _Group(workload)
+    return [group.mapping(config, version) for version in versions]
+
+
 def prepare_mapping(
     workload: Workload,
     config: "SystemConfig",
     version: str,
 ) -> PreparedMapping:
     """Build the workload, map it and validate the mapping."""
-    return _Group(workload).mapping(config, version)
+    (prepared,) = prepare_mappings(workload, config, [version])
+    return prepared
 
 
 def prepare_cell(

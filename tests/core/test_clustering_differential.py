@@ -4,13 +4,16 @@
 arrays and builds ``Cluster`` objects for the survivors; the oracle
 merges ``Cluster`` objects and maintains the full pairwise matrix ``W``.
 Survivors must match exactly: member lists (order included), count
-signatures and sizes, for every merge target.  Narrow tag widths and
-low densities make tied dot products the common case, and forced
-groups (the dependence-fuse path) start the merge from multi-chunk
-clusters.
+signatures and sizes, for every merge target.  Low densities make tied
+dot products the common case, tag columns no chunk uses exercise the
+merge's column compaction, and forced groups (the dependence-fuse path)
+start the merge from multi-chunk clusters.  Two pinned cases cover the
+best-partner cache's stale pointers: an absorbed cluster with a tied
+third best, and a cached partner absorbed along a chain of merges.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.balancing import TagMatrix
@@ -37,12 +40,17 @@ def make_pool(tag_sets, sizes, r):
 
 @st.composite
 def stage1_inputs(draw):
-    """A pool of random 0/1 supports, a member order and forced groups."""
-    r = draw(st.integers(1, 6))
-    n = draw(st.integers(2, 24))
+    """A pool of random 0/1 supports, a member order and forced groups.
+
+    Some tag columns are never used, so the merge drops them, and wide
+    pools run long merges.
+    """
+    r = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 48))
     density = draw(st.sampled_from([0.0, 0.1, 0.2, 0.35, 0.6]))
     rnd = draw(st.randoms(use_true_random=False))
-    tag_sets = [{c for c in range(r) if rnd.random() < density} for _ in range(n)]
+    columns = [c for c in range(r) if rnd.random() < 0.75]
+    tag_sets = [{c for c in columns if rnd.random() < density} for _ in range(n)]
     sizes = [draw(st.sampled_from([1, 2, 3, 5, 8])) for _ in range(n)]
     pool = make_pool(tag_sets, sizes, r)
     member_ids = list(range(n))
@@ -112,3 +120,37 @@ def test_absorbed_cluster_with_tied_third_best_stays_dead():
     got = _merge_down([list(g) for g in groups], pool, tags, 2)
     assert [c.members for c in got] == [[0, 3, 1], [2]]
     assert_same_clusters(got, oracle(groups, pool, r, tags, 2))
+
+
+def test_partner_absorbed_along_a_chain_resolves_to_its_survivor():
+    # Row 0 ({3, 5}) caches row 4 as its best partner (two shared
+    # chunks) and no later merge beats that, so its pointer is never
+    # refreshed while 4 goes into 3, 3 into 2 and 2 into 1.  The last
+    # pick, row 0, must follow 4 -> 3 -> 2 -> 1 to the live row 1.
+    r = 8
+    pool = make_pool(
+        [{3, 5}, {1, 3, 7}, {1, 4, 6, 7}, {1, 2, 3, 4, 6}, {2, 3, 4, 5, 7},
+         {2, 3, 4, 5, 6}],
+        [2, 3, 5, 7, 11, 13],
+        r,
+    )
+    tags = TagMatrix(pool, r)
+    groups = [[m] for m in range(6)]
+    got = _merge_down([list(g) for g in groups], pool, tags, 1)
+    assert [c.members for c in got] == [[0, 1, 2, 3, 5, 4]]
+    assert got[0].size == 41
+    for target in range(1, 6):
+        got = _merge_down([list(g) for g in groups], pool, tags, target)
+        assert_same_clusters(got, oracle(groups, pool, r, tags, target))
+
+
+def test_merge_rejects_widths_float32_cannot_count_exactly():
+    class WideTags:
+        """2**24 used tag columns, as a zero-copy broadcast view."""
+
+        def rows(self, members):
+            return np.broadcast_to(np.ones(1), (len(members), 1 << 24))
+
+    pool = make_pool([{0}, {0}], [1, 1], 1)
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        _merge_down([[0], [1]], pool, WideTags(), 1)

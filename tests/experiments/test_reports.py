@@ -149,6 +149,28 @@ class TestExplain:
         stranger_down = float(inter[5]) <= float(orig[5])
         assert total_fp_down or stranger_down
 
+    def test_builds_the_workload_once(self, tiny):
+        from repro.experiments import explain
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            rep = explain.run("hf", tiny)
+        builds = [
+            h["count"]
+            for h in registry.as_dict()["histograms"]
+            if h["name"] == "phase.duration_seconds"
+            and h["labels"]["phase"].endswith("workload_build")
+        ]
+        assert builds == [1]
+        assert registry.counter("prepare.distribution_reused").value == 1
+        # The rows the three separately prepared versions gave.
+        assert rep.rows == [
+            ["original", 505, 77, "0.48", "25.7", "31.6"],
+            ["inter", 395, 62, "0.37", "21.8", "14.3"],
+            ["inter+sched", 395, 62, "0.42", "21.8", "14.3"],
+        ]
+
     def test_unknown_workload(self, tiny):
         from repro.experiments import explain
         import pytest as _pytest

@@ -273,7 +273,8 @@ class TestAdmission:
                     executor.gate.set()
                 background.join(30.0)
                 first.close()
-            text = cluster.client().metrics_text()
+            with cluster.client() as c:
+                text = c.metrics_text()
             assert 'shard_rejected_total' in text
 
 

@@ -61,3 +61,26 @@ class TestRunExperiment:
         res = run_experiment(get_workload("hf"), tiny_config, "inter")
         assert "imbalance" in res.extra
         assert res.mapping_time_s > 0
+
+
+class TestPrepareMappings:
+    def test_mixed_group_maps_each_version_as_alone(self, tiny_config):
+        # ``original`` after ``inter`` must be mapped anew, not finalize
+        # the inter distribution; ``inter+sched`` reuses it.
+        from repro.simulator.runner import prepare_mapping, prepare_mappings
+        from repro.telemetry import MetricsRegistry, use_registry
+
+        from tests.core.golden import mapping_digest
+
+        versions = ["inter", "original", "intra", "inter+sched"]
+        workload = get_workload("hf")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            grouped = prepare_mappings(workload, tiny_config, versions)
+        assert registry.counter("prepare.distribution_reused").value == 1
+        assert [p.version for p in grouped] == versions
+        for prepared in grouped:
+            alone = prepare_mapping(workload, tiny_config, prepared.version)
+            assert mapping_digest(prepared.mapping, []) == mapping_digest(
+                alone.mapping, []
+            ), prepared.version
