@@ -1,8 +1,9 @@
 """Microbenchmarks of the library's hot components.
 
 These use pytest-benchmark's statistics (multiple rounds) to track the
-performance of the pipeline stages: tagging/chunk formation, affinity
-graph construction, hierarchical clustering, Fig. 15 scheduling, stream
+performance of the pipeline stages: the per-reference chunk matrix,
+the exact dependence test, tagging/chunk formation, affinity graph
+construction, hierarchical clustering, Fig. 15 scheduling, stream
 generation and the simulation engine.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.chunking import form_iteration_chunks
+from repro.core.chunking import chunk_matrix_for, form_iteration_chunks
 from repro.core.clustering import distribute_iterations
 from repro.core.graph import build_affinity_graph
 from repro.core.mapper import InterProcessorMapper
 from repro.core.scheduling import schedule_clients
+from repro.polyhedral.dependence import find_dependences
 from repro.simulator.engine import simulate
 from repro.simulator.streams import build_client_streams
 from repro.util.rng import make_rng
@@ -45,6 +47,24 @@ def setup(bench_config):
         "mapping": mapping,
         "streams": streams,
     }
+
+
+def test_chunk_matrix(benchmark, setup):
+    """Every reference evaluated over the iteration box (hf, 7 references)."""
+    nest = setup["nest"]
+    matrix = benchmark(chunk_matrix_for, nest, setup["ds"])
+    assert matrix.shape == (nest.num_iterations, len(nest.references))
+
+
+def test_find_dependences(benchmark, bench_config):
+    """madbench2 has modulus subscripts, so its pairs take the exact test."""
+    params = WorkloadParams(
+        chunk_elems=bench_config.chunk_elems, data_chunks=bench_config.data_chunks
+    )
+    nest, _ = get_workload("madbench2").build(params)
+    assert not all(ref.is_affine for ref in nest.references)
+    deps = benchmark(find_dependences, nest)
+    assert deps
 
 
 def test_chunk_formation(benchmark, setup):

@@ -2,14 +2,17 @@
 
 Every iteration gets an *r*-bit tag (bit k set iff the iteration touches
 data chunk ``π_k``); iterations with identical tags form an *iteration
-chunk* ``γ_Λ``.  Formation is fully vectorised: all references evaluate
-over the whole iteration matrix at once, and each per-iteration chunk-id
-row becomes one exact int64 key (:func:`_row_keys`).  The raw rows group
-by key; only the few hundred distinct raw rows are canonicalised (sorted,
-in-row duplicates masked) and grouped again by key, and composing the
-two groupings yields the chunks.  The distinct rows are scattered once
-into a ``(chunks, r)`` 0/1 incidence matrix, which the affinity graph
-and the clustering stage read instead of the per-chunk tags.
+chunk* ``γ_Λ``.  Formation is fully vectorised: each reference evaluates
+over the nest's rectangular iteration box by broadcasting one vector per
+loop (:func:`chunk_matrix_for`, :mod:`repro.polyhedral.box`; no
+``(N, depth)`` iteration matrix is built), and each per-iteration
+chunk-id row becomes one exact int64 key (:func:`_row_keys`).  The raw
+rows group by key; only the few hundred distinct raw rows are
+canonicalised (sorted, in-row duplicates masked) and grouped again by
+key, and composing the two groupings yields the chunks.  The distinct
+rows are scattered once into a ``(chunks, r)`` 0/1 incidence matrix,
+which the affinity graph and the clustering stage read instead of the
+per-chunk tags.
 
 Iterations are stored as **lexicographic ranks** into the nest's
 iteration space, so a chunk is just an int64 vector; the explicit
@@ -23,6 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.polyhedral.arrays import DataSpace
+from repro.polyhedral.box import affine_range, loop_axes, subscript_values
 from repro.polyhedral.nest import LoopNest
 from repro.util.bitset import Tag
 
@@ -257,12 +261,76 @@ def _canonical(rows: np.ndarray) -> np.ndarray:
 
 
 def chunk_matrix_for(nest: LoopNest, data_space: DataSpace) -> np.ndarray:
-    """The (N, R) per-iteration, per-reference data chunk id matrix."""
-    iterations = nest.iterations()
-    return np.stack(
-        [ref.touched_chunks(iterations, data_space) for ref in nest.references],
-        axis=1,
-    )
+    """The (N, R) per-iteration, per-reference data chunk id matrix.
+
+    Row ``n`` is the nest's ``n``-th iteration in lexicographic order.
+    Each reference is evaluated over the iteration box (one subscript at
+    a time, see :mod:`repro.polyhedral.box`), bounds-checked, combined
+    by row-major strides and divided into chunk ids, so no ``(N, depth)``
+    iteration matrix is built.  An out-of-bounds subscript raises
+    :class:`IndexError` naming the first offending index.
+    """
+    space = nest.space
+    axes = loop_axes(space)
+    refs = nest.references
+    out = np.empty((space.size, len(refs)), dtype=np.int64)
+    cells = out.reshape(space.shape + (len(refs),))
+    for r, ref in enumerate(refs):
+        cells[..., r] = _reference_chunks(ref, space, axes, data_space)
+    return out
+
+
+def _reference_chunks(ref, space, axes, data_space: DataSpace) -> np.ndarray:
+    """One reference's chunk ids over the box (broadcastable to its shape)."""
+    arr = data_space.array(ref.array_name)
+    exprs = ref.map.exprs
+    if len(exprs) != arr.ndim:
+        raise ValueError(
+            f"reference to {ref.array_name} has {len(exprs)} subscripts, "
+            f"array has {arr.ndim} dims"
+        )
+    subs = [subscript_values(e, axes) for e in exprs]
+    if not all(
+        _surely_within(e, v, dim, space) for e, v, dim in zip(exprs, subs, arr.shape)
+    ):
+        _check_bounds(subs, arr, space)
+    # Row-major offset, one subscript at a time: in bounds, every
+    # partial sum is below the array size, so nothing wraps.
+    offset, stride = subs[-1], 1
+    for d in range(arr.ndim - 2, -1, -1):
+        stride *= arr.shape[d + 1]
+        offset = offset + subs[d] * stride
+    return offset // data_space.chunk_elems + data_space.chunk_base(ref.array_name)
+
+
+def _surely_within(expr, vals: np.ndarray, dim: int, space) -> bool:
+    """Cheap proof that a subscript stays in ``[0, dim)`` over the box.
+
+    An affine subscript's extremes lie at the box corners; a modulus
+    subscript is in ``[0, modulus)``, so only a modulus wider than the
+    dimension needs its values read.
+    """
+    if expr.modulus is None:
+        lo, hi = affine_range(expr.coeffs, expr.const, space.lowers, space.uppers)
+        return 0 <= lo and hi < dim
+    return expr.modulus <= dim or bool((vals < dim).all())
+
+
+def _check_bounds(subs: list[np.ndarray], arr, space) -> None:
+    """Raise for the lexicographically first iteration with a bad subscript.
+
+    Reads the int64 values themselves: subscripts are int64 arithmetic,
+    so one whose exact extremes leave the array but whose wrapped values
+    stay inside it is in bounds.
+    """
+    bad = np.zeros((1,) * space.depth, dtype=bool)
+    for v, dim in zip(subs, arr.shape):
+        bad = bad | (v < 0) | (v >= dim)
+    if not bad.any():
+        return
+    first = int(np.argmax(np.broadcast_to(bad, space.shape)))
+    index = [int(np.broadcast_to(v, space.shape).flat[first]) for v in subs]
+    raise IndexError(f"index {index} out of bounds for {arr.name}{arr.shape}")
 
 
 def form_iteration_chunks(

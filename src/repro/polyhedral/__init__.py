@@ -11,9 +11,11 @@ Provides exactly the objects the mapping algorithm consumes:
 * :class:`~repro.polyhedral.sets.IntegerSet` — bounded integer sets with
   affine constraints (the Omega-lite used to express ``G``, ``H`` and the
   iteration chunks ``γ_Λ`` of §4.2);
-* :class:`~repro.polyhedral.references.ArrayRef` — array references that
-  evaluate, vectorised, to global element offsets in a
-  :class:`~repro.polyhedral.arrays.DataSpace`;
+* :class:`~repro.polyhedral.references.ArrayRef` — array references into
+  the chunked arrays of a :class:`~repro.polyhedral.arrays.DataSpace`;
+* :mod:`~repro.polyhedral.box` — subscripts evaluated over a whole
+  iteration space by broadcasting one vector per loop, with exact
+  corner ranges (no iteration matrix);
 * :mod:`~repro.polyhedral.codegen` — Omega ``codegen()``-style loop-band
   reconstruction for enumerating an iteration chunk;
 * :mod:`~repro.polyhedral.dependence` — data-dependence tests and

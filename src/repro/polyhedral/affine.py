@@ -8,7 +8,9 @@ paper's running example (Fig. 6).  A full reference is an
 :class:`AffineMap` — a stack of subscript expressions.
 
 Evaluation is vectorised: expressions evaluate over an ``(N, n)`` matrix
-of N iteration vectors at once.
+of N iteration vectors at once.  Over a whole rectangular iteration
+space, :mod:`repro.polyhedral.box` evaluates them without building that
+matrix.
 """
 
 from __future__ import annotations

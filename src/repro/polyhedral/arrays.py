@@ -4,17 +4,15 @@ The paper divides "the set of data elements of all disk-resident arrays
 combined" into ``r`` equal-sized chunks, partitioning each array
 separately (no chunk spans two arrays) while numbering chunks
 consecutively across arrays (Fig. 4).  :class:`DataSpace` implements
-exactly that: per-array chunk bases, row-major element layout, and a
-vectorised ``chunk_of`` mapping from (array, multi-index) to global data
-chunk id.
+exactly that: per-array chunk bases over a row-major element layout.
+:func:`~repro.core.chunking.chunk_matrix_for` maps a reference's
+multi-indices to global data chunk ids with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.util.validation import check_positive
 
@@ -58,23 +56,6 @@ class DiskArray:
     @property
     def nbytes(self) -> int:
         return self.size * self.element_size
-
-    def linearize(self, indices: np.ndarray) -> np.ndarray:
-        """Row-major element offsets for ``(N, ndim)`` multi-indices."""
-        idx = np.asarray(indices, dtype=np.int64)
-        single = idx.ndim == 1
-        if single:
-            idx = idx[None, :]
-        if idx.shape[1] != self.ndim:
-            raise ValueError(
-                f"{self.name} has {self.ndim} dims, got indices with {idx.shape[1]}"
-            )
-        shape = np.asarray(self.shape, dtype=np.int64)
-        if (idx < 0).any() or (idx >= shape).any():
-            bad = idx[((idx < 0) | (idx >= shape)).any(axis=1)][0]
-            raise IndexError(f"index {bad.tolist()} out of bounds for {self.name}{self.shape}")
-        out = np.ravel_multi_index(tuple(idx.T), self.shape).astype(np.int64)
-        return out[0] if single else out
 
 
 class DataSpace:
@@ -132,48 +113,6 @@ class DataSpace:
     def chunk_base(self, name: str) -> int:
         """Global id of the first chunk of the named array."""
         return self._chunk_base[self.array_index(name)]
-
-    def chunks_of_array(self, name: str) -> range:
-        idx = self.array_index(name)
-        return range(self._chunk_base[idx], self._chunk_base[idx + 1])
-
-    # -- mapping ------------------------------------------------------------------
-
-    def chunk_of(self, name: str, indices: np.ndarray) -> np.ndarray:
-        """Global data chunk ids for multi-indices into the named array.
-
-        Vectorised: ``indices`` is ``(N, ndim)`` (or a single index
-        vector); returns int64 chunk ids of the same leading shape.
-        """
-        arr = self.array(name)
-        offsets = arr.linearize(indices)
-        return offsets // self.chunk_elems + self.chunk_base(name)
-
-    def chunk_of_offsets(self, name: str, offsets: np.ndarray) -> np.ndarray:
-        """Global chunk ids for row-major element offsets into the array."""
-        arr = self.array(name)
-        off = np.asarray(offsets, dtype=np.int64)
-        if (off < 0).any() or (off >= arr.size).any():
-            raise IndexError(f"offset out of bounds for {name}")
-        return off // self.chunk_elems + self.chunk_base(name)
-
-    def owner_of_chunk(self, chunk_id: int) -> str:
-        """Name of the array a global chunk id belongs to."""
-        if not 0 <= chunk_id < self._nchunks:
-            raise IndexError(f"chunk id {chunk_id} outside [0, {self._nchunks})")
-        # few arrays -> linear scan is fine and obvious
-        for idx, arr in enumerate(self.arrays):
-            if chunk_id < self._chunk_base[idx + 1]:
-                return arr.name
-        raise AssertionError("unreachable")
-
-    @property
-    def total_elements(self) -> int:
-        return sum(a.size for a in self.arrays)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(a.nbytes for a in self.arrays)
 
     def __repr__(self) -> str:
         names = ", ".join(a.name for a in self.arrays)

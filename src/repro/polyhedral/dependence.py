@@ -18,10 +18,17 @@ Three classic tests are layered cheapest-first:
 3. **Banerjee bounds** — the extreme values of the difference expression
    must straddle zero.
 
+Banerjee's extremes are the corner values of an affine expression over
+the iteration box (:func:`~repro.polyhedral.box.affine_range`).
+
 If all tests pass (a dependence cannot be disproved), uniform references
-(equal access matrices) yield an exact **distance vector**; otherwise a
-bounded exact check enumerates small spaces, and larger spaces
-conservatively report an unknown-direction dependence.
+(equal access matrices) yield an exact **distance vector**.  References
+carrying a modulus get an exact test on spaces of up to
+:data:`EXACT_TEST_LIMIT` iterations: both references' subscripts are
+evaluated over the iteration box (:mod:`repro.polyhedral.box`, no
+iteration matrix), every touched index tuple is encoded as one int64 and
+the two code sets are intersected.  Larger spaces conservatively report
+an unknown-direction dependence.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.polyhedral.box import affine_range, loop_axes, subscript_values
 from repro.polyhedral.iterspace import IterationSpace
 from repro.polyhedral.nest import LoopNest
 from repro.polyhedral.references import ArrayRef
@@ -51,8 +59,14 @@ __all__ = [
 EXACT_TEST_LIMIT = 200_000
 
 #: Index boxes with at least this many cells are not encoded as int64
-#: codes (``np.ravel_multi_index`` needs the product to fit).
+#: codes (the row-major code must fit).
 _MAX_CODES = 1 << 62
+
+#: Index boxes up to this many cells test overlap with a boolean mark
+#: array (4 MiB; ``np.zeros`` takes it zeroed from the OS, so only the
+#: pages a code lands on are touched); larger boxes sort with
+#: ``np.isin``.  Both are exact; the bound only picks the cheaper one.
+_MARK_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -102,10 +116,7 @@ def _banerjee_test(
     coeffs: np.ndarray, const: int, lowers: np.ndarray, uppers: np.ndarray
 ) -> bool:
     """True if ``coeffs·x + const = 0`` may hold for x in the box."""
-    pos = np.where(coeffs > 0, coeffs, 0)
-    neg = np.where(coeffs < 0, coeffs, 0)
-    lo = int(pos @ lowers + neg @ uppers) + const
-    hi = int(pos @ uppers + neg @ lowers) + const
+    lo, hi = affine_range(coeffs, const, lowers, uppers)
     return lo <= 0 <= hi
 
 
@@ -146,22 +157,42 @@ def _exact_or_conservative(
 ) -> bool:
     if space.size > EXACT_TEST_LIMIT:
         return True  # conservative
-    its = space.enumerate()
-    ia = ref_a.indices(its)
-    ib = ref_b.indices(its)
-    if ia.shape[1] != ib.shape[1]:
+    if ref_a.ndim != ref_b.ndim:
         return False  # index tuples of different lengths never coincide
     # Compare the full touched-index sets (element granularity): encode
-    # every index row as one int64 over the joint bounding box of both
-    # references, then test the two code sets for overlap.
-    lo = np.minimum(ia.min(axis=0), ib.min(axis=0))
-    hi = np.maximum(ia.max(axis=0), ib.max(axis=0))
-    box = tuple(int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist()))
-    if math.prod(box) >= _MAX_CODES:
-        return _overlap_by_tuples(ia, ib)
-    code_a = np.ravel_multi_index(tuple((ia - lo).T), box)
-    code_b = np.ravel_multi_index(tuple((ib - lo).T), box)
+    # every index tuple as one int64 over the joint bounding box of both
+    # references, then test the two code sets for overlap.  Subscripts
+    # are evaluated over the iteration box, so a reference that ignores
+    # a loop yields each of its codes once, not once per trip.
+    axes = loop_axes(space)
+    va = [subscript_values(e, axes) for e in ref_a.map.exprs]
+    vb = [subscript_values(e, axes) for e in ref_b.map.exprs]
+    lo = [min(int(a.min()), int(b.min())) for a, b in zip(va, vb)]
+    hi = [max(int(a.max()), int(b.max())) for a, b in zip(va, vb)]
+    box = [h - l + 1 for l, h in zip(lo, hi)]
+    cells = math.prod(box)
+    if cells >= _MAX_CODES:
+        return _overlap_by_tuples(_index_rows(va, space), _index_rows(vb, space))
+    code_a = _codes(va, lo, box).ravel()
+    code_b = _codes(vb, lo, box).ravel()
+    if cells <= _MARK_LIMIT:
+        marks = np.zeros(cells, dtype=bool)
+        marks[code_a] = True
+        return bool(marks[code_b].any())
     return bool(np.isin(code_a, code_b).any())
+
+
+def _codes(vals: list[np.ndarray], lo: list[int], box: list[int]) -> np.ndarray:
+    """Row-major codes of the index tuples within the ``lo``-based box."""
+    code = vals[0] - lo[0]
+    for v, l, extent in zip(vals[1:], lo[1:], box[1:]):
+        code = code * extent + (v - l)
+    return code
+
+
+def _index_rows(vals: list[np.ndarray], space: IterationSpace) -> np.ndarray:
+    """The ``(N, ndim)`` index matrix, lexicographic iteration order."""
+    return np.stack([np.broadcast_to(v, space.shape).ravel() for v in vals], axis=1)
 
 
 def _overlap_by_tuples(ia: np.ndarray, ib: np.ndarray) -> bool:

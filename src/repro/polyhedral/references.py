@@ -1,9 +1,11 @@
 """Array references inside a loop body.
 
 An :class:`ArrayRef` binds an :class:`~repro.polyhedral.affine.AffineMap`
-to a named disk-resident array; ``touched_chunks`` evaluates, fully
-vectorised, which global data chunk every iteration touches through this
-reference — the raw material for the iteration tags of §4.2.
+to a named disk-resident array.  Which global data chunk every iteration
+touches through a reference — the raw material for the iteration tags of
+§4.2 — is computed by :func:`~repro.core.chunking.chunk_matrix_for`,
+which evaluates the map's subscripts over the nest's iteration box
+(:mod:`repro.polyhedral.box`) rather than over an iteration matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.polyhedral.affine import AffineExpr, AffineMap
-from repro.polyhedral.arrays import DataSpace
 
 __all__ = ["ArrayRef"]
 
@@ -71,30 +72,6 @@ class ArrayRef:
 
     def matrix_form(self) -> tuple[np.ndarray, np.ndarray]:
         return self.map.matrix_form()
-
-    # -- evaluation ---------------------------------------------------------------
-
-    def indices(self, iterations: np.ndarray) -> np.ndarray:
-        """Array multi-indices touched by the given iterations."""
-        return self.map.evaluate(iterations)
-
-    def touched_chunks(self, iterations: np.ndarray, data_space: DataSpace) -> np.ndarray:
-        """Global data chunk id touched by each iteration via this reference.
-
-        ``iterations`` is ``(N, depth)``; the result is an int64 vector of
-        length N (one chunk per iteration — a single reference touches
-        exactly one element, hence one chunk, per iteration).
-        """
-        idx = self.indices(iterations)
-        if idx.ndim == 1:
-            idx = idx[None, :]
-        arr = data_space.array(self.array_name)
-        if idx.shape[1] != arr.ndim:
-            raise ValueError(
-                f"reference to {self.array_name} has {idx.shape[1]} subscripts, "
-                f"array has {arr.ndim} dims"
-            )
-        return data_space.chunk_of(self.array_name, idx)
 
     def __eq__(self, other: object) -> bool:
         return (

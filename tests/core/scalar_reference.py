@@ -1,13 +1,14 @@
 """The mapper's scalar forms, kept only as test oracles.
 
-The mapper front end runs on arrays: an int64-encoded dependence
-overlap test, rank-space Intra-processor candidates, lexsort chunk
-grouping, one vectorized score per scheduling pick and an array-only
-Stage 1 merge loop.  These are the scalar forms they replaced — Python
-tuple sets, the per-permutation re-tiling search, ``np.unique(axis=0)``
-grouping, ``Tag.dot`` scoring and the ``Cluster``-object merge loop that
-kept a full pairwise matrix ``W`` — which the differential tests compare
-them against.
+The mapper front end runs on arrays: a chunk matrix and an
+int64-encoded dependence overlap test evaluated over the iteration box,
+rank-space Intra-processor candidates, lexsort chunk grouping, one
+vectorized score per scheduling pick and an array-only Stage 1 merge
+loop.  These are the scalar forms they replaced — the ``(N, depth)``
+iteration matrix, Python tuple sets, the per-permutation re-tiling
+search, ``np.unique(axis=0)`` grouping, ``Tag.dot`` scoring and the
+``Cluster``-object merge loop that kept a full pairwise matrix ``W`` —
+which the differential tests compare them against.
 """
 
 from __future__ import annotations
@@ -24,13 +25,41 @@ from repro.polyhedral.transforms import (
 )
 
 
+def chunk_matrix(nest, data_space) -> np.ndarray:
+    """Iteration-matrix form of ``chunk_matrix_for``.
+
+    Enumerates the ``(N, depth)`` iteration matrix, evaluates every
+    reference's subscripts over it with one int64 product each, checks
+    each index row against the array shape and linearises the rows with
+    ``np.ravel_multi_index``.
+    """
+    iterations = nest.iterations()
+    columns = []
+    for ref in nest.references:
+        idx = ref.map.evaluate(iterations)
+        arr = data_space.array(ref.array_name)
+        if idx.shape[1] != arr.ndim:
+            raise ValueError(
+                f"reference to {ref.array_name} has {idx.shape[1]} subscripts, "
+                f"array has {arr.ndim} dims"
+            )
+        shape = np.asarray(arr.shape, dtype=np.int64)
+        outside = ((idx < 0) | (idx >= shape)).any(axis=1)
+        if outside.any():
+            bad = idx[outside][0]
+            raise IndexError(f"index {bad.tolist()} out of bounds for {arr.name}{arr.shape}")
+        offsets = np.ravel_multi_index(tuple(idx.T), arr.shape).astype(np.int64)
+        columns.append(offsets // data_space.chunk_elems + data_space.chunk_base(ref.array_name))
+    return np.stack(columns, axis=1)
+
+
 def exact_overlap(ref_a, ref_b, space) -> bool:
     """Tuple-set form of the exact (``%``-subscript) dependence test."""
     if space.size > EXACT_TEST_LIMIT:
         return True  # conservative
     its = space.enumerate()
-    ia = ref_a.indices(its)
-    ib = ref_b.indices(its)
+    ia = ref_a.map.evaluate(its)
+    ib = ref_b.map.evaluate(its)
     set_a = {tuple(int(v) for v in row) for row in np.atleast_2d(ia)}
     set_b = {tuple(int(v) for v in row) for row in np.atleast_2d(ib)}
     return not set_a.isdisjoint(set_b)
@@ -39,10 +68,7 @@ def exact_overlap(ref_a, ref_b, space) -> bool:
 def intra_order(nest, data_space, num_clients, tile_candidates):
     """The Intra-processor search re-tiling once per legal permutation."""
     iterations = nest.iterations()
-    chunk_matrix = np.stack(
-        [ref.touched_chunks(iterations, data_space) for ref in nest.references],
-        axis=1,
-    )
+    matrix = chunk_matrix(nest, data_space)
     distances = [d.distance for d in find_dependences(nest)]
     perms = legal_permutations(nest.depth, distances) or [tuple(range(nest.depth))]
     can_tile = all(
@@ -51,7 +77,7 @@ def intra_order(nest, data_space, num_clients, tile_candidates):
     tiles = tile_candidates if can_tile else (0,)
 
     def cost(ordered):
-        rows = chunk_matrix[nest.space.linearize(ordered)]
+        rows = matrix[nest.space.linearize(ordered)]
         if len(rows) < 2:
             return int(rows.shape[1])
         return int(rows.shape[1] + np.count_nonzero(rows[1:] != rows[:-1]))

@@ -8,6 +8,7 @@ from repro.core.baselines import (
     OriginalMapper,
     block_partition,
 )
+from repro.core.chunking import chunk_matrix_for
 from repro.hierarchy.topology import three_level_hierarchy
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.arrays import DataSpace, DiskArray
@@ -68,9 +69,7 @@ class TestIntraProcessorMapper:
         """A[j,i] traversed i-major touches a new chunk (row) every step;
         the intra mapper must interchange to fix the request count."""
         nest, ds = transpose_nest()
-        chunk_matrix = nest.references[0].touched_chunks(
-            nest.iterations(), ds
-        )[:, None]
+        chunk_matrix = chunk_matrix_for(nest, ds)[:, :1]
         original_cost = IntraProcessorMapper._transition_cost(
             np.arange(nest.num_iterations), chunk_matrix
         )
@@ -106,7 +105,7 @@ class TestIntraProcessorMapper:
         # Two identical refs double the request count.
         refs2 = [nest.references[0], nest.references[0]]
         nest2 = LoopNest("t2", nest.space, refs2)
-        m1 = nest.references[0].touched_chunks(nest.iterations(), ds)[:, None]
+        m1 = chunk_matrix_for(nest, ds)[:, :1]
         m2 = np.concatenate([m1, m1], axis=1)
         ranks = np.arange(nest.num_iterations)
         c1 = IntraProcessorMapper._transition_cost(ranks, m1)

@@ -19,7 +19,7 @@ from repro.polyhedral.iterspace import IterationSpace
 from repro.polyhedral.nest import LoopNest
 from repro.polyhedral.references import ArrayRef
 
-from tests.core.scalar_reference import group_rows
+from tests.core.scalar_reference import chunk_matrix, group_rows
 
 
 def assert_same_groups(got, expected):
@@ -74,9 +74,7 @@ def nests(draw):
 
 def _reference_chunks(nest, ds):
     """``(chunk ids, ranks)`` per chunk from the oracle grouping."""
-    its = nest.iterations()
-    matrix = np.stack([ref.touched_chunks(its, ds) for ref in nest.references], axis=1)
-    rows = np.sort(matrix, axis=1)
+    rows = np.sort(chunk_matrix(nest, ds), axis=1)
     dup = np.zeros_like(rows, dtype=bool)
     dup[:, 1:] = rows[:, 1:] == rows[:, :-1]
     canon = np.sort(np.where(dup, -1, rows), axis=1)

@@ -120,12 +120,12 @@ class TestApplyParallelization:
         orig_elems = {
             tuple(map(int, row))
             for ref in nest.references
-            for row in ref.indices(nest.iterations())
+            for row in ref.map.evaluate(nest.iterations())
         }
         new_elems = {
             tuple(map(int, row))
             for ref in permuted.references
-            for row in ref.indices(permuted.iterations())
+            for row in ref.map.evaluate(permuted.iterations())
         }
         assert orig_elems == new_elems
 

@@ -3,7 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.core.chunking import chunk_matrix_for
+from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.arrays import DataSpace, DiskArray
+from repro.polyhedral.iterspace import IterationSpace
+from repro.polyhedral.nest import LoopNest
+from repro.polyhedral.references import ArrayRef
+
+
+def chunk_ids(ds, name, bounds):
+    """Chunk ids of ``name[i0, i1, …]`` over the box ``bounds``, row-major."""
+    depth = len(bounds)
+    ref = ArrayRef.identity(name, depth)
+    return chunk_matrix_for(LoopNest("t", IterationSpace(bounds), [ref]), ds)[:, 0]
+
+
+def offsets(arr, bounds):
+    """Row-major element offsets of ``arr[i0, i1, …]`` over the box ``bounds``."""
+    return chunk_ids(DataSpace([arr], 1), arr.name, bounds)
 
 
 class TestDiskArray:
@@ -23,22 +40,25 @@ class TestDiskArray:
 
     def test_linearize_row_major(self):
         a = DiskArray("A", (3, 4))
-        assert a.linearize(np.array([[0, 0], [1, 0], [2, 3]])).tolist() == [0, 4, 11]
+        assert offsets(a, [(0, 2), (0, 3)]).tolist() == list(range(12))
 
     def test_linearize_single(self):
         a = DiskArray("A", (3, 4))
-        assert a.linearize(np.array([1, 2])) == 6
+        assert offsets(a, [(1, 1), (2, 2)]).tolist() == [6]
 
     def test_linearize_bounds(self):
         a = DiskArray("A", (3, 4))
-        with pytest.raises(IndexError):
-            a.linearize(np.array([[3, 0]]))
-        with pytest.raises(IndexError):
-            a.linearize(np.array([[0, -1]]))
+        with pytest.raises(IndexError, match=r"index \[3, 0\] out of bounds for A\(3, 4\)"):
+            offsets(a, [(0, 3), (0, 3)])
+        with pytest.raises(IndexError, match=r"index \[0, -1\] out of bounds"):
+            offsets(a, [(0, 2), (-1, 3)])
 
     def test_linearize_dim_mismatch(self):
+        ds = DataSpace([DiskArray("A", (3,))], 1)
+        ref = ArrayRef.identity("A", 2)
+        nest = LoopNest("t", IterationSpace([(0, 0), (0, 0)]), [ref])
         with pytest.raises(ValueError):
-            DiskArray("A", (3,)).linearize(np.array([[0, 0]]))
+            chunk_matrix_for(nest, ds)
 
 
 class TestDataSpace:
@@ -48,7 +68,7 @@ class TestDataSpace:
         assert ds.num_chunks == 15
         assert ds.chunk_base("A") == 0
         assert ds.chunk_base("B") == 10
-        assert list(ds.chunks_of_array("B")) == list(range(10, 15))
+        assert chunk_ids(ds, "B", [(0, 49)]).tolist() == np.repeat(np.arange(10, 15), 10).tolist()
 
     def test_no_chunk_spans_arrays(self):
         # A has 95 elements -> 10 chunks (last partial); B starts at 10.
@@ -58,26 +78,11 @@ class TestDataSpace:
 
     def test_chunk_of_vectorised(self):
         ds = DataSpace([DiskArray("A", (100,))], 10)
-        idx = np.array([[0], [9], [10], [99]])
-        assert ds.chunk_of("A", idx).tolist() == [0, 0, 1, 9]
+        assert chunk_ids(ds, "A", [(0, 99)])[[0, 9, 10, 99]].tolist() == [0, 0, 1, 9]
 
     def test_chunk_of_2d_array(self):
         ds = DataSpace([DiskArray("A", (4, 10))], 10)
-        assert ds.chunk_of("A", np.array([[2, 5]])) == 2
-
-    def test_chunk_of_offsets(self):
-        ds = DataSpace([DiskArray("A", (100,)), DiskArray("B", (20,))], 10)
-        assert ds.chunk_of_offsets("B", np.array([0, 15])).tolist() == [10, 11]
-        with pytest.raises(IndexError):
-            ds.chunk_of_offsets("B", np.array([20]))
-
-    def test_owner_of_chunk(self):
-        ds = DataSpace([DiskArray("A", (100,)), DiskArray("B", (50,))], 10)
-        assert ds.owner_of_chunk(0) == "A"
-        assert ds.owner_of_chunk(9) == "A"
-        assert ds.owner_of_chunk(10) == "B"
-        with pytest.raises(IndexError):
-            ds.owner_of_chunk(15)
+        assert chunk_ids(ds, "A", [(2, 2), (5, 5)]).tolist() == [2]
 
     def test_unknown_array(self):
         ds = DataSpace([DiskArray("A", (10,))], 5)
@@ -91,11 +96,6 @@ class TestDataSpace:
     def test_needs_arrays(self):
         with pytest.raises(ValueError):
             DataSpace([], 5)
-
-    def test_totals(self):
-        ds = DataSpace([DiskArray("A", (100,)), DiskArray("B", (50,))], 10)
-        assert ds.total_elements == 150
-        assert ds.total_bytes == 150 * 8
 
     def test_paper_figure6_chunking(self):
         # Fig. 6: A[m] with m = 12*d divided into 12 chunks of size d.

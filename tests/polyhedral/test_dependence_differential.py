@@ -1,11 +1,16 @@
 """Differential: the int64-encoded exact dependence test vs tuple sets.
 
-``_exact_or_conservative`` encodes each touched index row as one int64
-over the joint bounding box of both references and tests the overlap
-with ``np.isin``; the oracle compares Python tuple sets.  Both must
-agree on every input, including the overflow fallback.
+``_exact_or_conservative`` evaluates both references over the iteration
+box, encodes each touched index tuple as one int64 over the joint
+bounding box of both references and tests the overlap with a boolean
+mark array (small boxes) or ``np.isin`` (large ones); boxes too large
+to encode fall back to tuple sets.  The oracle compares Python tuple
+sets over the enumerated iteration matrix.  Both must agree on every
+input, on each of the three branches.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.polyhedral import dependence
@@ -110,6 +115,63 @@ class TestOverflowFallback:
         a, b = self._refs(1)
         assert self._run(monkeypatch, a, b, space) is False
         assert not exact_overlap(a, b, space)
+
+
+class Branches:
+    """Counts the calls of ``np.isin`` and of the tuple-set fallback."""
+
+    def __init__(self, monkeypatch):
+        self.isin = self.tuples = 0
+        real_isin, real_tuples = np.isin, dependence._overlap_by_tuples
+
+        def isin(*args, **kwargs):
+            self.isin += 1
+            return real_isin(*args, **kwargs)
+
+        def tuples(ia, ib):
+            self.tuples += 1
+            return real_tuples(ia, ib)
+
+        monkeypatch.setattr(np, "isin", isin)
+        monkeypatch.setattr(dependence, "_overlap_by_tuples", tuples)
+
+    @property
+    def taken(self):
+        if self.tuples:
+            return "tuples"
+        return "isin" if self.isin else "marks"
+
+
+#: (branch, write subscripts, read subscripts, loop bounds, overlap?)
+BRANCH_CASES = [
+    # A 2-D index box of 8 x 16 cells: the mark array decides.
+    ("marks", [AffineExpr([1, 0], 0, modulus=8), AffineExpr([0, 1])],
+     [AffineExpr([0, 1], 3, modulus=8), AffineExpr([1, 1], -2)], [(0, 5), (0, 9)], True),
+    ("marks", [AffineExpr([2, 0], 0, modulus=8), AffineExpr([0, 1])],
+     [AffineExpr([2, 0], 1, modulus=8), AffineExpr([0, 1])], [(0, 5), (0, 9)], False),
+    # Codes spread over ~10**7 cells, past the mark bound: np.isin decides.
+    ("isin", [AffineExpr([1_000_003], 0, modulus=10**7)],
+     [AffineExpr([3], 2_000_006)], [(0, 99)], True),
+    ("isin", [AffineExpr([1_000_003], 0, modulus=10**7)],
+     [AffineExpr([3], 2_000_007)], [(0, 99)], False),
+    # A 2**41 x 2**41 index box cannot be encoded: tuple sets decide.
+    ("tuples", [AffineExpr([1 << 40], 0, modulus=1 << 41), AffineExpr([1 << 40])],
+     [AffineExpr([1 << 40], 1 << 40, modulus=1 << 41), AffineExpr([1 << 40], -(1 << 40))], [(0, 1)], True),
+    ("tuples", [AffineExpr([1 << 40], 0, modulus=1 << 41), AffineExpr([1 << 40])],
+     [AffineExpr([1 << 40], 1, modulus=1 << 41), AffineExpr([1 << 40], -(1 << 40))], [(0, 1)], False),
+]
+
+
+@pytest.mark.parametrize("branch, subs_a, subs_b, bounds, overlap", BRANCH_CASES)
+def test_each_overlap_branch_matches_tuple_sets(monkeypatch, branch, subs_a, subs_b, bounds, overlap):
+    space = IterationSpace(bounds)
+    a = ArrayRef("A", subs_a, is_write=True)
+    b = ArrayRef("A", subs_b)
+    assert exact_overlap(a, b, space) is overlap
+    branches = Branches(monkeypatch)
+    assert dependence._exact_or_conservative(a, b, space) is overlap
+    assert branches.taken == branch
+    assert dependence._exact_or_conservative(b, a, space) is overlap
 
 
 def test_small_boxes_never_fall_back(monkeypatch):

@@ -3,14 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.core.chunking import chunk_matrix_for
 from repro.polyhedral.affine import AffineExpr, AffineMap
 from repro.polyhedral.arrays import DataSpace, DiskArray
+from repro.polyhedral.iterspace import IterationSpace
+from repro.polyhedral.nest import LoopNest
 from repro.polyhedral.references import ArrayRef
 
 
 @pytest.fixture
 def ds():
     return DataSpace([DiskArray("A", (120,)), DiskArray("B", (4, 30))], 10)
+
+
+def touched(ref, bounds, ds):
+    """The chunk each iteration of the box ``bounds`` touches via ``ref``."""
+    nest = LoopNest("t", IterationSpace(bounds), [ref])
+    return chunk_matrix_for(nest, ds)[:, 0]
 
 
 class TestConstruction:
@@ -20,11 +29,11 @@ class TestConstruction:
 
     def test_from_matrix(self):
         r = ArrayRef.from_matrix("A", [[1, 0], [0, 1]], [3, -1])
-        assert r.indices(np.array([5, 6])).tolist() == [8, 5]
+        assert r.map.evaluate(np.array([5, 6])).tolist() == [8, 5]
 
     def test_identity(self):
         r = ArrayRef.identity("B", 2, offsets=[1, 2])
-        assert r.indices(np.array([0, 0])).tolist() == [1, 2]
+        assert r.map.evaluate(np.array([0, 0])).tolist() == [1, 2]
 
     def test_identity_offset_count_checked(self):
         with pytest.raises(ValueError):
@@ -43,31 +52,28 @@ class TestConstruction:
 class TestTouchedChunks:
     def test_1d_strided(self, ds):
         r = ArrayRef("A", [AffineExpr([1], 20)])
-        its = np.array([[0], [5], [40]])
-        assert r.touched_chunks(its, ds).tolist() == [2, 2, 6]
+        assert touched(r, [(0, 40)], ds)[[0, 5, 40]].tolist() == [2, 2, 6]
 
     def test_modular_reference(self, ds):
         r = ArrayRef("A", [AffineExpr([1], 0, modulus=10)])
-        its = np.array([[0], [15], [99]])
-        assert r.touched_chunks(its, ds).tolist() == [0, 0, 0]
+        assert touched(r, [(0, 99)], ds)[[0, 15, 99]].tolist() == [0, 0, 0]
 
     def test_2d_reference_hits_second_array(self, ds):
         r = ArrayRef("B", [AffineExpr([1, 0]), AffineExpr([0, 1])])
-        its = np.array([[0, 0], [1, 5], [3, 29]])
         # B's chunks start at 12 (A has 12 chunks of 10 elements).
-        chunks = r.touched_chunks(its, ds)
+        chunks = touched(r, [(0, 3), (0, 29)], ds)
         assert chunks[0] == 12
-        assert chunks.tolist() == [12, 12 + (30 + 5) // 10, 12 + (90 + 29) // 10]
+        assert chunks[[0, 35, 119]].tolist() == [12, 12 + (30 + 5) // 10, 12 + (90 + 29) // 10]
 
     def test_dim_mismatch(self, ds):
         r = ArrayRef("B", [AffineExpr([1])])
-        with pytest.raises(ValueError):
-            r.touched_chunks(np.array([[0]]), ds)
+        with pytest.raises(ValueError, match="has 1 subscripts, array has 2 dims"):
+            touched(r, [(0, 0)], ds)
 
     def test_out_of_bounds_subscript(self, ds):
         r = ArrayRef("A", [AffineExpr([1], 200)])
-        with pytest.raises(IndexError):
-            r.touched_chunks(np.array([[0]]), ds)
+        with pytest.raises(IndexError, match=r"index \[200\] out of bounds for A\(120,\)"):
+            touched(r, [(0, 0)], ds)
 
     def test_matrix_form_passthrough(self):
         r = ArrayRef.from_matrix("A", [[2]], [1])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.chunking import chunk_matrix_for
 from repro.workloads.generators import (
     STRIDE_UNIT,
     blocked_transpose,
@@ -31,8 +32,7 @@ class TestStrided1d:
         lo = nest.space.lowers[-1]
         assert lo == 2 * STRIDE_UNIT
         # All touched indices stay in bounds.
-        for ref in nest.references:
-            ref.touched_chunks(nest.iterations(), ds)
+        chunk_matrix_for(nest, ds)
 
     def test_rotation_ref_only_with_sweeps(self):
         n1, _ = strided_1d("t", 32, 16, stride_chunks=(0,), rotate_chunks=4)
@@ -63,9 +63,8 @@ class TestStrided1d:
             "t", 32, 16, stride_chunks=(0, 2, -5), sweeps=2, rotate_chunks=16,
             mod_window_chunks=1, second_array_chunks=2,
         )
-        for ref in nest.references:
-            chunks = ref.touched_chunks(nest.iterations(), ds)
-            assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
+        chunks = chunk_matrix_for(nest, ds)
+        assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
 
 
 class TestStencil2d:
@@ -79,9 +78,8 @@ class TestStencil2d:
             "t", rows=16, cols_chunks=2, chunk_elems=16, sweeps=2, row_rotate=4
         )
         assert nest.depth == 3
-        for ref in nest.references:
-            chunks = ref.touched_chunks(nest.iterations(), ds)
-            assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
+        chunks = chunk_matrix_for(nest, ds)
+        assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
 
     def test_write_center_flag(self):
         nest, _ = stencil_2d("t", 8, 2, 16, writes_center=True)
@@ -106,15 +104,13 @@ class TestBlockedTranspose:
         normal, transposed = nest.references[:2]
         it = np.array([[1, 3, 0, 5]])  # i1=1, i2=3, j1=0, j2=5
         u = STRIDE_UNIT
-        assert normal.indices(it).tolist() == [[u + 3, 5]]
-        assert transposed.indices(it).tolist() == [[3, u + 5]]
+        assert normal.map.evaluate(it).tolist() == [[u + 3, 5]]
+        assert transposed.map.evaluate(it).tolist() == [[3, u + 5]]
 
     def test_rotate_and_revisit_refs(self):
         nest, ds = blocked_transpose("t", 2, 16, rotate_cols=True, revisit_rows=2)
         assert len(nest.references) == 4
-        for ref in nest.references:
-            chunks = ref.touched_chunks(nest.iterations(), ds)
-            assert chunks.max() < ds.num_chunks
+        assert chunk_matrix_for(nest, ds).max() < ds.num_chunks
 
     def test_chunk_count_scales_with_chunk_size(self):
         _, ds16 = blocked_transpose("t", 2, 16)
@@ -141,9 +137,8 @@ class TestModularGather:
         nest, ds = modular_gather(
             "t", 32, 16, factor=5, sweeps=2, rotate_chunks=10, revisit_chunks=3
         )
-        for ref in nest.references:
-            chunks = ref.touched_chunks(nest.iterations(), ds)
-            assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
+        chunks = chunk_matrix_for(nest, ds)
+        assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
 
 
 class TestPlanes2d:
@@ -154,9 +149,8 @@ class TestPlanes2d:
         )
         assert nest.depth == 3
         assert len(nest.references) == 5
-        for ref in nest.references:
-            chunks = ref.touched_chunks(nest.iterations(), ds)
-            assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
+        chunks = chunk_matrix_for(nest, ds)
+        assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
 
     def test_shift_bounds_validated(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.chunking import chunk_matrix_for
 from repro.workloads.base import Workload, WorkloadParams
 from repro.workloads.suite import SUITE, get_workload, workload_names
 
@@ -53,10 +54,8 @@ class TestBuilds:
     def test_references_in_bounds(self, workload):
         params = WorkloadParams(chunk_elems=32, data_chunks=128)
         nest, ds = workload.build(params)
-        its = nest.iterations()
-        for ref in nest.references:
-            chunks = ref.touched_chunks(its, ds)
-            assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
+        chunks = chunk_matrix_for(nest, ds)
+        assert chunks.min() >= 0 and chunks.max() < ds.num_chunks
 
     def test_iterations_invariant_under_chunk_size(self, workload):
         """The application is fixed; only the analysis granularity varies."""
