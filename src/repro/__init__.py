@@ -51,7 +51,7 @@ from repro.polyhedral import (
     IterationSpace,
     LoopNest,
 )
-from repro.simulator import LatencyModel, run_experiment, simulate
+from repro.simulator import LatencyModel, run_experiment
 from repro.telemetry import (
     MetricsRegistry,
     build_manifest,
@@ -104,7 +104,6 @@ __all__ = [
     "LoopNest",
     "LatencyModel",
     "run_experiment",
-    "simulate",
     "MetricsRegistry",
     "get_registry",
     "use_registry",

@@ -27,11 +27,6 @@ from repro.core.mapping import Mapping
 from repro.core.mapper import InterProcessorMapper
 from repro.core.baselines import OriginalMapper, IntraProcessorMapper
 from repro.core.multinest import combine_nests
-from repro.core.parallelize import (
-    ParallelizationPlan,
-    apply_parallelization,
-    default_parallelization,
-)
 
 __all__ = [
     "IterationChunk",
@@ -47,7 +42,4 @@ __all__ = [
     "OriginalMapper",
     "IntraProcessorMapper",
     "combine_nests",
-    "ParallelizationPlan",
-    "default_parallelization",
-    "apply_parallelization",
 ]

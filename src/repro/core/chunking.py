@@ -162,18 +162,6 @@ class IterationChunkSet:
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def iterations_of(self, chunk_index: int) -> np.ndarray:
-        """Explicit ``(m, depth)`` iteration vectors of one chunk."""
-        ranks = self.chunks[chunk_index].iterations
-        return self.nest.space.delinearize(ranks)
-
-    def signature_matrix(self) -> np.ndarray:
-        """Dense (num_chunks, r) 0/1 int64 matrix of chunk tags.
-
-        Row i is the tag vector of chunk i: :attr:`incidence` as integers.
-        """
-        return self.incidence.astype(np.int64)
-
     def validate_partition(self) -> None:
         """Assert the chunks exactly partition the nest's iterations."""
         total = self.nest.num_iterations

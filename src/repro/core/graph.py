@@ -44,10 +44,6 @@ class AffinityGraph:
     def num_nodes(self) -> int:
         return self.chunk_set.num_chunks
 
-    def weight(self, i: int, j: int) -> float:
-        """Edge weight between chunks i and j (∞ for forced-together pairs)."""
-        return float(self.weights[i, j])
-
     def edges(self, min_weight: float = 1.0) -> Iterator[tuple[int, int, float]]:
         """All undirected edges with weight >= ``min_weight`` (i < j).
 

@@ -76,26 +76,10 @@ class ChunkCache:
         """Residency probe without stats or recency side effects."""
         return chunk_id in self.policy
 
-    def invalidate(self, chunk_id: int) -> bool:
-        """Drop a chunk if resident; returns whether it was resident."""
-        if chunk_id in self.policy:
-            self.policy.remove(chunk_id)
-            return True
-        return False
-
     def reset(self) -> None:
         """Empty the cache and zero the statistics."""
         self.policy.clear()
         self.stats.reset()
-
-    def publish_metrics(self, registry, **labels) -> None:
-        """Mirror this cache's counters into a telemetry registry.
-
-        Labels default to ``cache=<name>`` so several caches publishing
-        to the same registry stay distinguishable.
-        """
-        labels.setdefault("cache", self.name)
-        self.stats.publish(registry, **labels)
 
     # -- introspection -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ clustering algorithm consumes :meth:`CacheHierarchy.levels` top-down.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.hierarchy.cache import ChunkCache
 from repro.util.validation import check_positive
@@ -71,13 +71,6 @@ class CacheNode:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def clients_under(self) -> list[int]:
-        """Client ids of all leaves in this subtree (sorted)."""
-        out = [n.client_id for n in self.walk() if n.is_leaf]
-        if any(c is None for c in out):
-            raise ValueError("leaf without a client id")
-        return sorted(out)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         kind = "dummy" if self.is_dummy else self.level_name

@@ -8,9 +8,6 @@ Provides exactly the objects the mapping algorithm consumes:
   paper's running example (Fig. 6, ``A[i % d]``) needs;
 * :class:`~repro.polyhedral.iterspace.IterationSpace` — rectangular loop
   nests with lexicographic, vectorised enumeration;
-* :class:`~repro.polyhedral.sets.IntegerSet` — bounded integer sets with
-  affine constraints (the Omega-lite used to express ``G``, ``H`` and the
-  iteration chunks ``γ_Λ`` of §4.2);
 * :class:`~repro.polyhedral.references.ArrayRef` — array references into
   the chunked arrays of a :class:`~repro.polyhedral.arrays.DataSpace`;
 * :mod:`~repro.polyhedral.box` — subscripts evaluated over a whole
@@ -29,7 +26,6 @@ from repro.polyhedral.arrays import DataSpace, DiskArray
 from repro.polyhedral.iterspace import IterationSpace, LoopBound
 from repro.polyhedral.nest import LoopNest
 from repro.polyhedral.references import ArrayRef
-from repro.polyhedral.sets import Constraint, IntegerSet
 from repro.polyhedral.dependence import Dependence, find_dependences
 from repro.polyhedral.transforms import permute_iterations, tile_iterations
 
@@ -42,8 +38,6 @@ __all__ = [
     "LoopBound",
     "LoopNest",
     "ArrayRef",
-    "Constraint",
-    "IntegerSet",
     "Dependence",
     "find_dependences",
     "permute_iterations",

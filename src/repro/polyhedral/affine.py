@@ -15,7 +15,7 @@ matrix.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,22 +67,6 @@ class AffineExpr:
         coeffs[index] = 1
         return cls(coeffs, offset)
 
-    @classmethod
-    def constant(cls, value: int, depth: int) -> "AffineExpr":
-        return cls([0] * depth, value)
-
-    @classmethod
-    def from_terms(
-        cls, terms: Mapping[int, int], depth: int, const: int = 0
-    ) -> "AffineExpr":
-        """Build from a ``{iterator_index: coefficient}`` mapping."""
-        coeffs = [0] * depth
-        for idx, coef in terms.items():
-            if not 0 <= idx < depth:
-                raise ValueError(f"iterator index {idx} outside nest depth {depth}")
-            coeffs[idx] = int(coef)
-        return cls(coeffs, const)
-
     # -- algebra ------------------------------------------------------------------
 
     @property
@@ -93,10 +77,6 @@ class AffineExpr:
     def is_affine(self) -> bool:
         """True when there is no modulus wrapper (pure ``Q·i + q`` row)."""
         return self.modulus is None
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs.any()
 
     def mod(self, modulus: int) -> "AffineExpr":
         """Wrap this expression in a modulus (must not already have one)."""

@@ -18,7 +18,7 @@ Parallel Computations* argues for.
 * :mod:`~repro.serve.server` — bounded admission with explicit 429 +
   ``Retry-After`` backpressure, per-request timeouts, graceful
   SIGINT/SIGTERM drain, and ``/healthz`` ``/statusz`` ``/metrics``;
-* :mod:`~repro.serve.client` — sync + async clients (CLI, tests,
+* :mod:`~repro.serve.client` — the blocking client (CLI, tests,
   benchmarks, CI smoke).
 
 Typical wiring (what ``repro serve --workers 4 --cache DIR`` does)::
@@ -39,12 +39,7 @@ Typical wiring (what ``repro serve --workers 4 --cache DIR`` does)::
     raise SystemExit(server.serve_forever())   # exits 0 after a drain
 """
 
-from repro.serve.client import (
-    AsyncServeClient,
-    ServeClient,
-    ServeError,
-    ServeResponse,
-)
+from repro.serve.client import ServeClient, ServeError, ServeResponse
 from repro.serve.coalesce import Coalescer, Submitted
 from repro.serve.http import SHARD_HEADER, AsyncHttpServer, HttpRequest
 from repro.serve.protocol import (
@@ -88,7 +83,6 @@ __all__ = [
     "MappingServer",
     "SERVE_COUNTERS",
     "ServeClient",
-    "AsyncServeClient",
     "ServeError",
     "ServeResponse",
 ]

@@ -1,19 +1,17 @@
-"""Sync and async clients for the mapping service.
+"""The blocking client for the mapping service.
 
-Stdlib-only: the sync :class:`ServeClient` rides :mod:`http.client`
-(keep-alive per connection, safe to use one instance per thread), the
-:class:`AsyncServeClient` speaks the same minimal HTTP/1.1 over asyncio
-streams.  Both return :class:`ServeResponse` — the decoded response
-document plus the per-request headers the server keeps *out* of the
-body (source, batch size, digest, answering shard) — and raise
-:class:`ServeError` carrying the service's typed error code for
-non-2xx answers.
+Stdlib-only: :class:`ServeClient` rides :mod:`http.client` (keep-alive
+per connection; give each thread its own instance).  It returns
+:class:`ServeResponse` — the decoded response document plus the
+per-request headers the server keeps *out* of the body (source, batch
+size, digest, answering shard) — and raises :class:`ServeError`
+carrying the service's typed error code for non-2xx answers.
 
 Backpressure is a client concern too: ``retries=N`` (opt-in, default
 off) makes ``experiment()``/``batch()`` honor the server's
 ``Retry-After`` on 429/503 with capped, jittered exponential backoff
 instead of surfacing the error — the polite way to ride out a
-saturated or draining shard.  The same clients talk to a single
+saturated or draining shard.  The same client talks to a single
 ``repro serve`` and to a shard cluster's router; the protocol is
 identical by construction.
 
@@ -24,7 +22,6 @@ poll, the serve/shard tests and ``benchmarks/bench_serve.py`` /
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
@@ -33,7 +30,6 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.serve.http import MalformedResponse, http_exchange
 from repro.serve.protocol import (
     ERROR_RECORD,
     batch_request_doc,
@@ -41,7 +37,7 @@ from repro.serve.protocol import (
     request_doc,
 )
 
-__all__ = ["ServeError", "ServeResponse", "ServeClient", "AsyncServeClient"]
+__all__ = ["ServeError", "ServeResponse", "ServeClient"]
 
 #: Ceiling on a single backoff sleep (seconds).
 MAX_BACKOFF_S = 30.0
@@ -144,10 +140,8 @@ def _raise_for_error(status: int, body: bytes, headers: Mapping[str, str]):
     )
 
 
-def _decode(
-    status: int, body: bytes, headers: Mapping[str, str], text: bool = False
-) -> Any:
-    """A successful answer's body: its JSON document, or ``text``.
+def _decode(status: int, body: bytes, headers: Mapping[str, str]) -> Any:
+    """A successful answer's JSON document.
 
     Error statuses raise their typed :class:`ServeError`, and so does a
     body that does not decode.
@@ -155,8 +149,7 @@ def _decode(
     if status >= 400:
         _raise_for_error(status, body, headers)
     try:
-        decoded = body.decode("utf-8")
-        return decoded if text else json.loads(decoded)
+        return json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ServeError("internal", f"undecodable response body: {exc}") from None
 
@@ -223,6 +216,7 @@ class ServeClient:
         body: bytes | None = None,
         extra_headers: Mapping[str, str] | None = None,
     ) -> tuple[int, bytes, dict[str, str]]:
+        reused = self._conn is not None
         conn = self._connection()
         headers = {"Content-Type": "application/json"} if body else {}
         if extra_headers:
@@ -231,10 +225,14 @@ class ServeClient:
             conn.request(method, path, body=body, headers=headers)
             resp = conn.getresponse()
             payload = resp.read()
-        except (http.client.HTTPException, OSError):
-            # A dropped keep-alive connection (server drained between
-            # requests): retry once on a fresh connection.
+        except (http.client.HTTPException, OSError) as exc:
             self.close()
+            # Only a reused keep-alive connection that the server dropped
+            # between requests earns one re-send on a fresh connection.
+            # A timeout is not that case: re-sending would post the
+            # request twice and wait a second full timeout.
+            if not reused or isinstance(exc, TimeoutError):
+                raise
             conn = self._connection()
             conn.request(method, path, body=body, headers=headers)
             resp = conn.getresponse()
@@ -313,106 +311,3 @@ class ServeClient:
 
     def statusz(self) -> dict[str, Any]:
         return _decode(*self._request("GET", "/statusz"))
-
-    def metrics_text(self) -> str:
-        return _decode(*self._request("GET", "/metrics"), text=True)
-
-
-class AsyncServeClient:
-    """Asyncio client: one request per call over a fresh connection.
-
-    Deliberately connectionless between calls — the async user is the
-    coalescing/backpressure *test* surface, where per-request connection
-    state would mask admission behaviour.
-    """
-
-    def __init__(self, url: str, timeout: float = 600.0):
-        self.host, self.port = _split_url(url)
-        self.timeout = timeout
-
-    async def _request(
-        self,
-        method: str,
-        path: str,
-        body: bytes | None = None,
-        extra_headers: Mapping[str, str] | None = None,
-    ) -> tuple[int, bytes, dict[str, str]]:
-        try:
-            return await http_exchange(
-                self.host,
-                self.port,
-                method,
-                path,
-                body or b"",
-                extra_headers,
-                read_timeout=self.timeout,
-            )
-        except MalformedResponse as exc:
-            raise ServeError("internal", str(exc)) from None
-
-    async def _post_with_retries(
-        self,
-        path: str,
-        body: bytes,
-        extra: Mapping[str, str] | None,
-        retries: int,
-        max_backoff_s: float,
-    ) -> ServeResponse:
-        attempt = 0
-        while True:
-            try:
-                return _build_response(
-                    *await self._request("POST", path, body, extra)
-                )
-            except ServeError as exc:
-                if attempt >= retries or not _retryable(exc):
-                    raise
-                await asyncio.sleep(
-                    _backoff_s(attempt, exc.retry_after_s, max_backoff_s)
-                )
-                attempt += 1
-
-    async def experiment(
-        self,
-        workload: str = "",
-        version: str = "",
-        scale: int = 0,
-        config: Mapping[str, Any] | None = None,
-        engine: Mapping[str, Any] | None = None,
-        scenario: str | Mapping[str, Any] | None = None,
-        request_id: str = "",
-        retries: int = 0,
-        max_backoff_s: float = MAX_BACKOFF_S,
-    ) -> ServeResponse:
-        body = encode_doc(
-            request_doc(workload, version, scale, config, engine, scenario)
-        )
-        extra = {"X-Repro-Request-Id": request_id} if request_id else None
-        return await self._post_with_retries(
-            "/v1/experiment", body, extra, retries, max_backoff_s
-        )
-
-    async def batch(
-        self,
-        requests: Sequence[Mapping[str, Any]],
-        request_id: str = "",
-        retries: int = 0,
-        max_backoff_s: float = MAX_BACKOFF_S,
-    ) -> ServeResponse:
-        """POST /v1/batch.  Each item is ``experiment()`` kwargs."""
-        body = encode_doc(
-            batch_request_doc([request_doc(**item) for item in requests])
-        )
-        extra = {"X-Repro-Request-Id": request_id} if request_id else None
-        return await self._post_with_retries(
-            "/v1/batch", body, extra, retries, max_backoff_s
-        )
-
-    async def debugz(self) -> dict[str, Any]:
-        return _decode(*await self._request("GET", "/debugz"))
-
-    async def statusz(self) -> dict[str, Any]:
-        return _decode(*await self._request("GET", "/statusz"))
-
-    async def health(self) -> dict[str, Any]:
-        return _decode(*await self._request("GET", "/healthz"))

@@ -33,9 +33,8 @@ Subclasses declare their endpoints in ``ENDPOINTS`` (path →
   dispatches finish (bounded by ``drain_grace_s``), idle keep-alive
   connections are cut, and the process exits 0.
 
-:func:`http_exchange` is the client half of the same dialect: the one
-request/response exchange both the router → worker hop and
-:class:`~repro.serve.client.AsyncServeClient` speak.
+:func:`http_exchange` is the client half of the same dialect: the
+router → worker hop.
 """
 
 from __future__ import annotations
@@ -119,15 +118,13 @@ async def http_exchange(
     path: str,
     body: bytes = b"",
     headers: Mapping[str, str] | None = None,
-    read_timeout: float | None = None,
 ) -> tuple[int, bytes, dict[str, str]]:
     """One HTTP/1.1 exchange over a fresh connection.
 
     Returns ``(status, body, headers)``, header names lower-cased.
-    Connection errors propagate as :class:`OSError`, a response without
-    a status line raises :class:`MalformedResponse`, and reading the
-    response past ``read_timeout`` seconds raises
-    :class:`asyncio.TimeoutError`.
+    Connection errors propagate as :class:`OSError` and a response
+    without a status line raises :class:`MalformedResponse`.  Callers
+    bound the whole exchange with :func:`asyncio.wait_for`.
     """
     reader, writer = await asyncio.open_connection(host, port)
     try:
@@ -144,7 +141,7 @@ async def http_exchange(
         )
         writer.write(head.encode("ascii") + body)
         await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), read_timeout)
+        raw = await reader.read()
     finally:
         writer.close()
         with contextlib.suppress(ConnectionError, OSError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["DEFAULT_VNODES", "HashRing"]
 
@@ -117,16 +117,6 @@ class HashRing:
         if index == len(self._ring):
             index = 0
         return self._ring[index][1]
-
-    def route_many(self, digests: Sequence[str]) -> dict[str, str]:
-        return {digest: self.route(digest) for digest in digests}
-
-    def spread(self, digests: Sequence[str]) -> dict[str, int]:
-        """How many of ``digests`` each member owns (balance checks)."""
-        counts = {member: 0 for member in self.members}
-        for digest in digests:
-            counts[self.route(digest)] += 1
-        return counts
 
     def describe(self) -> dict:
         """Ring summary for /statusz: members, vnodes, point counts."""

@@ -16,7 +16,6 @@ from repro.simulator.engines import (
     get_default_engine,
     resolve_engine,
     set_default_engine,
-    simulate,
 )
 from repro.simulator.metrics import SimulationResult, ExperimentResult
 from repro.simulator.runner import (
@@ -30,7 +29,6 @@ from repro.simulator.runner import (
 __all__ = [
     "build_client_streams",
     "LatencyModel",
-    "simulate",
     "ENGINE_NAMES",
     "get_default_engine",
     "set_default_engine",

@@ -18,7 +18,10 @@ The selector threads through every :class:`SimulationResult` producer:
 (:func:`repro.exec.executor.task_payload` pins the resolved name so
 pool workers honour the parent's choice) and the CLI's ``--engine``
 flag.  The process-wide default is ``fast``; ``set_default_engine``
-changes it (the CLI does this once, before dispatch).
+changes it (the CLI does this once, before dispatch).  Callers take an
+engine's ``simulate`` from :func:`resolve_engine` or go through
+:func:`repro.simulator.runner.simulate_streams`; there is no
+dispatching ``simulate`` here.
 
 This module is deliberately dependency-free — the engine modules are
 imported lazily on first resolution — so identity/fingerprint code can
@@ -35,7 +38,6 @@ __all__ = [
     "get_default_engine",
     "set_default_engine",
     "resolve_engine",
-    "simulate",
 ]
 
 #: Every selectable engine, in documentation order.
@@ -76,8 +78,3 @@ def resolve_engine(name: str | None = None) -> Callable:
     else:
         from repro.simulator.fast import simulate as fn
     return fn
-
-
-def simulate(*args, engine: str | None = None, **kwargs):
-    """Engine-dispatching ``simulate``: same contract, selectable engine."""
-    return resolve_engine(engine)(*args, **kwargs)

@@ -41,11 +41,6 @@ class SimulationResult:
         return float(np.max(self.per_client_io_ms + self.per_client_sync_ms))
 
     @property
-    def total_io_ms(self) -> float:
-        """Aggregate I/O time across clients (volume-like measure)."""
-        return float(np.sum(self.per_client_io_ms + self.per_client_sync_ms))
-
-    @property
     def execution_time_ms(self) -> float:
         """Parallel execution time: slowest client end to end."""
         per_client = (

@@ -57,23 +57,6 @@ class Tag:
     # -- classic representations -------------------------------------------------
 
     @classmethod
-    def from_mask(cls, mask: int, nbits: int) -> "Tag":
-        """Build a tag from a Python-int bitmask (bit k == chunk k)."""
-        if mask < 0:
-            raise ValueError("mask must be non-negative")
-        if mask >> nbits:
-            raise ValueError(f"mask has bits above width {nbits}")
-        chunks = []
-        k = 0
-        m = mask
-        while m:
-            if m & 1:
-                chunks.append(k)
-            m >>= 1
-            k += 1
-        return cls(chunks, nbits)
-
-    @classmethod
     def from_bitstring(cls, bits: str) -> "Tag":
         """Build a tag from the paper's literal notation, e.g. ``"101010000000"``.
 
@@ -114,16 +97,6 @@ class Tag:
             else (other.chunks, self.chunks)
         )
         return sum(1 for c in small if c in large)
-
-    def union(self, other: "Tag") -> "Tag":
-        if self.nbits != other.nbits:
-            raise ValueError(f"tag widths differ: {self.nbits} != {other.nbits}")
-        return Tag(self.chunks | other.chunks, self.nbits)
-
-    def intersection(self, other: "Tag") -> "Tag":
-        if self.nbits != other.nbits:
-            raise ValueError(f"tag widths differ: {self.nbits} != {other.nbits}")
-        return Tag(self.chunks & other.chunks, self.nbits)
 
     def popcount(self) -> int:
         """Number of distinct data chunks this tag touches."""

@@ -126,20 +126,6 @@ class TestFormIterationChunks:
         firsts = [c.iterations[0] for c in cs.chunks]
         assert firsts == sorted(firsts)
 
-    def test_iterations_of_returns_vectors(self):
-        nest, ds = simple_nest(n=16, d=8)
-        cs = form_iteration_chunks(nest, ds)
-        its = cs.iterations_of(1)
-        assert its.shape == (8, 1)
-        assert its[0, 0] == 8
-
-    def test_signature_matrix(self):
-        nest, ds = simple_nest(n=16, d=8)
-        cs = form_iteration_chunks(nest, ds)
-        S = cs.signature_matrix()
-        assert S.shape == (2, ds.num_chunks)
-        assert S.sum() == 2
-
     def test_incidence_matches_tags(self):
         # Two references, so each row is a multi-chunk tag.
         refs = [ArrayRef("A", [AffineExpr([1])]), ArrayRef("A", [AffineExpr([1], 16)])]

@@ -31,7 +31,7 @@ class TestBuildAffinityGraph:
         for i in range(g.num_nodes):
             for j in range(g.num_nodes):
                 expected = chunk_set.chunks[i].tag.dot(chunk_set.chunks[j].tag)
-                assert g.weight(i, j) == expected
+                assert g.weights[i, j] == expected
 
     def test_symmetric(self, chunk_set):
         g = build_affinity_graph(chunk_set)
@@ -59,7 +59,7 @@ class TestForceTogether:
     def test_infinite_weight(self, chunk_set):
         g = build_affinity_graph(chunk_set)
         g.force_together(0, 1)
-        assert math.isinf(g.weight(0, 1))
+        assert math.isinf(g.weights[0, 1])
         assert (0, 1) in g.forced_pairs
 
     def test_self_pair_rejected(self, chunk_set):

@@ -56,15 +56,6 @@ class TestFill:
         assert c.fill(3) == 2
 
 
-class TestInvalidate:
-    def test_invalidate(self):
-        c = ChunkCache(2)
-        c.fill(1)
-        assert c.invalidate(1)
-        assert not c.invalidate(1)
-        assert c.occupancy == 0
-
-
 class TestReset:
     def test_reset_clears_everything(self):
         c = ChunkCache(2)

@@ -93,14 +93,3 @@ class TestPublish:
         CacheStats().publish(reg, level="L1")
         assert len(reg) == 0
 
-    def test_cache_publish_metrics_labels_by_name(self):
-        from repro.hierarchy.cache import ChunkCache
-        from repro.telemetry import MetricsRegistry
-
-        reg = MetricsRegistry()
-        cache = ChunkCache(2, name="L2[io0]")
-        cache.lookup(1)
-        cache.fill(1)
-        cache.publish_metrics(reg)
-        assert reg.counter("cache.misses", cache="L2[io0]").value == 1
-        assert reg.counter("cache.fills", cache="L2[io0]").value == 1

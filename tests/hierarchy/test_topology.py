@@ -165,7 +165,3 @@ class TestCacheNode:
         names = [n.name for n in paper_fig7.root.walk()]
         assert names[0] == "sn0"
         assert set(names) >= {"io0", "io1", "cn0", "cn3"}
-
-    def test_clients_under(self, paper_fig1):
-        sn0 = paper_fig1.root.children[0]
-        assert sn0.clients_under() == [0, 1, 2, 3]

@@ -16,19 +16,6 @@ class TestAffineExprConstruction:
         with pytest.raises(ValueError):
             AffineExpr.iterator(3, 3)
 
-    def test_constant(self):
-        e = AffineExpr.constant(7, 2)
-        assert e.is_constant
-        assert e.evaluate(np.array([1, 2])) == 7
-
-    def test_from_terms(self):
-        e = AffineExpr.from_terms({0: 2, 2: -1}, 3, const=4)
-        assert e.evaluate(np.array([1, 9, 3])) == 2 - 3 + 4
-
-    def test_from_terms_bad_index(self):
-        with pytest.raises(ValueError):
-            AffineExpr.from_terms({5: 1}, 3)
-
     def test_rejects_nonpositive_modulus(self):
         with pytest.raises(ValueError):
             AffineExpr([1], 0, modulus=0)

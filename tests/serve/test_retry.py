@@ -1,12 +1,11 @@
 """Client-side backpressure: Retry-After-honoring retries (opt-in).
 
-``retries=N`` makes both clients treat 429/503 + ``Retry-After`` as a
+``retries=N`` makes the client treat 429/503 + ``Retry-After`` as a
 delay hint rather than an error — capped jittered exponential backoff,
 N attempts, then the original typed error surfaces.  Anything else
 (validation errors, transport failures) is never retried.
 """
 
-import asyncio
 import threading
 import time
 
@@ -14,7 +13,6 @@ import pytest
 
 from repro.serve.client import (
     MAX_BACKOFF_S,
-    AsyncServeClient,
     ServeError,
     _backoff_s,
     _retryable,
@@ -76,6 +74,7 @@ class TestSyncRetry:
                     c.experiment("sar", "inter")
                 assert e.value.code == "overloaded"
                 assert e.value.http_status == 429
+                assert e.value.retry_after_s is not None
             finally:
                 h.server.coalescer.executor.gate.set()
                 holder.join(30.0)
@@ -106,42 +105,3 @@ class TestSyncRetry:
             assert e.value.code == "unknown_workload"
             # five backoffs would take seconds; no-retry returns at once
             assert time.monotonic() - start < 1.0
-
-
-class TestAsyncRetry:
-    def test_async_retry_rides_out_the_429(self):
-        with _saturated_harness() as h:
-            holder = _occupy(h)
-            opener = threading.Timer(
-                0.2, h.server.coalescer.executor.gate.set
-            )
-            opener.start()
-
-            async def go():
-                client = AsyncServeClient(h.url, timeout=60.0)
-                return await client.experiment("sar", "inter", retries=5)
-
-            try:
-                resp = asyncio.run(go())
-                assert resp.status == 200
-            finally:
-                opener.cancel()
-                h.server.coalescer.executor.gate.set()
-                holder.join(30.0)
-
-    def test_async_fails_fast_without_retries(self):
-        with _saturated_harness() as h:
-            holder = _occupy(h)
-
-            async def go():
-                client = AsyncServeClient(h.url, timeout=60.0)
-                await client.experiment("sar", "inter")
-
-            try:
-                with pytest.raises(ServeError) as e:
-                    asyncio.run(go())
-                assert e.value.code == "overloaded"
-                assert e.value.retry_after_s is not None
-            finally:
-                h.server.coalescer.executor.gate.set()
-                holder.join(30.0)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -25,6 +26,12 @@ from repro.serve.server import MappingServer
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 from repro.telemetry import MetricsRegistry, declare_pipeline_metrics
+
+
+def metrics_text(url: str) -> str:
+    """The Prometheus exposition a front end serves on ``/metrics``."""
+    with urllib.request.urlopen(f"{url}/metrics", timeout=30.0) as resp:
+        return resp.read().decode("utf-8")
 
 
 class GatedExecutor(ExperimentExecutor):
@@ -141,7 +148,7 @@ class TestOpsEndpoints:
             assert status["backend"]["simulations"] == 0
             assert {"retries", "timeouts", "failures"} <= set(status["backend"])
             assert status["store"]["entries"] == 0
-            text = c.metrics_text()
+            text = metrics_text(h.url)
             assert "serve_requests" in text
             assert "exec_retries" in text
         assert h.exit_code == 0

@@ -23,7 +23,7 @@ from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 from repro.telemetry import MetricsRegistry, declare_pipeline_metrics
 
-from tests.serve.test_server import GatedExecutor, ServerHarness
+from tests.serve.test_server import GatedExecutor, ServerHarness, metrics_text
 
 SCALE = 16  # small topology => ~40 ms per simulation
 
@@ -273,8 +273,7 @@ class TestAdmission:
                     executor.gate.set()
                 background.join(30.0)
                 first.close()
-            with cluster.client() as c:
-                text = c.metrics_text()
+            text = metrics_text(cluster.url)
             assert 'shard_rejected_total' in text
 
 
@@ -292,7 +291,7 @@ class TestOpsAggregation:
             # deployment (in-thread workers share the ambient registry)
             assert doc["totals"]["store_entries"] == 1
             assert doc["totals"]["simulations"] >= 1
-            text = c.metrics_text()
+            text = metrics_text(cluster.url)
             for sid in cluster.ids:
                 assert f'shard="{sid}"' in text
             assert 'shard="router"' in text

@@ -58,14 +58,6 @@ class TestEngineRegistry:
         with pytest.raises(ValueError):
             engines.set_default_engine("warp")
 
-    def test_dispatcher_simulate_accepts_engine_kwarg(self):
-        h, fs = make_system()
-        streams = streams_for([[0, 1, 0]])
-        via_ref = engines.simulate(streams, h, fs, engine="reference")
-        h2, fs2 = make_system()
-        via_fast = engines.simulate(streams, h2, fs2, engine="fast")
-        assert _sim_to_dict(via_fast) == _sim_to_dict(via_ref)
-
 
 class TestVectorizability:
     def test_lru_and_fifo_hierarchies_vectorize(self):

@@ -32,9 +32,6 @@ class TestSimulationResult:
     def test_execution_time(self):
         assert sim().execution_time_ms == 21.0
 
-    def test_total_io(self):
-        assert sim().total_io_ms == 30.0
-
     def test_miss_rates(self):
         s = sim()
         assert s.miss_rate("L1") == pytest.approx(0.2)

@@ -61,16 +61,16 @@ class TestFigure8Tags:
         _, _, cs = example
         g = build_affinity_graph(cs)
         # 1-based pairs from the figure (odd component).
-        assert g.weight(0, 2) == 3
-        assert g.weight(2, 4) == 3
-        assert g.weight(4, 6) == 3
-        assert g.weight(0, 4) == 2
-        assert g.weight(2, 6) == 2
+        assert g.weights[0, 2] == 3
+        assert g.weights[2, 4] == 3
+        assert g.weights[4, 6] == 3
+        assert g.weights[0, 4] == 2
+        assert g.weights[2, 6] == 2
         # Even component mirrors it.
-        assert g.weight(1, 3) == 3
-        assert g.weight(5, 7) == 3
+        assert g.weights[1, 3] == 3
+        assert g.weights[5, 7] == 3
         # Odd-even pairs share only chunk 0 (weight 1).
-        assert g.weight(0, 1) == 1
+        assert g.weights[0, 1] == 1
 
     def test_graph_is_complete_via_chunk0(self, example):
         _, _, cs = example
