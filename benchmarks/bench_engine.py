@@ -1,10 +1,11 @@
 """Benchmark: the vectorized engine vs the reference engine.
 
-Runs a matrix of suite workloads (with and without prefetching) through
-both simulation engines on identical pre-built inputs, reporting the
-per-cell wall time, the speedup, and the shared result digest — the two
-engines must produce bit-identical serialised results for a cell to be
-reported at all (a digest mismatch aborts the run).
+Runs a matrix of suite workloads (with and without prefetching) and of
+generated scenarios under ARC and RRIP through both simulation engines
+on identical pre-built inputs, reporting the per-cell wall time, the
+speedup, and the shared result digest — the two engines must produce
+bit-identical serialised results for a cell to be reported at all (a
+digest mismatch aborts the run).
 
 Two entry points:
 
@@ -12,13 +13,14 @@ Two entry points:
   table via ``report_sink``;
 * ``python benchmarks/bench_engine.py -o BENCH_engine.json`` —
   standalone, writing the benchmark record (one row per cell, id
-  ``hf/inter+sched/pf0/wt``; the record's ``speedup`` is the geomean)
+  ``hf/inter+sched/pf0/wt`` or ``zipf-hot/lru-arc-lru``; the record's
+  ``speedup`` is the geomean)
   that the CI perf-gate job checks with ``gate.py`` against the pinned
   copy.
 
 Timing is best-of-``--repeats`` per engine on a prepared experiment
-(mapping excluded), so the ratio isolates exactly what the fast engine
-replaces: the simulation hot loop.
+(mapping and stream generation excluded), so the ratio isolates exactly
+what the fast engine replaces: the simulation hot loop.
 """
 
 from __future__ import annotations
@@ -31,15 +33,17 @@ from typing import Any
 
 import gate
 from repro.experiments.config import scaled_config
+from repro.scenario.registry import get_scenario
+from repro.scenario.runner import _scenario_streams
 from repro.simulator.engines import resolve_engine
 from repro.simulator.runner import prepare_experiment
 from repro.util.fingerprint import canonical_json
 from repro.workloads.suite import get_workload
 
 #: (workload, version, prefetch_degree, write_back) cells. Chosen to
-#: cover the engine's two hot loops: the tree loop (the pf0/wt rows) and
-#: the general loop (the pf4/wt prefetch rows and the pf2/wb write-back
-#: row).
+#: cover the engine's two hot paths: the level-by-level tree pass (the
+#: pf0/wt rows) and the general loop (the pf4/wt prefetch rows and the
+#: pf2/wb write-back row).
 CASES: tuple[tuple[str, str, int, bool], ...] = (
     ("hf", "inter+sched", 0, False),
     ("hf", "original", 0, False),
@@ -53,8 +57,21 @@ CASES: tuple[tuple[str, str, int, bool], ...] = (
 
 SCALE = 4
 
+#: (scenario, per-level policies) cells at ``SCENARIO_SCALE``: generated
+#: traces with ARC at L2 or RRIP at L2 and L3 (the ``cold-policy``
+#: serving mix), where the tree pass runs a different policy per level.
+SCENARIO_CASES: tuple[tuple[str, tuple[str, str, str]], ...] = (
+    ("zipf-hot", ("lru", "arc", "lru")),
+    ("zipf-hot", ("lru", "rrip", "rrip")),
+    ("onoff-bursty", ("lru", "arc", "lru")),
+    ("onoff-bursty", ("lru", "rrip", "rrip")),
+)
+
+SCENARIO_SCALE = 8
+
 #: Perf-gate bounds: the geomean speedup must reach 5x and every cell 2x
-#: (the general-loop cells count every statistic in place and sit below
+#: (the general-loop cells count every statistic in place, and ARC and
+#: RRIP misses do more dict work per access, so those cells sit below
 #: the geomean by design, hence the lower per-cell bar).
 GATE = {"min_speedup": 5, "min_row_speedup": 2}
 
@@ -66,7 +83,7 @@ def _digest(sim) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _time_engine(engine, prep, config, repeats: int):
+def _time_engine(engine, config, inputs: dict[str, Any], repeats: int):
     """Best-of-``repeats`` wall time; returns (seconds, result).
 
     The machine is built once, outside the timed region: the engine
@@ -78,17 +95,33 @@ def _time_engine(engine, prep, config, repeats: int):
     for _ in range(repeats):
         t0 = time.perf_counter()
         sim = engine(
-            prep.streams,
-            hierarchy,
-            filesystem,
+            hierarchy=hierarchy,
+            filesystem=filesystem,
             latency=config.latency,
-            iterations_per_client=prep.iterations_per_client,
-            write_masks=prep.write_masks,
             prefetch_degree=config.prefetch_degree,
-            num_data_chunks=prep.num_data_chunks,
+            **inputs,
         )
         best = min(best, time.perf_counter() - t0)
     return best, sim
+
+
+def _run_row(row_id: str, config, inputs: dict[str, Any], repeats: int) -> dict[str, Any]:
+    """Time both engines on one cell's inputs; their digests must agree."""
+    ref_s, ref_sim = _time_engine(resolve_engine("reference"), config, inputs, repeats)
+    fast_s, fast_sim = _time_engine(resolve_engine("fast"), config, inputs, repeats)
+    ref_digest, fast_digest = _digest(ref_sim), _digest(fast_sim)
+    if ref_digest != fast_digest:
+        raise SystemExit(
+            f"ENGINE DIVERGENCE on {row_id}: {ref_digest[:12]} != {fast_digest[:12]}"
+        )
+    return {
+        "id": row_id,
+        "requests": sum(len(s) for s in inputs["streams"].values()),
+        "reference_s": round(ref_s, 6),
+        "fast_s": round(fast_s, 6),
+        "speedup": round(ref_s / fast_s, 2) if fast_s else float("inf"),
+        "digest": ref_digest,
+    }
 
 
 def _run_cell(
@@ -101,29 +134,32 @@ def _run_cell(
         scaled_config(scale), prefetch_degree=prefetch, writeback=writeback
     )
     prep = prepare_experiment(get_workload(workload), config, version)
-    reference = resolve_engine("reference")
-    fast = resolve_engine("fast")
-    ref_s, ref_sim = _time_engine(reference, prep, config, repeats)
-    fast_s, fast_sim = _time_engine(fast, prep, config, repeats)
-    ref_digest, fast_digest = _digest(ref_sim), _digest(fast_sim)
-    if ref_digest != fast_digest:
-        raise SystemExit(
-            f"ENGINE DIVERGENCE on {workload}/{version} pf={prefetch} "
-            f"wb={writeback}: {ref_digest[:12]} != {fast_digest[:12]}"
-        )
-    return {
-        "id": f"{workload}/{version}/pf{prefetch}/{'wb' if writeback else 'wt'}",
-        "requests": sum(len(s) for s in prep.streams.values()),
-        "reference_s": round(ref_s, 6),
-        "fast_s": round(fast_s, 6),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else float("inf"),
-        "digest": ref_digest,
+    inputs = {
+        "streams": prep.streams,
+        "iterations_per_client": prep.iterations_per_client,
+        "write_masks": prep.write_masks,
+        "num_data_chunks": prep.num_data_chunks,
     }
+    row_id = f"{workload}/{version}/pf{prefetch}/{'wb' if writeback else 'wt'}"
+    return _run_row(row_id, config, inputs, repeats)
+
+
+def _run_scenario_cell(
+    scenario: str, policies: tuple[str, str, str], repeats: int
+) -> dict[str, Any]:
+    config = scaled_config(SCENARIO_SCALE).with_policies(*policies)
+    spec = get_scenario(scenario)
+    streams, num_chunks = _scenario_streams(spec.kind, spec.params, config)
+    inputs = {"streams": streams, "num_data_chunks": num_chunks}
+    return _run_row(f"{scenario}/{'-'.join(policies)}", config, inputs, repeats)
 
 
 def run_matrix(repeats: int = 5, scale: int = SCALE) -> dict[str, Any]:
     rows = [
         _run_cell(w, v, pf, wb, repeats, scale) for w, v, pf, wb in CASES
+    ] + [
+        _run_scenario_cell(scenario, policies, repeats)
+        for scenario, policies in SCENARIO_CASES
     ]
     speedups = [r["speedup"] for r in rows]
     geomean = 1.0
@@ -135,6 +171,7 @@ def run_matrix(repeats: int = 5, scale: int = SCALE) -> dict[str, Any]:
         GATE,
         rows,
         scale=scale,
+        scenario_scale=SCENARIO_SCALE,
         repeats=repeats,
         speedup=round(geomean, 2),
     )
@@ -162,8 +199,8 @@ def test_engine_speedup_matrix(benchmark, report_sink):
     report_sink(
         ExperimentReport(
             "bench engine",
-            f"fast vs reference engine (scale {SCALE}, "
-            f"geomean {doc['speedup']:.1f}x)",
+            f"fast vs reference engine (suite scale {SCALE}, scenario scale "
+            f"{SCENARIO_SCALE}, geomean {doc['speedup']:.1f}x)",
             ["cell", "ref ms", "fast ms", "speedup"],
             table,
         )

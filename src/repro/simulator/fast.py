@@ -5,32 +5,36 @@ magnitude less wall time.  The speed comes from four changes, none of
 which may alter a single observable bit:
 
 * **batched access preparation** — the interleaved ``(client, position)``
-  order, the gathered per-access chunk ids, write bits, cold flags
-  (first global occurrence, via ``np.unique``) and the striping
-  arithmetic (``chunk % nodes`` / ``chunk // nodes`` per access) are all
-  computed as whole numpy arrays up front instead of per access;
+  order and the gathered per-access chunk ids (and, for the general
+  loop, write bits, cold flags and the striping arithmetic) are computed
+  as whole numpy arrays up front instead of per access;
 * **array-backed cache state** — the hot loops work directly on each
-  policy's own containers plus flat counter lists, with no method call,
-  stats object or recorder check per access.  Every cache gets a policy
-  kind.  LRU and FIFO mutate their insertion-ordered residency dict
-  (LRU touch = delete/reinsert, FIFO touch = no-op, evict = first key);
-  RRIP mutates its ``chunk -> RRPV`` dict with the same scan-then-age
-  victim rule; ARC mutates its ``T1/T2/B1/B2`` dicts, keeps ``p`` and
-  the last-touched chunk in locals written back after the run, and
-  answers residency probes from a per-run ``T1 ∪ T2`` dict.  These are
+  policy's own containers, with no method call, stats object or
+  recorder check per access.  Every cache gets a policy kind.  LRU and
+  FIFO mutate their insertion-ordered residency dict (LRU touch =
+  delete/reinsert, FIFO touch = no-op, evict = first key); RRIP mutates
+  its ``chunk -> RRPV`` dict with the same scan-then-age victim rule;
+  ARC mutates its ``T1/T2/B1/B2`` dicts and keeps ``p`` and the
+  last-touched chunk in locals written back after the run.  These are
   exactly the mechanics of the policy classes in
   :mod:`repro.hierarchy.policies`;
-* **derived statistics** — the tree loop (three levels, one parent per
-  cache, write-through, no prefetching: the paper's machine and all
-  measured traffic) counts only hits; misses, cold misses, fills and
-  evictions are recovered exactly afterwards from per-level flow
-  conservation (``misses = lookups - hits`` propagated down the tree,
-  ``fills = misses`` under inclusive fill, ``evictions = fills - final
-  occupancy``).  Everything else — other level counts, prefetching,
-  write-back — runs the general loop, which counts every statistic
-  in place;
+* **level by level on a tree** — fills are inclusive and nothing is
+  invalidated from below, so a cache's state depends only on the
+  accesses that reach it: the misses of the caches above it, in global
+  order.  A read-only run without prefetching on a tree (every L1
+  private, every cache one parent: the paper's machine and all measured
+  traffic) therefore runs one tight per-policy loop per cache over its
+  own substream, level by level; the misses of a level, merged per
+  parent in global order, are the next level's input.  Every statistic
+  follows from flow conservation (lookups = the substream, ``fills =
+  misses`` under inclusive fill, ``evictions = fills - final
+  occupancy``, a first-ever access misses every level), and each
+  client's I/O time is an in-order ``np.cumsum`` of its per-access
+  costs.  Everything else — prefetching, write-back, a shared L1 or a
+  cache at two levels — runs the general loop, which walks every access
+  down its path and counts every statistic in place;
 * **constant-folded disk model** — with per-access latency constants
-  precomputed per disk, a miss costs two list lookups instead of the
+  precomputed per disk, a miss costs two lookups instead of the
   reference's ``ParallelFileSystem → StripingLayout → DiskModel`` call
   chain (float accumulation order is preserved, so ``busy_ms`` and
   ``per_client_io_ms`` stay bit-identical).
@@ -50,7 +54,9 @@ The differential-equivalence suite
 (``tests/simulator/test_engine_equivalence.py``) holds the two engines
 bit-identical across the whole suite, random Hypothesis cases and
 process-pool runs; ``tests/simulator/test_policy_differential.py``
-also compares every policy's internal state after mixed-policy runs.
+also compares every policy's internal state after mixed-policy runs,
+on the general loop and on the level-by-level pass of trees of one to
+four levels.
 """
 
 from __future__ import annotations
@@ -83,6 +89,11 @@ _VECTORIZED_TYPES = {
 
 #: Replacement policies with an exact array-backed equivalent here.
 VECTORIZED_POLICIES = frozenset(cls.name for cls in _VECTORIZED_TYPES)
+
+#: Sort keys pack a group index (a cache or a disk) above this many bits
+#: of global access position.
+_SHIFT = 40
+_LOW = (1 << _SHIFT) - 1
 
 #: Memoized interleave orders keyed by the per-client length tuple —
 #: benchmark loops and parameter sweeps replay identical shapes.
@@ -120,34 +131,47 @@ def _build_static(hierarchy: CacheHierarchy) -> dict:
         for cache in group
     )
     kind = [_VECTORIZED_TYPES.get(type(cache.policy)) for cache in caches]
-    # The derived-statistics loop needs flow conservation: every cache
-    # must drain its misses into exactly one parent (a tree), and every
-    # cache must sit on some client path (else its stats would go stale).
+    # The level-by-level pass needs a tree: every L1 private to one
+    # client, every cache on some client path at one level only, and
+    # every cache draining its misses into exactly one parent.
     on_paths = set(cache_of)
-    tree = hierarchy.num_levels == 3 and all(
+    tree = len({pidx[0] for pidx in path_idx}) == k and all(
         id(cache) in on_paths for group in level_caches for cache in group
     )
+    level_of: dict[int, int] = {}
     parent: dict[int, int] = {}
+    for pidx in path_idx:
+        for l, i in enumerate(pidx):
+            tree = tree and level_of.setdefault(i, l) == l
+        for child, par in zip(pidx, pidx[1:]):
+            tree = tree and parent.setdefault(child, par) == par
+    # levels[l]: the caches at level l (L1s in client order, then in
+    # order of first appearance); up[l][x]: the index in levels[l + 1]
+    # of the parent of levels[l][x], and up_key[l] the same as a sort-key
+    # prefix.
+    levels: list[list[int]] = []
+    up: list[list[int]] = []
+    up_key: list[np.ndarray] = []
     if tree:
-        for pidx in path_idx:
-            for child, par in zip(pidx, pidx[1:]):
-                if parent.setdefault(child, par) != par:
-                    tree = False
-                    break
-            if not tree:
-                break
+        levels.append([pidx[0] for pidx in path_idx])
+        for l in range(1, len(path_idx[0])):
+            levels.append(list(dict.fromkeys(pidx[l] for pidx in path_idx)))
+            index = {i: x for x, i in enumerate(levels[l])}
+            up.append([index[parent[i]] for i in levels[l - 1]])
+            up_key.append(np.array(up[-1], dtype=np.int64) << _SHIFT)
     return {
         "paths": paths,
         "caches": caches,
         "policies": [cache.policy for cache in caches],
         "caps": [cache.capacity for cache in caches],
         "kind": kind,
-        "lru": [k == _LRU for k in kind],
         "path_idx": path_idx,
         "level_caches": level_caches,
         "vectorizable": vectorizable,
         "tree": tree,
-        "parent": parent if tree else None,
+        "levels": levels,
+        "up": up,
+        "up_key": up_key,
     }
 
 
@@ -193,11 +217,10 @@ def simulate(
 
     Same parameters, validation and semantics as
     :func:`repro.simulator.engine.simulate`.  Read-only runs without
-    prefetching on a three-level tree take the lean tree loop; every
-    other vectorizable run takes :func:`_general_loop`.  Both loops run
-    LRU, FIFO, ARC and RRIP caches inline.  Only recorder runs and
-    look-alike policy subclasses fall back, whole, to the reference
-    path.
+    prefetching on a tree take :func:`_tree_pass`, level by level; every
+    other vectorizable run takes :func:`_general_loop`.  Both run LRU,
+    FIFO, ARC and RRIP caches inline.  Only recorder runs and look-alike
+    policy subclasses fall back, whole, to the reference path.
     """
     latency = latency or LatencyModel()
     k = hierarchy.num_clients
@@ -233,7 +256,10 @@ def simulate(
             recorder=recorder,
         )
 
-    hierarchy.reset()
+    # The static caches are every cache of the tree (each sits on some
+    # client's path), so this is ``hierarchy.reset()`` without the walk.
+    for cache in static["caches"]:
+        cache.reset()
     filesystem.reset()
 
     hit_cost = [latency.hit_cost(l) for l in range(num_levels)]
@@ -255,21 +281,16 @@ def simulate(
     # first key == eviction victim, LRU touch = delete/reinsert; RRIP's
     # chunk -> RRPV dict; ARC's T1/T2/B1/B2), so residency, recency,
     # RRPVs and ghost lists end up exactly where the reference engine
-    # leaves them.  ``res[i]`` is what residency probes and occupancy
-    # read: the policy's own dict, or for ARC a per-run T1 ∪ T2 dict.
-    # ARC's ``p`` and last-touched chunk live in lists for the run and
-    # are written back afterwards.
+    # leaves them.  ``res[i]`` is the policy's own dict, or for ARC a
+    # per-run T1 ∪ T2 dict that the general loop probes.  ARC's ``p``
+    # and last-touched chunk live in lists for the run and are written
+    # back afterwards.
     kind = static["kind"]
     res: list[dict[int, object]] = []
     arcs: list[tuple | None] = [None] * ncaches  # (T1, T2, B1, B2, capacity)
     arc_p: list[float] = [0.0] * ncaches
     arc_last: list[int | None] = [None] * ncaches
-    # RRIP: (max RRPV, insert RRPV, aged queue).  A chunk reaches the
-    # max RRPV only by aging, and until the next aging touches and
-    # evictions only remove chunks from that set, never reorder it.  So
-    # the chunks one aging lifts to the max, stacked in reverse dict
-    # order, serve as RRIPPolicy.evict's "first chunk at the max" scan:
-    # pop until one still holds the max; age again only when none does.
+    # RRIP: (max RRPV, insert RRPV, aged queue); see _rrip_pass.
     rrip: list[tuple[int, int, list[int]] | None] = [None] * ncaches
     for i, pol in enumerate(static["policies"]):
         if kind[i] == _ARC:
@@ -283,7 +304,6 @@ def simulate(
         else:
             res.append(pol._order)
     caps = static["caps"]
-    lru = static["lru"]
     path_idx = static["path_idx"]
     hits = [0] * ncaches
     misses = [0] * ncaches
@@ -312,196 +332,27 @@ def simulate(
     lengths = [len(streams[c]) for c in range(k)]
     client_arr, pos_arr = _interleave(lengths)
     n = int(client_arr.shape[0])
-    tree_loop = bool(n) and write_masks is None and not prefetch_degree and static["tree"]
     if n:
-        # Vectorized gather of the whole access sequence: chunk ids,
-        # write bits, cold flags and the striping arithmetic per access.
         concat = np.concatenate(
             [np.asarray(streams[c], dtype=np.int64) for c in range(k)]
         )
-        if concat.size and int(concat.min()) < 0:
+        if int(concat.min()) < 0:
             raise ValueError("chunk ids must be non-negative")
         offsets = np.cumsum(
             np.asarray([0] + lengths[:-1], dtype=np.int64), dtype=np.int64
         )
+        # gather[g]: the client-major position of the g-th access in
+        # the global interleaved order.
         gather = offsets[client_arr] + pos_arr
         chunk_arr = concat[gather]
-        cl_list = client_arr.tolist()
-        chunk_list = chunk_arr.tolist()
-        # cold == first occurrence in the global interleaved order.
-        first_idx = np.unique(chunk_arr, return_index=True)[1]
-        cold_arr = np.zeros(n, dtype=bool)
-        cold_arr[first_idx] = True
-
-        if tree_loop:
-            # The production topology: no counter bookkeeping beyond hits
-            # — misses, colds, fills and evictions are derived afterwards.
-            # Without prefetching no cold access can ever hit (nothing
-            # stages ahead of first use), so cold flags stay out of the
-            # loop, and the striping arithmetic is only done on the full
-            # misses.  All-LRU/FIFO paths take the unrolled walk with
-            # early-continue hit paths; a path holding an ARC or RRIP
-            # cache walks its three levels by policy kind.
-            ctx = []
-            for pidx in path_idx:
-                i0, i1, i2 = pidx
-                walk = None
-                if any(kind[i] > _FIFO for i in pidx):
-                    # (cache, residency, kind, policy state) per level;
-                    # walk[l] lists the levels a hit at level l fills,
-                    # so walk[3] (a full miss) lists all three.
-                    levels = tuple(
-                        (i, res[i], kind[i], arcs[i] or rrip[i]) for i in pidx
-                    )
-                    walk = tuple(levels[:l] for l in range(4))
-                ctx.append((i0, i1, i2, res[i0], res[i1], res[i2], walk))
-            hc0, hc1, hc2 = hit_cost
-            for c, chunk in zip(cl_list, chunk_list):
-                i0, i1, i2, d0, d1, d2, walk = ctx[c]
-                if walk is None:
-                    if chunk in d0:
-                        hits[i0] += 1
-                        if lru[i0]:
-                            del d0[chunk]
-                            d0[chunk] = None
-                        io[c] += hc0
-                        continue
-                    if chunk in d1:
-                        hits[i1] += 1
-                        if lru[i1]:
-                            del d1[chunk]
-                            d1[chunk] = None
-                        io[c] += hc1
-                        if len(d0) >= caps[i0]:
-                            del d0[next(iter(d0))]
-                        d0[chunk] = None
-                        continue
-                    if chunk in d2:
-                        hits[i2] += 1
-                        if lru[i2]:
-                            del d2[chunk]
-                            d2[chunk] = None
-                        io[c] += hc2
-                    else:
-                        node = chunk % stride
-                        block = chunk // stride
-                        if block == dlast[node] + 1:
-                            dseq[node] += 1
-                            lat = dlat_seq[node]
-                        else:
-                            lat = dlat_full[node]
-                        dlast[node] = block
-                        dbusy[node] += lat
-                        dreads[node] += 1
-                        io[c] += miss_base + lat
-                        if len(d2) >= caps[i2]:
-                            del d2[next(iter(d2))]
-                        d2[chunk] = None
-                    # Shared tail of the L2-hit-or-below cases.
-                    if len(d1) >= caps[i1]:
-                        del d1[next(iter(d1))]
-                    d1[chunk] = None
-                    if len(d0) >= caps[i0]:
-                        del d0[next(iter(d0))]
-                    d0[chunk] = None
-                    continue
-                if chunk in d0:
-                    level = 0
-                elif chunk in d1:
-                    level = 1
-                elif chunk in d2:
-                    level = 2
-                else:
-                    level = 3
-                if level < 3:
-                    i, d, kd, st = walk[3][level]
-                    hits[i] += 1
-                    if kd == _LRU:
-                        del d[chunk]
-                        d[chunk] = None
-                    elif kd == _ARC:
-                        t1, t2 = st[:2]
-                        if chunk in t1:
-                            del t1[chunk]
-                        else:
-                            del t2[chunk]
-                        t2[chunk] = None
-                        arc_last[i] = chunk
-                    elif kd == _RRIP:
-                        del d[chunk]
-                        d[chunk] = 0
-                    io[c] += hit_cost[level]
-                else:
-                    node = chunk % stride
-                    block = chunk // stride
-                    if block == dlast[node] + 1:
-                        dseq[node] += 1
-                        lat = dlat_seq[node]
-                    else:
-                        lat = dlat_full[node]
-                    dlast[node] = block
-                    dbusy[node] += lat
-                    dreads[node] += 1
-                    io[c] += miss_base + lat
-                for i, d, kd, st in walk[level]:
-                    if kd <= _FIFO:
-                        if len(d) >= caps[i]:
-                            del d[next(iter(d))]
-                        d[chunk] = None
-                    elif kd == _ARC:
-                        # ARCPolicy.evict, then ARCPolicy.insert, each
-                        # followed by the ghost-list trim.
-                        t1, t2, b1, b2, ac = st
-                        if len(d) >= caps[i]:
-                            if t1 and (
-                                len(t1) > arc_p[i]
-                                or not t2
-                                or next(iter(t2)) == arc_last[i]
-                            ):
-                                victim = next(iter(t1))
-                                del t1[victim]
-                                b1[victim] = None
-                            else:
-                                victim = next(iter(t2))
-                                del t2[victim]
-                                b2[victim] = None
-                            del d[victim]
-                            while b1 and len(t1) + len(b1) > ac:
-                                del b1[next(iter(b1))]
-                            while b2 and len(d) + len(b1) + len(b2) > 2 * ac:
-                                del b2[next(iter(b2))]
-                        if chunk in b1:
-                            arc_p[i] = min(ac, arc_p[i] + max(1.0, len(b2) / len(b1)))
-                            del b1[chunk]
-                            t2[chunk] = None
-                        elif chunk in b2:
-                            arc_p[i] = max(0.0, arc_p[i] - max(1.0, len(b1) / len(b2)))
-                            del b2[chunk]
-                            t2[chunk] = None
-                        else:
-                            t1[chunk] = None
-                        d[chunk] = None
-                        while b1 and len(t1) + len(b1) > ac:
-                            del b1[next(iter(b1))]
-                        while b2 and len(d) + len(b1) + len(b2) > 2 * ac:
-                            del b2[next(iter(b2))]
-                    else:
-                        rmax, rins, aged = st
-                        if len(d) >= caps[i]:
-                            while aged:
-                                victim = aged.pop()
-                                if d[victim] == rmax:
-                                    break
-                            else:
-                                up = rmax - max(d.values())
-                                for key in d:
-                                    d[key] += up
-                                aged.extend(
-                                    key for key, v in reversed(d.items()) if v == rmax
-                                )
-                                victim = aged.pop()
-                            del d[victim]
-                        d[chunk] = rins
+        if write_masks is None and not prefetch_degree and static["tree"]:
+            io = _tree_pass(
+                static, concat, lengths, client_arr, gather, chunk_arr,
+                res, caps, kind, arcs, arc_p, arc_last, rrip,
+                hits, misses, colds, fills, evs,
+                hit_cost, miss_base, stride, dlast, dseq, dbusy, dreads,
+                dlat_full, dlat_seq,
+            )
         else:
             if write_masks is None:
                 wbit_list = [False] * n  # write-through: nothing turns dirty
@@ -509,8 +360,11 @@ def simulate(
                 wbit_list = np.concatenate(
                     [np.asarray(write_masks[c], dtype=bool) for c in range(k)]
                 )[gather].tolist()
+            # cold == first occurrence in the global interleaved order.
+            cold_arr = np.zeros(n, dtype=bool)
+            cold_arr[np.unique(chunk_arr, return_index=True)[1]] = True
             _general_loop(
-                cl_list, chunk_list,
+                client_arr.tolist(), chunk_arr.tolist(),
                 (chunk_arr % stride).tolist(), (chunk_arr // stride).tolist(),
                 cold_arr.tolist(), wbit_list,
                 path_idx, res, caps, kind, arcs, arc_p, arc_last, rrip,
@@ -519,38 +373,6 @@ def simulate(
                 stride, dlast, dseq, dbusy, dreads, dwrites, dlat_full,
                 dlat_seq, io,
             )
-
-    if tree_loop:
-        # Flow conservation recovers everything the loop did not count:
-        # L1 lookups are the clients' stream lengths; a cache's misses
-        # drain into its unique parent as lookups; under inclusive fill
-        # every miss is a fill; evictions are fills minus what is still
-        # resident; without prefetching every cold access misses every
-        # level.
-        parent = static["parent"]
-        lookups = [0] * ncaches
-        cold_per_client = np.bincount(client_arr[cold_arr], minlength=k).tolist()
-        for c in range(k):
-            i0, i1, i2 = path_idx[c]
-            lookups[i0] += lengths[c]
-            cc = cold_per_client[c]
-            colds[i0] += cc
-            colds[i1] += cc
-            colds[i2] += cc
-        # Walk strictly level by level: a parent's lookup count is only
-        # complete once every child at the level above has drained.
-        for l in range(3):
-            seen_idx: set[int] = set()
-            for pidx in path_idx:
-                i = pidx[l]
-                if i in seen_idx:
-                    continue
-                seen_idx.add(i)
-                misses[i] = lookups[i] - hits[i]
-                if i in parent:
-                    lookups[parent[i]] += misses[i]
-                fills[i] = misses[i]
-                evs[i] = fills[i] - len(res[i])
 
     # -- stats land on the cache objects, exactly as the reference leaves them -----
     for i, cache in enumerate(caches):
@@ -617,6 +439,285 @@ def simulate(
     )
 
 
+def _tree_pass(
+    static, concat, lengths, client_arr, gather, chunk_arr,
+    res, caps, kind, arcs, arc_p, arc_last, rrip,
+    hits, misses, colds, fills, evs,
+    hit_cost, miss_base, stride, dlast, dseq, dbusy, dreads,
+    dlat_full, dlat_seq,
+) -> list[float]:
+    """Read-only runs without prefetching on a tree, level by level.
+
+    Fills are inclusive and nothing is invalidated from below, so a
+    cache's state depends only on the accesses that reach it: the misses
+    of the caches above it, in global order.  Each level therefore runs
+    one policy pass per cache over that cache's own substream; the
+    misses, regrouped by the next level's owning cache (a stable merge
+    that keeps global order within each group), are the next level's
+    input.  Private L1s run straight off their client's stream slice.
+    The full misses then go through the disk model in global order, and
+    each client's I/O time is the in-order sum of its per-access costs.
+    Every statistic follows from flow conservation: a cache's lookups
+    are its substream, every miss is a fill, evictions are fills minus
+    what is still resident, and a first-ever access misses every level.
+    Returns the per-client I/O times.
+    """
+    n = len(gather)
+    # ginv[j]: the global position of the client-major j-th access.
+    ginv = np.empty(n, dtype=np.int64)
+    ginv[gather] = np.arange(n, dtype=np.int64)
+    # The current level's input: global positions, chunks, and each
+    # cache's [a, b) slice of them.  L1 runs in client-major order.
+    pos = ginv
+    chunks = concat
+    bounds = client_bounds = [0]
+    for length in lengths:
+        bounds.append(bounds[-1] + length)
+    levels, up, up_key = static["levels"], static["up"], static["up_key"]
+    cost = np.full(n, hit_cost[0])
+    for l, level in enumerate(levels):
+        # flags[j] = 1: input j missed its cache.
+        flags = bytearray(len(chunks))
+        counts = []
+        for i, a, b in zip(level, bounds, bounds[1:]):
+            kd = kind[i]
+            sub = chunks[a:b].tolist()
+            if kd == _ARC:
+                t1, t2, b1, b2, ac = arcs[i]
+                arc_p[i], arc_last[i] = _arc_pass(
+                    sub, a, flags, caps[i], t1, t2, b1, b2, ac,
+                    arc_p[i], arc_last[i],
+                )
+                held = len(t1) + len(t2)
+            else:
+                if kd == _LRU:
+                    _lru_pass(sub, a, flags, caps[i], res[i])
+                elif kd == _FIFO:
+                    _fifo_pass(sub, a, flags, caps[i], res[i])
+                else:
+                    _rrip_pass(sub, a, flags, caps[i], res[i], *rrip[i])
+                held = len(res[i])
+            missed = flags.count(1, a, b)
+            counts.append(missed)
+            misses[i] = fills[i] = missed
+            hits[i] = b - a - missed
+            evs[i] = missed - held
+        out = pos[np.frombuffer(flags, dtype=np.bool_)]
+        if l == len(up):
+            break
+        # Regroup by parent cache: sort keys pack the parent above the
+        # global position.  Each cache's misses are one sorted run of
+        # keys, so the stable sort merges runs.
+        pos = np.repeat(up_key[l], counts)
+        pos |= out
+        pos.sort(kind="stable")
+        pos &= _LOW
+        sizes = [0] * len(levels[l + 1])
+        for x, missed in zip(up[l], counts):
+            sizes[x] += missed
+        bounds = [0]
+        for size in sizes:
+            bounds.append(bounds[-1] + size)
+        cost[pos] = hit_cost[l + 1]
+        chunks = chunk_arr[pos]
+
+    # Full misses: the constant-folded disk model, each disk's reads in
+    # global order.  The disks were just reset, so a disk's first read is
+    # never sequential; a later one is when its chunk is the previous
+    # read's plus ``stride`` (the next block of the same disk).
+    full = chunk_arr[out] % stride
+    full <<= _SHIFT
+    full |= out
+    full.sort(kind="stable")
+    disk_bounds = np.searchsorted(full, np.arange(stride + 1) << _SHIFT).tolist()
+    full &= _LOW
+    full_chunks = chunk_arr[full]
+    reads = np.diff(disk_bounds)
+    seq = np.zeros(len(full), dtype=bool)
+    seq[1:] = np.diff(full_chunks) == stride
+    lat = np.where(seq, np.repeat(dlat_seq, reads), np.repeat(dlat_full, reads))
+    cost[full] = miss_base + lat
+    for d, (a, b) in enumerate(zip(disk_bounds, disk_bounds[1:])):
+        if b > a:
+            dreads[d] = b - a
+            dseq[d] = int(np.count_nonzero(seq[a:b]))
+            dlast[d] = int(full_chunks[b - 1]) // stride
+            # The same left-to-right float sum as ``busy_ms += lat``.
+            dbusy[d] = float(np.cumsum(lat[a:b])[-1])
+
+    # A chunk's first access is its first full miss, and a chunk's reads
+    # all hit one disk, so first occurrences here are global ones.
+    first = np.unique(full_chunks, return_index=True)[1]
+    k = len(lengths)
+    cold_per_client = np.bincount(client_arr[full[first]], minlength=k).tolist()
+    for pidx, cc in zip(static["path_idx"], cold_per_client):
+        for i in pidx:
+            colds[i] += cc
+
+    # Per-client I/O, the same left-to-right float sum as ``io += cost``.
+    # Global order is round-major, so the first ``rounds`` rounds fill a
+    # (round, client) matrix, zero-padded past each stream's end (x + 0.0
+    # == x); one column-wise cumsum sums every client.  All rounds go in
+    # when that padding is at most the data, else only the rounds every
+    # client reaches.  A stream still running afterwards continues from
+    # its sum, written over its last summed cost in client-major order.
+    rounds = max(lengths)
+    if rounds * k > 2 * n:
+        rounds = min(lengths)
+    io = [0.0] * k
+    if rounds:
+        grid = np.arange(rounds)[:, None] < np.minimum(lengths, rounds)
+        matrix = np.zeros(grid.shape)
+        matrix[grid] = cost[: int(np.count_nonzero(grid))]
+        io = np.cumsum(matrix, axis=0, out=matrix)[-1].tolist()
+    if rounds < max(lengths):
+        cost = cost[ginv]
+        for c, length in enumerate(lengths):
+            if length > rounds:
+                a = client_bounds[c] + rounds
+                if rounds:
+                    a -= 1
+                    cost[a] = io[c]
+                io[c] = float(np.cumsum(cost[a : client_bounds[c + 1]])[-1])
+    return io
+
+
+def _lru_pass(chunks, j, flags, cap, d):
+    """LRU over one substream: a hit moves the chunk to the MRU end; a
+    miss sets ``flags[j]`` (``j`` counts on from the slice start), evicts
+    the first key when full, then inserts."""
+    held = len(d)
+    for j, chunk in enumerate(chunks, j):
+        if chunk in d:
+            del d[chunk]
+            d[chunk] = None
+            continue
+        flags[j] = 1
+        if held < cap:
+            held += 1
+        else:
+            del d[next(iter(d))]
+        d[chunk] = None
+
+
+def _fifo_pass(chunks, j, flags, cap, d):
+    """FIFO: :func:`_lru_pass` with hits left in place."""
+    held = len(d)
+    for j, chunk in enumerate(chunks, j):
+        if chunk in d:
+            continue
+        flags[j] = 1
+        if held < cap:
+            held += 1
+        else:
+            del d[next(iter(d))]
+        d[chunk] = None
+
+
+def _rrip_pass(chunks, j, flags, cap, d, rmax, rins, aged):
+    """RRIP over its ``chunk -> RRPV`` dict: a hit sets RRPV 0; a miss
+    evicts the first chunk at the max RRPV (aging everyone first when
+    none is there) and inserts at ``rins``.
+
+    A chunk reaches the max RRPV only by aging, and until the next aging
+    touches and evictions only remove chunks from that set, never
+    reorder it.  So the chunks one aging lifts to the max, stacked in
+    reverse dict order in ``aged``, serve as ``RRIPPolicy.evict``'s scan:
+    pop until one still holds the max; age again only when none does.
+    """
+    held = len(d)
+    for j, chunk in enumerate(chunks, j):
+        if chunk in d:
+            del d[chunk]
+            d[chunk] = 0
+            continue
+        flags[j] = 1
+        if held < cap:
+            held += 1
+        else:
+            while aged:
+                victim = aged.pop()
+                if d[victim] == rmax:
+                    break
+            else:
+                up = rmax - max(d.values())
+                for key in d:
+                    d[key] += up
+                aged.extend([key for key, v in reversed(d.items()) if v == rmax])
+                victim = aged.pop()
+            del d[victim]
+        d[chunk] = rins
+
+
+def _arc_pass(chunks, j, flags, cap, t1, t2, b1, b2, ac, p, last):
+    """ARC on its own ``T1/T2/B1/B2`` dicts, with ``p``, the
+    last-touched chunk and the four list sizes in locals.
+
+    A hit moves the chunk to T2's MRU end.  A miss runs
+    ``ARCPolicy.evict`` when the cache is full (``cap``, the cache's
+    capacity), then ``ARCPolicy.insert``, each followed by the
+    ghost-list trim sized by the policy's own capacity ``ac``.  Returns
+    the final ``(p, last)``.
+    """
+    n1, n2, m1, m2 = len(t1), len(t2), len(b1), len(b2)
+    ac2 = 2 * ac
+    for j, chunk in enumerate(chunks, j):
+        if chunk in t1:
+            del t1[chunk]
+            t2[chunk] = None
+            n1 -= 1
+            n2 += 1
+            last = chunk
+            continue
+        if chunk in t2:
+            del t2[chunk]
+            t2[chunk] = None
+            last = chunk
+            continue
+        flags[j] = 1
+        if n1 + n2 >= cap:
+            if n1 and (n1 > p or not n2 or next(iter(t2)) == last):
+                victim = next(iter(t1))
+                del t1[victim]
+                b1[victim] = None
+                n1 -= 1
+                m1 += 1
+            else:
+                victim = next(iter(t2))
+                del t2[victim]
+                b2[victim] = None
+                n2 -= 1
+                m2 += 1
+            while m1 and n1 + m1 > ac:
+                del b1[next(iter(b1))]
+                m1 -= 1
+            while m2 and n1 + n2 + m1 + m2 > ac2:
+                del b2[next(iter(b2))]
+                m2 -= 1
+        if chunk in b1:
+            p = min(ac, p + max(1.0, m2 / m1))
+            del b1[chunk]
+            m1 -= 1
+            t2[chunk] = None
+            n2 += 1
+        elif chunk in b2:
+            p = max(0.0, p - max(1.0, m1 / m2))
+            del b2[chunk]
+            m2 -= 1
+            t2[chunk] = None
+            n2 += 1
+        else:
+            t1[chunk] = None
+            n1 += 1
+        while m1 and n1 + m1 > ac:
+            del b1[next(iter(b1))]
+            m1 -= 1
+        while m2 and n1 + n2 + m1 + m2 > ac2:
+            del b2[next(iter(b2))]
+            m2 -= 1
+    return p, last
+
+
 def _general_loop(
     cl_list, chunk_list, node_list, block_list, cold_list, wbit_list,
     path_idx, res, caps, kind, arcs, arc_p, arc_last, rrip,
@@ -624,10 +725,10 @@ def _general_loop(
     hit_cost, miss_base, num_levels, pf, max_chunk, stride,
     dlast, dseq, dbusy, dreads, dwrites, dlat_full, dlat_seq, io,
 ):
-    """The hot loop for every run the tree loop does not take.
+    """The hot loop for every run the tree pass does not take.
 
-    Any level count, sequential prefetch at the bottom level, and
-    write-back; every statistic is counted in place.  Mirrors the
+    Shared L1s and other non-tree paths, sequential prefetch at the
+    bottom level, and write-back; every statistic is counted in place.  Mirrors the
     reference engine's dirty-chunk bookkeeping: a write dirties the
     chunk in the private cache; evicting a dirty chunk is absorbed by
     the first lower level holding the victim, else charged as a disk
@@ -638,11 +739,11 @@ def _general_loop(
     Fills run in the reference's order through one fill step per chunk
     and level: after a full miss, the read-ahead chunks staged into the
     bottom cache come first, then the inclusive fill of every level
-    that missed.  As in the tree loop, a chunk being filled at a level
-    just missed its lookup there (or, read ahead, was just probed
-    absent), and nothing since can have inserted it (prefetch only
-    stages strictly larger ids, dirty propagation never inserts), so —
-    unlike ``ChunkCache.fill`` — no already-resident recheck is needed.
+    that missed.  A chunk being filled at a level just missed its lookup
+    there (or, read ahead, was just probed absent), and nothing since
+    can have inserted it (prefetch only stages strictly larger ids,
+    dirty propagation never inserts), so — unlike ``ChunkCache.fill`` —
+    no already-resident recheck is needed.
     """
     ncaches = len(res)
     dirty: list[set[int]] = [set() for _ in range(ncaches)]

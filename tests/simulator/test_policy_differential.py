@@ -7,16 +7,20 @@ lists ``B1``/``B2``, its adaptation target ``p`` (value *and* type —
 RRIP's re-reference prediction values.  Hypothesis searches mixed
 per-level policies over tiny capacities (every access near an
 eviction), with and without prefetching and write-back, so both hot
-loops of :mod:`repro.simulator.fast` run; some cases edit a cache's
-capacity after construction, which leaves ARC's ghost sizing
-(``policy.capacity``) apart from the eviction trigger (``cache.capacity``).
+paths of :mod:`repro.simulator.fast` run: the general loop, and the
+level-by-level tree pass that read-only runs without prefetching take
+(drawn on their own as well, on the paper's three levels and on trees
+of one to four levels).  Some cases edit a cache's capacity after
+construction, which leaves ARC's ghost sizing (``policy.capacity``)
+apart from the eviction trigger (``cache.capacity``).
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.hierarchy.policies import ARCPolicy, RRIPPolicy
-from repro.hierarchy.topology import three_level_hierarchy
+from repro.hierarchy.topology import three_level_hierarchy, uniform_hierarchy
+from repro.simulator.engine import LatencyModel
 from repro.simulator.engines import resolve_engine
 from repro.simulator.serialization import _sim_to_dict
 from repro.storage.filesystem import ParallelFileSystem
@@ -78,20 +82,25 @@ def run_engine(engine, case):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, tree=False):
+    """A machine, an optional capacity edit and streams; with ``tree``,
+    read-only and without prefetching (the tree pass's runs)."""
     policies = tuple(draw(st.sampled_from(VECTORIZED)) for _ in range(3))
     capacities = tuple(draw(st.integers(1, 8)) for _ in range(3))
     storage_nodes = draw(st.sampled_from([1, 2]))
     edit = draw(st.none() | st.tuples(st.integers(0, 2), st.integers(1, 8)))
+    # The tree variant also draws small working sets and longer streams:
+    # reuse is what fills ARC's ghost lists and drives ``p`` to its bounds.
+    top = draw(st.sampled_from([3, 7, 15, NUM_CHUNKS - 1])) if tree else NUM_CHUNKS - 1
     streams = {
         c: np.asarray(
-            draw(st.lists(st.integers(0, NUM_CHUNKS - 1), max_size=48)),
+            draw(st.lists(st.integers(0, top), max_size=64 if tree else 48)),
             dtype=np.int64,
         )
         for c in range(NUM_CLIENTS)
     }
     masks = None
-    if draw(st.booleans()):
+    if not tree and draw(st.booleans()):
         masks = {
             c: np.asarray(
                 draw(st.lists(st.booleans(), min_size=len(s), max_size=len(s))),
@@ -99,8 +108,95 @@ def cases(draw):
             )
             for c, s in streams.items()
         }
-    pf = draw(st.integers(0, 3))
+    pf = 0 if tree else draw(st.integers(0, 3))
     return policies, capacities, storage_nodes, edit, streams, masks, pf
+
+
+@st.composite
+def deep_cases(draw):
+    """A uniform tree of one to four levels (top-down fanouts of one or
+    two, so at most 16 clients), read-only without prefetching."""
+    depth = draw(st.integers(1, 4))
+    fanouts = [draw(st.integers(1, 2)) for _ in range(depth)]
+    policies = [draw(st.sampled_from(VECTORIZED)) for _ in range(depth)]
+    capacities = [draw(st.integers(1, 8)) for _ in range(depth)]
+    clients = int(np.prod(fanouts))
+    streams = {
+        c: np.asarray(
+            draw(st.lists(st.integers(0, NUM_CHUNKS - 1), max_size=40)),
+            dtype=np.int64,
+        )
+        for c in range(clients)
+    }
+    return fanouts, capacities, policies, draw(st.sampled_from([1, 2])), streams
+
+
+def run_deep(engine, case):
+    fanouts, capacities, policies, storage_nodes, streams = case
+    h = uniform_hierarchy(fanouts, capacities, policies)
+    fs = ParallelFileSystem(storage_nodes, chunk_bytes=64 * 1024)
+    latency = LatencyModel(level_ms=tuple(0.01 * 3**l for l in range(len(fanouts))))
+    sim = engine(streams, h, fs, latency=latency, num_data_chunks=NUM_CHUNKS)
+    return _sim_to_dict(sim), machine_digest(h, fs), policy_state(h)
+
+
+class _ProbeARC(ARCPolicy):
+    """ARC that notes the subtle rules it runs into (reference runs only:
+    the fast engine sends a subclass to the reference path)."""
+
+    def __init__(self, capacity, seen):
+        super().__init__(capacity)
+        self.seen = seen
+
+    def insert(self, chunk_id):
+        if chunk_id in self._b1:
+            self.seen.add("b1 ghost hit")
+            if self._p + max(1.0, len(self._b2) / len(self._b1)) >= self.capacity:
+                self.seen.add("p clamped at capacity")
+        elif chunk_id in self._b2:
+            self.seen.add("b2 ghost hit")
+            if self._p - max(1.0, len(self._b1) / len(self._b2)) <= 0.0:
+                self.seen.add("p clamped at 0.0")
+        super().insert(chunk_id)
+
+
+class _ProbeRRIP(RRIPPolicy):
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    def evict(self):
+        if max(self._rrpv.values()) < self._max:
+            self.seen.add("rrip re-aging")
+        return super().evict()
+
+
+def reached_rules(case) -> set[str]:
+    """The subtle rules a reference run of a tree-pass ``case`` exercises."""
+    policies, capacities, storage_nodes, edit, streams, _, _ = case
+    seen: set[str] = set()
+    h = three_level_hierarchy(NUM_CLIENTS, 2, storage_nodes, capacities, policies)
+    for name in h.level_names():
+        for cache in h.caches_at_level(name):
+            if isinstance(cache.policy, ARCPolicy):
+                cache.policy = _ProbeARC(cache.policy.capacity, seen)
+            elif isinstance(cache.policy, RRIPPolicy):
+                cache.policy = _ProbeRRIP(seen)
+    if edit is not None:
+        level, capacity = edit
+        h.caches_at_level(h.level_names()[level])[0].capacity = capacity
+        seen.add("capacity edit")
+    if any(len(s) == 0 for s in streams.values()):
+        seen.add("empty client stream")
+    fs = ParallelFileSystem(storage_nodes, chunk_bytes=64 * 1024)
+    reference(streams, h, fs, num_data_chunks=NUM_CHUNKS)
+    if any(
+        cache.stats.accesses == 0
+        for name in h.level_names()[1:]
+        for cache in h.caches_at_level(name)
+    ):
+        seen.add("lower cache no access reaches")
+    return seen
 
 
 class TestPolicyDifferential:
@@ -108,6 +204,39 @@ class TestPolicyDifferential:
     @given(cases())
     def test_fast_engine_leaves_every_policy_state_identical(self, case):
         assert run_engine(fast, case) == run_engine(reference, case)
+
+    @settings(max_examples=250, deadline=None)
+    @given(cases(tree=True))
+    def test_tree_pass_leaves_every_policy_state_identical(self, case):
+        assert run_engine(fast, case) == run_engine(reference, case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(deep_cases())
+    def test_tree_pass_on_any_depth_matches_the_reference(self, case):
+        assert run_deep(fast, case) == run_deep(reference, case)
+
+    def test_tree_cases_reach_the_subtle_rules(self):
+        """The tree-pass variant's search space includes every rule a
+        level-by-level pass could get wrong: its first 250 derandomized
+        draws (as many as its differential takes) reach them all."""
+        seen: set[str] = set()
+
+        @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+        @given(cases(tree=True))
+        def probe(case):
+            seen.update(reached_rules(case))
+
+        probe()
+        assert seen >= {
+            "b1 ghost hit",
+            "b2 ghost hit",
+            "p clamped at capacity",
+            "p clamped at 0.0",
+            "rrip re-aging",
+            "capacity edit",
+            "empty client stream",
+            "lower cache no access reaches",
+        }
 
     def test_capacity_edit_splits_arc_ghost_sizing_from_the_trigger(self):
         """A cache resized after construction evicts at a size its ARC's
