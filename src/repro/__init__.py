@@ -39,7 +39,6 @@ from repro.core import (
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig, scaled_config
 from repro.hierarchy import (
     CacheHierarchy,
-    hierarchy_from_spec,
     three_level_hierarchy,
     uniform_hierarchy,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "CacheHierarchy",
     "three_level_hierarchy",
     "uniform_hierarchy",
-    "hierarchy_from_spec",
     "CompiledProgram",
     "compile_nest",
     "reuse_distance_profile",

@@ -12,12 +12,11 @@ The storage-cache literature's standard diagnostics, used here to
 """
 
 from repro.analysis.footprint import footprint_curve, mapping_footprints
-from repro.analysis.reuse import hit_rate_for_capacity, reuse_distance_profile
+from repro.analysis.reuse import reuse_distance_profile
 from repro.analysis.sharing import mapping_affinity_quality, sharing_matrix
 
 __all__ = [
     "reuse_distance_profile",
-    "hit_rate_for_capacity",
     "sharing_matrix",
     "mapping_affinity_quality",
     "footprint_curve",

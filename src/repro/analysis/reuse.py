@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["reuse_distance_profile", "hit_rate_for_capacity", "ReuseProfile"]
+__all__ = ["reuse_distance_profile", "ReuseProfile"]
 
 
 class _Fenwick:
@@ -110,8 +110,3 @@ def reuse_distance_profile(trace: np.ndarray) -> ReuseProfile:
         fen.add(pos, +1)
         last_pos[chunk] = pos
     return ReuseProfile(np.asarray(distances, dtype=np.int64), cold, n)
-
-
-def hit_rate_for_capacity(trace: np.ndarray, capacity: int) -> float:
-    """Convenience: the LRU hit rate of one capacity on one trace."""
-    return reuse_distance_profile(trace).hit_rate(capacity)

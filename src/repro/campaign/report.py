@@ -241,15 +241,17 @@ def render_report(report: Mapping[str, Any]) -> str:
 # -- diffing ------------------------------------------------------------------------
 
 
-def diff_manifests(
-    a: Mapping[str, Any], b: Mapping[str, Any], epsilon: float = 1e-9
-) -> dict[str, Any]:
+#: Largest metric-summary shift ``diff_manifests`` treats as unmoved.
+MOVE_EPSILON = 1e-9
+
+
+def diff_manifests(a: Mapping[str, Any], b: Mapping[str, Any]) -> dict[str, Any]:
     """Compare two campaign manifests cell by cell.
 
     Returns ``{identical, fingerprint_match, only_in_a, only_in_b,
     drifted, moved}`` where ``drifted`` lists cells whose result digest
     changed (a determinism/identity break) and ``moved`` lists cells
-    whose metric summaries shifted beyond ``epsilon`` while keeping
+    whose metric summaries shifted beyond :data:`MOVE_EPSILON` while keeping
     their digest (impossible unless summaries were computed differently
     — surfaced rather than hidden).
     """
@@ -269,7 +271,7 @@ def diff_manifests(
         sa, sb = ca.get("summary") or {}, cb.get("summary") or {}
         for metric in _SCALARS:
             va, vb = sa.get(metric), sb.get(metric)
-            if va is not None and vb is not None and abs(va - vb) > epsilon:
+            if va is not None and vb is not None and abs(va - vb) > MOVE_EPSILON:
                 moved.append({"cell": label, "metric": metric, "a": va, "b": vb})
     return {
         "fingerprint_match": a.get("fingerprint") == b.get("fingerprint"),

@@ -139,8 +139,8 @@ def run_campaign(
             if progress is not None:
                 base = completed
 
-                def chunk_progress(done: int, _t: int, _base: int = base) -> None:
-                    progress(_base + done, total)
+                def chunk_progress(done: int, _t: int) -> None:
+                    progress(base + done, total)
 
             try:
                 results = execute_plan(

@@ -102,19 +102,17 @@ def compile_nest(
     data_space: DataSpace,
     hierarchy: CacheHierarchy,
     mapper: InterProcessorMapper | None = None,
-    seed: int = 0,
-    emit_sync: bool = True,
 ) -> CompiledProgram:
     """Compile one parallel nest for the given storage cache hierarchy."""
     with phase("compile") as total:
         mapper = mapper or InterProcessorMapper(schedule=True)
-        mapping = mapper.map(nest, data_space, hierarchy, make_rng(seed))
+        mapping = mapper.map(nest, data_space, hierarchy, make_rng(0))
         mapping.validate(nest.num_iterations)
 
         with phase("codegen"):
             names = [b.name for b in nest.space.bounds]
             body = render_statement(nest, names)
-            waits = _chunk_producers(mapping, nest) if emit_sync else {}
+            waits = _chunk_producers(mapping, nest)
 
             client_code: dict[int, str] = {}
             sync_directives: dict[int, list[str]] = {}

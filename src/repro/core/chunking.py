@@ -111,22 +111,18 @@ class IterationChunk:
 class IterationChunkSet:
     """All iteration chunks of one nest plus shared context."""
 
-    __slots__ = ("nest", "data_space", "chunks", "ref_chunk_matrix", "incidence")
+    __slots__ = ("nest", "data_space", "chunks", "incidence")
 
     def __init__(
         self,
         nest: LoopNest,
         data_space: DataSpace,
         chunks: Sequence[IterationChunk],
-        ref_chunk_matrix: np.ndarray | None = None,
         incidence: np.ndarray | None = None,
     ):
         self.nest = nest
         self.data_space = data_space
         self.chunks = list(chunks)
-        #: Optional (N, R) matrix of the data chunk touched by each
-        #: iteration through each reference — kept for stream generation.
-        self.ref_chunk_matrix = ref_chunk_matrix
         #: (num_chunks, r) 0/1 float64 tag incidence matrix: row i has a
         #: 1 at every data chunk chunk i's tag touches.  Chunk formation
         #: scatters it in one pass; otherwise it is built from the tags.
@@ -367,6 +363,6 @@ def form_iteration_chunks(
     real = cols != _PAD
     incidence[owner[real], cols[real]] = 1.0
 
-    chunk_set = IterationChunkSet(nest, data_space, chunks, chunk_matrix, incidence)
+    chunk_set = IterationChunkSet(nest, data_space, chunks, incidence)
     assert chunk_set.total_iterations == n_iters
     return chunk_set

@@ -5,11 +5,12 @@ of common '1's between the tags of the two nodes" — i.e.
 ``popcount(Λi AND Λj)`` = the dot product of the 0/1 tag vectors.
 
 The whole weight matrix is ``W = S @ S.T`` for the (n, r) tag matrix S,
-computed with one BLAS call.  The graph is what Fig. 8 draws for the
-running example; the clustering stage consumes the same dot products via
-cluster signatures, so this module is primarily the *inspectable* form
-(edges, neighbours, components) plus the dependence-fusion hook
-(infinite-weight edges, §5.4).
+computed with one BLAS call on the first read of ``weights``.  The graph
+is what Fig. 8 draws for the running example; the clustering stage
+recomputes the same dot products from cluster signatures and reads only
+the graph's forced pairs, so a mapping never builds the matrix.  This
+module is the *inspectable* form (edges, neighbours, components) plus
+the dependence-fusion hook (infinite-weight edges, §5.4).
 """
 
 from __future__ import annotations
@@ -25,24 +26,32 @@ __all__ = ["AffinityGraph", "build_affinity_graph"]
 
 
 class AffinityGraph:
-    """Dense affinity graph over the iteration chunks of one nest."""
+    """Affinity graph over the iteration chunks of one nest."""
 
-    __slots__ = ("chunk_set", "weights", "_forced")
+    __slots__ = ("chunk_set", "_weights", "_forced")
 
-    def __init__(self, chunk_set: IterationChunkSet, weights: np.ndarray):
-        n = chunk_set.num_chunks
-        w = np.asarray(weights)
-        if w.shape != (n, n):
-            raise ValueError(f"weight matrix must be ({n}, {n}), got {w.shape}")
-        if not np.array_equal(w, w.T):
-            raise ValueError("affinity weights must be symmetric")
+    def __init__(self, chunk_set: IterationChunkSet):
         self.chunk_set = chunk_set
-        self.weights = w.astype(np.float64)
+        self._weights: np.ndarray | None = None
         self._forced: set[tuple[int, int]] = set()
 
     @property
     def num_nodes(self) -> int:
         return self.chunk_set.num_chunks
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense ``(n, n)`` float64 weights, forced pairs at infinity.
+
+        Built on first read; later :meth:`force_together` calls update it.
+        """
+        if self._weights is None:
+            S = self.chunk_set.incidence
+            w = (S @ S.T).astype(np.float64)
+            for i, j in self._forced:
+                w[i, j] = w[j, i] = math.inf
+            self._weights = w
+        return self._weights
 
     def edges(self, min_weight: float = 1.0) -> Iterator[tuple[int, int, float]]:
         """All undirected edges with weight >= ``min_weight`` (i < j).
@@ -57,10 +66,11 @@ class AffinityGraph:
         for i, j, wij in zip(iu[keep], ju[keep], w[keep]):
             yield int(i), int(j), float(wij)
 
-    def neighbours(self, i: int, min_weight: float = 1.0) -> list[int]:
+    def neighbours(self, i: int) -> list[int]:
+        """The nodes sharing at least one data chunk with node ``i``."""
         row = self.weights[i].copy()
         row[i] = -math.inf
-        return np.flatnonzero(row >= min_weight).tolist()
+        return np.flatnonzero(row >= 1).tolist()
 
     def force_together(self, i: int, j: int) -> None:
         """Give an edge infinite weight (dependence fusion, §5.4).
@@ -73,23 +83,24 @@ class AffinityGraph:
         n = self.num_nodes
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("node index out of range")
-        self.weights[i, j] = self.weights[j, i] = math.inf
+        if self._weights is not None:
+            self._weights[i, j] = self._weights[j, i] = math.inf
         self._forced.add((min(i, j), max(i, j)))
 
     @property
     def forced_pairs(self) -> set[tuple[int, int]]:
         return set(self._forced)
 
-    def is_complete(self, min_weight: float = 1.0) -> bool:
-        """Does every distinct pair share at least ``min_weight`` chunks?"""
+    def is_complete(self) -> bool:
+        """Does every distinct pair share at least one chunk?"""
         n = self.num_nodes
         if n < 2:
             return True
         off = self.weights[~np.eye(n, dtype=bool)]
-        return bool((off >= min_weight).all())
+        return bool((off >= 1).all())
 
-    def components(self, min_weight: float = 1.0) -> list[list[int]]:
-        """Connected components under the >=min_weight edge relation."""
+    def components(self) -> list[list[int]]:
+        """Connected components of the graph's edges."""
         n = self.num_nodes
         seen = np.zeros(n, dtype=bool)
         comps: list[list[int]] = []
@@ -102,7 +113,7 @@ class AffinityGraph:
             while stack:
                 u = stack.pop()
                 comp.append(u)
-                for v in self.neighbours(u, min_weight):
+                for v in self.neighbours(u):
                     if not seen[v]:
                         seen[v] = True
                         stack.append(v)
@@ -114,7 +125,8 @@ class AffinityGraph:
 
 
 def build_affinity_graph(chunk_set: IterationChunkSet) -> AffinityGraph:
-    """Initialization step of Fig. 5: ``ω(γΛi, γΛj) = popcount(Λi ∧ Λj)``."""
-    S = chunk_set.incidence
-    W = S @ S.T
-    return AffinityGraph(chunk_set, W)
+    """Initialization step of Fig. 5: ``ω(γΛi, γΛj) = popcount(Λi ∧ Λj)``.
+
+    The weights are computed when first read (see :attr:`AffinityGraph.weights`).
+    """
+    return AffinityGraph(chunk_set)

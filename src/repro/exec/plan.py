@@ -141,12 +141,11 @@ class SweepPlan:
         self,
         config: "SystemConfig",
         versions: Iterable[str],
-        workloads: Iterable["Workload"] | None = None,
     ) -> None:
-        """Add every (workload, version) pair of one ``run_suite`` call."""
+        """Add every (suite workload, version) pair of one ``run_suite`` call."""
         from repro.workloads.suite import SUITE
 
-        for w in workloads if workloads is not None else SUITE:
+        for w in SUITE:
             for v in versions:
                 self.add(w, config, v)
 
@@ -373,7 +372,6 @@ def cached_report(
     name: str,
     config: "SystemConfig",
     build: Callable[["SystemConfig"], "ExperimentReport"],
-    store=None,
 ) -> "ExperimentReport":
     """Build-or-fetch a whole experiment report through the store.
 
@@ -385,7 +383,7 @@ def cached_report(
     """
     from repro.exec.store import _report_from_dict, _report_to_dict
 
-    store = store if store is not None else get_execution().store
+    store = get_execution().store
     if store is None:
         # Same canonicalising round-trip as the cached path, so output
         # is identical with or without a store.

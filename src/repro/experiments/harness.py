@@ -28,18 +28,13 @@ def run_suite(
     config,
     versions: Sequence[str] = VERSIONS,
     workloads: Iterable[Workload] | None = None,
-    executor=None,
-    store=None,
 ) -> dict[str, dict[str, ExperimentResult]]:
     """Run every (workload, version) pair: ``{workload: {version: result}}``.
 
-    ``executor`` (a :class:`repro.exec.ExperimentExecutor`) parallelizes
-    the independent runs; ``store`` (a
-    :class:`repro.exec.ResultStore`/:class:`~repro.exec.MemoryStore`)
-    caches per-(workload, config, version) results within and across
-    sweeps.  Both default from the active execution context
-    (:func:`repro.exec.use_execution`); with neither, runs execute
-    serially in-process.
+    The active execution context (:func:`repro.exec.use_execution`)
+    supplies the executor that parallelizes the independent runs and
+    the store that caches per-(workload, config, version) results;
+    with neither, runs execute serially in-process.
     """
     from repro.exec.plan import SweepPlan, execute_plan
 
@@ -48,7 +43,7 @@ def run_suite(
     keys = {
         (w.name, v): plan.add(w, config, v) for w in workloads for v in versions
     }
-    results = execute_plan(plan, executor=executor, store=store)
+    results = execute_plan(plan)
     return {
         w.name: {v: results[keys[(w.name, v)].digest] for v in versions}
         for w in workloads
@@ -57,9 +52,8 @@ def run_suite(
 
 def normalized_suite(
     results: dict[str, dict[str, ExperimentResult]],
-    baseline: str = "original",
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """Normalize every version against the baseline, per workload.
+    """Normalize every version against ``original``, per workload.
 
     ``{workload: {version: {metric: normalized value}}}`` with metrics
     ``io_latency``, ``execution_time`` and ``miss_rate_L*``; the
@@ -67,9 +61,9 @@ def normalized_suite(
     """
     out: dict[str, dict[str, dict[str, float]]] = {}
     for wname, per_version in results.items():
-        if baseline not in per_version:
-            raise KeyError(f"baseline {baseline!r} missing for {wname}")
-        base = per_version[baseline]
+        if "original" not in per_version:
+            raise KeyError(f"baseline 'original' missing for {wname}")
+        base = per_version["original"]
         out[wname] = {
             v: res.normalized_against(base) for v, res in per_version.items()
         }

@@ -39,9 +39,9 @@ class ExperimentReport:
             out += f"\n  note: {note}"
         return out
 
-    def row_dict(self, key_column: int = 0) -> dict[str, list[Any]]:
-        """Rows indexed by the value of one column (usually the name)."""
-        return {str(r[key_column]): list(r) for r in self.rows}
+    def row_dict(self) -> dict[str, list[Any]]:
+        """Rows indexed by the value of their first column (the name)."""
+        return {str(r[0]): list(r) for r in self.rows}
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()

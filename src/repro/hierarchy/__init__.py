@@ -18,7 +18,6 @@ from repro.hierarchy.stats import CacheStats
 from repro.hierarchy.topology import (
     CacheHierarchy,
     CacheNode,
-    hierarchy_from_spec,
     three_level_hierarchy,
     uniform_hierarchy,
 )
@@ -34,5 +33,4 @@ __all__ = [
     "CacheNode",
     "three_level_hierarchy",
     "uniform_hierarchy",
-    "hierarchy_from_spec",
 ]

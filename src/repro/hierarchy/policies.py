@@ -161,7 +161,7 @@ class FIFOPolicy(ReplacementPolicy):
 
 
 class RRIPPolicy(ReplacementPolicy):
-    """Static RRIP (Jaleel et al., ISCA'10) with ``m``-bit prediction.
+    """Static RRIP (Jaleel et al., ISCA'10) with 2-bit prediction.
 
     Every resident chunk carries a re-reference prediction value
     (RRPV); insertion predicts a *long* interval (``max - 1``), a hit
@@ -174,10 +174,8 @@ class RRIPPolicy(ReplacementPolicy):
 
     name = "rrip"
 
-    def __init__(self, m_bits: int = 2):
-        if m_bits < 1:
-            raise ValueError("need at least one RRPV bit")
-        self._max = (1 << m_bits) - 1
+    def __init__(self):
+        self._max = 3  # 2-bit RRPVs
         self._insert_rrpv = self._max - 1
         self._rrpv: dict[int, int] = {}  # insertion order = age order per RRPV
 
@@ -243,7 +241,7 @@ class ARCPolicy(ReplacementPolicy):
 
     name = "arc"
 
-    def __init__(self, capacity: int | None = None):
+    def __init__(self, capacity: int):
         if capacity is None:
             raise ValueError("arc needs the cache capacity (use make_policy)")
         if capacity < 1:

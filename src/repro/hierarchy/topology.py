@@ -24,7 +24,6 @@ __all__ = [
     "CacheHierarchy",
     "three_level_hierarchy",
     "uniform_hierarchy",
-    "hierarchy_from_spec",
 ]
 
 
@@ -110,11 +109,16 @@ class CacheHierarchy:
         depths = {self._depth_of(n) for n in leaves}
         if len(depths) != 1:
             raise ValueError("all client leaves must sit at the same depth")
+        seen: set[int] = set()
         for node in self.root.walk():
             if node.is_dummy and node is not self.root:
                 raise ValueError("only the root may be a dummy (cache-less) node")
             if node.is_leaf and node.cache is None:
                 raise ValueError("client leaves must have a cache")
+            if node.cache is not None:
+                if id(node.cache) in seen:
+                    raise ValueError(f"cache {node.cache.name!r} sits at two nodes")
+                seen.add(id(node.cache))
 
     def _depth_of(self, node: CacheNode) -> int:
         d = 0
@@ -350,82 +354,4 @@ def uniform_hierarchy(
 
     tops = [build(0) for _ in range(fanouts[0])]
     root = tops[0] if len(tops) == 1 else CacheNode("root", "root", None, tops)
-    return CacheHierarchy(root)
-
-
-def hierarchy_from_spec(spec: dict, policy: str = "lru") -> CacheHierarchy:
-    """Build an arbitrary (possibly non-uniform) hierarchy from a spec.
-
-    A node spec is a dict with ``capacity`` (chunks) and optional
-    ``level`` (name), ``policy`` (replacement policy name overriding the
-    ``policy`` argument for that node) and ``children`` (list of node
-    specs); a leaf spec (no ``children``) becomes one client.  A
-    top-level spec of the form
-    ``{"roots": [...]}`` creates a dummy root over several storage
-    nodes.  Client ids are assigned left to right.
-
-    Example — two storage nodes with *different* fan-outs::
-
-        hierarchy_from_spec({"roots": [
-            {"capacity": 64, "children": [
-                {"capacity": 32, "children": [{"capacity": 8}, {"capacity": 8}]},
-            ]},
-            {"capacity": 64, "children": [
-                {"capacity": 32, "children": [{"capacity": 8}]},
-                {"capacity": 32, "children": [{"capacity": 8}]},
-            ]},
-        ]})
-
-    Note the validation rule that every client leaf must sit at the same
-    depth still applies.
-    """
-    counter = {"client": 0, "node": 0}
-
-    def depth_of(node_spec: dict) -> int:
-        children = node_spec.get("children")
-        if not children:
-            return 1
-        depths = {depth_of(ch) for ch in children}
-        if len(depths) != 1:
-            raise ValueError("all branches must have equal depth")
-        return 1 + depths.pop()
-
-    def build(node_spec: dict, depth_left: int) -> CacheNode:
-        if "capacity" not in node_spec:
-            raise ValueError("every node spec needs a 'capacity'")
-        capacity = node_spec["capacity"]
-        level = node_spec.get("level", f"L{depth_left}")
-        node_policy = node_spec.get("policy", policy)
-        children_spec = node_spec.get("children")
-        if not children_spec:
-            cid = counter["client"]
-            counter["client"] += 1
-            return CacheNode(
-                f"cn{cid}",
-                level,
-                ChunkCache(capacity, node_policy, name=f"{level}[cn{cid}]"),
-                client_id=cid,
-            )
-        name = f"n{counter['node']}"
-        counter["node"] += 1
-        children = [build(ch, depth_left - 1) for ch in children_spec]
-        return CacheNode(
-            name,
-            level,
-            ChunkCache(capacity, node_policy, name=f"{level}[{name}]"),
-            children,
-        )
-
-    if "roots" in spec:
-        roots_spec = spec["roots"]
-        if not roots_spec:
-            raise ValueError("'roots' must not be empty")
-        depth = depth_of(roots_spec[0])
-        for r in roots_spec[1:]:
-            if depth_of(r) != depth:
-                raise ValueError("all roots must have equal depth")
-        tops = [build(r, depth) for r in roots_spec]
-        root = tops[0] if len(tops) == 1 else CacheNode("root", "root", None, tops)
-    else:
-        root = build(spec, depth_of(spec))
     return CacheHierarchy(root)

@@ -34,7 +34,6 @@ from repro.obs.tracer import (
     Tracer,
     build_trees,
     get_tracer,
-    set_tracer,
     span,
     thread_tracer,
     use_tracer,
@@ -54,7 +53,6 @@ __all__ = [
     "span",
     "build_trees",
     "get_tracer",
-    "set_tracer",
     "use_tracer",
     "thread_tracer",
     "spans_to_chrome",

@@ -44,7 +44,6 @@ __all__ = [
     "span",
     "build_trees",
     "get_tracer",
-    "set_tracer",
     "use_tracer",
     "thread_tracer",
 ]
@@ -210,17 +209,6 @@ def get_tracer() -> Tracer | NullTracer:
     """The active tracer span sites record into."""
     override = getattr(_LOCAL, "tracer", None)
     return _active if override is None else override
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install the active tracer (``None`` restores the null tracer).
-
-    Returns the previously active tracer so callers can restore it.
-    """
-    global _active
-    previous = _active
-    _active = tracer if tracer is not None else NULL_TRACER
-    return previous
 
 
 class use_tracer:

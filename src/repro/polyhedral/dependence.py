@@ -235,13 +235,12 @@ def distance_vector(
     return tuple(int(-v) for v in rounded)  # σ2 - σ1
 
 
-def find_dependences(nest: LoopNest, *, include_input_deps: bool = False) -> list[Dependence]:
+def find_dependences(nest: LoopNest) -> list[Dependence]:
     """All pairwise (may-)dependences among the nest's references.
 
-    By default only pairs involving at least one write are reported
-    (true/anti/output dependences); ``include_input_deps=True`` also
-    reports read-read sharing, which the mapping algorithm treats as
-    affinity rather than an ordering constraint.
+    Only pairs involving at least one write are reported (true/anti/
+    output dependences); read-read sharing is affinity to the mapping
+    algorithm, not an ordering constraint.
     """
     deps: list[Dependence] = []
     refs = nest.references
@@ -250,7 +249,7 @@ def find_dependences(nest: LoopNest, *, include_input_deps: bool = False) -> lis
             ra, rb = refs[a], refs[b]
             if ra.array_name != rb.array_name:
                 continue
-            if not include_input_deps and not (ra.is_write or rb.is_write):
+            if not (ra.is_write or rb.is_write):
                 continue
             if a == b and not ra.is_write:
                 continue  # a read against itself orders nothing

@@ -47,14 +47,14 @@ class ArrayRef:
 
     @classmethod
     def identity(
-        cls, array_name: str, depth: int, offsets: Sequence[int] | None = None, *, is_write: bool = False
+        cls, array_name: str, depth: int, offsets: Sequence[int] | None = None
     ) -> "ArrayRef":
         """The uniform reference ``A[i0+o0, i1+o1, …]``."""
         offs = [0] * depth if offsets is None else list(offsets)
         if len(offs) != depth:
             raise ValueError("one offset per loop expected")
         exprs = [AffineExpr.iterator(k, depth, offs[k]) for k in range(depth)]
-        return cls(array_name, exprs, is_write=is_write)
+        return cls(array_name, exprs)
 
     # -- shape -------------------------------------------------------------------
 

@@ -16,8 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.polyhedral.iterspace import IterationSpace
-
 __all__ = [
     "permute_iterations",
     "tile_iterations",
@@ -52,7 +50,6 @@ def permute_iterations(
 def tile_iterations(
     iterations: np.ndarray,
     tile_sizes: Sequence[int],
-    space: IterationSpace | None = None,
 ) -> np.ndarray:
     """Reorder iterations into blocked (tiled) execution order.
 
@@ -62,6 +59,7 @@ def tile_iterations(
     blocked schedule the Intra-processor baseline uses to improve
     temporal reuse.
 
+    Tiles start at the smallest coordinate of each loop.
     ``tile_sizes[k] <= 0`` or ``>= extent`` leaves loop k untiled.
     """
     its = np.asarray(iterations, dtype=np.int64)
@@ -71,11 +69,7 @@ def tile_iterations(
     sizes = list(tile_sizes)
     if len(sizes) != depth:
         raise ValueError("one tile size per loop expected")
-    if space is not None and space.depth != depth:
-        raise ValueError("space depth mismatch")
-    lowers = (
-        space.lowers if space is not None else its.min(axis=0) if len(its) else np.zeros(depth, np.int64)
-    )
+    lowers = its.min(axis=0) if len(its) else np.zeros(depth, np.int64)
     # Sort keys: (tile coord of loop 0, …, tile coord of loop d-1,
     #             intra coord of loop 0, …, intra coord of loop d-1).
     tile_coords = np.empty_like(its)

@@ -122,18 +122,19 @@ def run_scenario(
     scenario: str | Mapping[str, Any] | ScenarioSpec,
     config: "SystemConfig",
     version: str | None = None,
-    executor=None,
-    store=None,
 ) -> "ExperimentResult":
-    """Resolve, key, and execute one scenario through the exec runtime."""
+    """Resolve, key, and execute one scenario through the exec runtime.
+
+    The active execution context (:func:`repro.exec.use_execution`)
+    supplies the executor and the result store.
+    """
     from repro.exec.plan import SweepPlan, execute_plan
 
     spec = resolve_scenario(scenario)
     spec.deep_validate()
     plan = SweepPlan()
     key = add_to_plan(plan, spec, config, version)
-    results = execute_plan(plan, executor=executor, store=store)
-    return results[key.digest]
+    return execute_plan(plan)[key.digest]
 
 
 # -- worker side --------------------------------------------------------------------

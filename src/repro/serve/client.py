@@ -249,7 +249,6 @@ class ServeClient:
         body: bytes,
         extra: Mapping[str, str] | None,
         retries: int,
-        max_backoff_s: float,
     ) -> ServeResponse:
         attempt = 0
         while True:
@@ -258,7 +257,7 @@ class ServeClient:
             except ServeError as exc:
                 if attempt >= retries or not _retryable(exc):
                     raise
-                time.sleep(_backoff_s(attempt, exc.retry_after_s, max_backoff_s))
+                time.sleep(_backoff_s(attempt, exc.retry_after_s, MAX_BACKOFF_S))
                 attempt += 1
 
     def experiment(
@@ -271,14 +270,13 @@ class ServeClient:
         scenario: str | Mapping[str, Any] | None = None,
         request_id: str = "",
         retries: int = 0,
-        max_backoff_s: float = MAX_BACKOFF_S,
     ) -> ServeResponse:
         body = encode_doc(
             request_doc(workload, version, scale, config, engine, scenario)
         )
         extra = {"X-Repro-Request-Id": request_id} if request_id else None
         return self._post_with_retries(
-            "/v1/experiment", body, extra, retries, max_backoff_s
+            "/v1/experiment", body, extra, retries
         )
 
     def batch(
@@ -286,7 +284,6 @@ class ServeClient:
         requests: Sequence[Mapping[str, Any]],
         request_id: str = "",
         retries: int = 0,
-        max_backoff_s: float = MAX_BACKOFF_S,
     ) -> ServeResponse:
         """POST /v1/batch.  Each item is ``experiment()`` kwargs."""
         body = encode_doc(
@@ -294,7 +291,7 @@ class ServeClient:
         )
         extra = {"X-Repro-Request-Id": request_id} if request_id else None
         return self._post_with_retries(
-            "/v1/batch", body, extra, retries, max_backoff_s
+            "/v1/batch", body, extra, retries
         )
 
     def admin_drain(self, shard: str) -> dict[str, Any]:

@@ -30,7 +30,7 @@ Subclasses declare their endpoints in ``ENDPOINTS`` (path →
   processes' spans into one trace;
 * ``serve.requests`` / ``serve.responses`` counters;
 * graceful drain: SIGINT/SIGTERM stop the listener, in-flight
-  dispatches finish (bounded by ``drain_grace_s``), idle keep-alive
+  dispatches finish (bounded by :data:`DRAIN_GRACE_S`), idle keep-alive
   connections are cut, and the process exits 0.
 
 :func:`http_exchange` is the client half of the same dialect: the
@@ -89,6 +89,9 @@ _STATUS_TEXT = {
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_LINES = 100
+
+#: How long a drain waits for in-flight dispatches (seconds).
+DRAIN_GRACE_S = 30.0
 
 #: Which shard (worker or the router itself) answered — the response
 #: attribution header the ops satellites key off.
@@ -197,14 +200,12 @@ class AsyncHttpServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        drain_grace_s: float = 30.0,
         shard_id: str = "",
         registry=None,
         tracer=None,
     ):
         self.host = host
         self.port = port
-        self.drain_grace_s = drain_grace_s
         self.shard_id = shard_id
         self.registry = registry
         self.tracer = tracer
@@ -289,11 +290,11 @@ class AsyncHttpServer:
     async def _drain_connections(self) -> None:
         """Let in-flight *requests* finish, then cut idle connections.
 
-        Waiting on busy dispatches (bounded by ``drain_grace_s``) is the
+        Waiting on busy dispatches (bounded by :data:`DRAIN_GRACE_S`) is the
         drain guarantee; connections merely parked between keep-alive
         requests are cancelled immediately — they hold no work.
         """
-        deadline = time.monotonic() + self.drain_grace_s
+        deadline = time.monotonic() + DRAIN_GRACE_S
         while self._busy and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
         self._cutting_idle = True

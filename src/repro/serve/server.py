@@ -102,7 +102,6 @@ class MappingServer(AsyncHttpServer):
         max_queue: int = 64,
         max_batch: int = 8,
         request_timeout_s: float = 300.0,
-        drain_grace_s: float = 30.0,
         default_scale: int = 0,
         shard_id: str = "",
     ):
@@ -111,7 +110,6 @@ class MappingServer(AsyncHttpServer):
         super().__init__(
             host=host,
             port=port,
-            drain_grace_s=drain_grace_s,
             shard_id=shard_id,
             registry=registry,
             tracer=tracer,

@@ -37,7 +37,6 @@ itself.
 from repro.shard.partition import (
     partition_dir,
     partition_ids,
-    partition_stats,
     rebalance,
 )
 from repro.shard.ring import HashRing
@@ -51,6 +50,5 @@ __all__ = [
     "build_worker",
     "partition_dir",
     "partition_ids",
-    "partition_stats",
     "rebalance",
 ]

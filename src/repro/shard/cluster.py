@@ -39,13 +39,18 @@ import time
 
 from repro.serve.client import ServeClient, ServeError
 from repro.shard.partition import partition_dir, rebalance, shard_ids
-from repro.shard.ring import DEFAULT_VNODES, HashRing
+from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 from repro.util.log import get_logger
 
 __all__ = ["ShardCluster"]
 
 _LOG = get_logger("shard.cluster")
+
+#: How long every worker gets to answer ``/healthz`` after spawning.
+STARTUP_TIMEOUT_S = 60.0
+#: How long a SIGTERMed worker gets to drain before it is killed.
+STOP_TIMEOUT_S = 60.0
 
 
 def _free_port(host: str) -> int:
@@ -71,10 +76,8 @@ class ShardCluster:
         default_scale: int = 0,
         cache_max_bytes: int | None = None,
         engine: str = "",
-        vnodes: int = DEFAULT_VNODES,
         registry=None,
         tracer=None,
-        startup_timeout_s: float = 60.0,
     ):
         self.shard_ids = shard_ids(shards)
         self.root = pathlib.Path(root)
@@ -89,8 +92,7 @@ class ShardCluster:
         # router and every worker must agree on it or routing digests
         # would diverge from execution digests.
         self.engine = engine
-        self.startup_timeout_s = startup_timeout_s
-        self.ring = HashRing(self.shard_ids, vnodes=vnodes)
+        self.ring = HashRing(self.shard_ids)
         self._procs: dict[str, subprocess.Popen] = {}
         self.router = ShardRouter(
             ring=self.ring,
@@ -160,7 +162,7 @@ class ShardCluster:
         self._wait_healthy()
 
     def _wait_healthy(self) -> None:
-        deadline = time.monotonic() + self.startup_timeout_s
+        deadline = time.monotonic() + STARTUP_TIMEOUT_S
         for shard, (host, port) in sorted(self.router.backends.items()):
             while True:
                 proc = self._procs.get(shard)
@@ -178,7 +180,7 @@ class ShardCluster:
                     raise RuntimeError(f"{shard} never became healthy")
                 time.sleep(0.05)
 
-    def stop_worker(self, shard: str, timeout_s: float = 60.0) -> int:
+    def stop_worker(self, shard: str) -> int:
         """SIGTERM one worker and wait out its graceful drain."""
         proc = self._procs.pop(shard, None)
         if proc is None:
@@ -186,9 +188,9 @@ class ShardCluster:
         if proc.poll() is None:
             proc.send_signal(signal.SIGTERM)
             try:
-                proc.wait(timeout=timeout_s)
+                proc.wait(timeout=STOP_TIMEOUT_S)
             except subprocess.TimeoutExpired:
-                _LOG.warning("%s ignored SIGTERM for %.0fs; killing", shard, timeout_s)
+                _LOG.warning("%s ignored SIGTERM for %.0fs; killing", shard, STOP_TIMEOUT_S)
                 proc.kill()
                 proc.wait(timeout=10.0)
         if proc.returncode != 0:

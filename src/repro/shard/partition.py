@@ -42,7 +42,6 @@ __all__ = [
     "SHARD_DIR_RE",
     "partition_dir",
     "partition_ids",
-    "partition_stats",
     "rebalance",
     "shard_ids",
 ]
@@ -115,20 +114,3 @@ def rebalance(root: str | pathlib.Path, ring: HashRing) -> int:
             list(ring.members),
         )
     return moved
-
-
-def partition_stats(root: str | pathlib.Path) -> dict[str, dict[str, int]]:
-    """Entry/byte counts per partition (cluster /statusz, tests)."""
-    base = pathlib.Path(root)
-    stats: dict[str, dict[str, int]] = {}
-    for shard in partition_ids(base):
-        entries = 0
-        size = 0
-        for _, path in _partition_entries(base / shard):
-            entries += 1
-            try:
-                size += path.stat().st_size
-            except OSError:
-                continue
-        stats[shard] = {"entries": entries, "bytes": size}
-    return stats

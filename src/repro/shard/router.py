@@ -75,6 +75,10 @@ __all__ = ["SHARD_COUNTERS", "ShardRouter"]
 
 _LOG = get_logger("shard.router")
 
+#: Ops fan-out timeout (healthz/statusz/metrics polls) — short, so one
+#: wedged worker can't stall the cluster view.
+FETCH_TIMEOUT_S = 10.0
+
 #: Router-side counters, pre-registered at zero like the serve ones.
 SHARD_COUNTERS = (
     "shard.requests",
@@ -127,8 +131,6 @@ class ShardRouter(AsyncHttpServer):
         tracer=None,
         max_inflight: int = 64,
         request_timeout_s: float = 300.0,
-        fetch_timeout_s: float = 10.0,
-        drain_grace_s: float = 30.0,
         default_scale: int = 0,
         stop_worker=None,
     ):
@@ -137,7 +139,6 @@ class ShardRouter(AsyncHttpServer):
         super().__init__(
             host=host,
             port=port,
-            drain_grace_s=drain_grace_s,
             registry=registry,
             tracer=tracer,
         )
@@ -146,9 +147,6 @@ class ShardRouter(AsyncHttpServer):
         self.store_root = store_root
         self.max_inflight = max_inflight
         self.request_timeout_s = request_timeout_s
-        #: Ops fan-out timeout (healthz/statusz/metrics polls) — short,
-        #: so one wedged worker can't stall the cluster view.
-        self.fetch_timeout_s = fetch_timeout_s
         self.default_scale = default_scale
         self._stop_worker = stop_worker
         self._inflight: dict[str, int] = {m: 0 for m in ring.members}
@@ -389,7 +387,7 @@ class ShardRouter(AsyncHttpServer):
         async def poll(shard: str) -> tuple[str, dict | None]:
             try:
                 status, body, _ = await self._forward(
-                    shard, "GET", path, timeout_s=self.fetch_timeout_s
+                    shard, "GET", path, timeout_s=FETCH_TIMEOUT_S
                 )
                 if status != 200:
                     return shard, None

@@ -37,10 +37,8 @@ def build_worker(
     max_queue: int = 64,
     max_batch: int = 8,
     request_timeout_s: float = 300.0,
-    drain_grace_s: float = 30.0,
     default_scale: int = 0,
     cache_max_bytes: int | None = None,
-    tracer=None,
 ):
     """The configured :class:`~repro.serve.server.MappingServer` for one shard."""
     from repro.exec import ExperimentExecutor, ResultStore
@@ -61,11 +59,9 @@ def build_worker(
         executor=executor,
         store=store,
         registry=registry,
-        tracer=tracer,
         max_queue=max_queue,
         max_batch=max_batch,
         request_timeout_s=request_timeout_s,
-        drain_grace_s=drain_grace_s,
         default_scale=default_scale,
         shard_id=shard_id,
     )

@@ -18,21 +18,20 @@ which may alter a single observable bit:
   last-touched chunk in locals written back after the run.  These are
   exactly the mechanics of the policy classes in
   :mod:`repro.hierarchy.policies`;
-* **level by level on a tree** — fills are inclusive and nothing is
-  invalidated from below, so a cache's state depends only on the
-  accesses that reach it: the misses of the caches above it, in global
-  order.  A read-only run without prefetching on a tree (every L1
-  private, every cache one parent: the paper's machine and all measured
-  traffic) therefore runs one tight per-policy loop per cache over its
-  own substream, level by level; the misses of a level, merged per
-  parent in global order, are the next level's input.  Every statistic
-  follows from flow conservation (lookups = the substream, ``fills =
-  misses`` under inclusive fill, ``evictions = fills - final
-  occupancy``, a first-ever access misses every level), and each
-  client's I/O time is an in-order ``np.cumsum`` of its per-access
-  costs.  Everything else — prefetching, write-back, a shared L1 or a
-  cache at two levels — runs the general loop, which walks every access
-  down its path and counts every statistic in place;
+* **level by level** — fills are inclusive and nothing is invalidated
+  from below, so a cache's state depends only on the accesses that
+  reach it: the misses of the caches above it, in global order.  Every
+  hierarchy is a tree of caches (every L1 private, every cache one
+  parent: :class:`~repro.hierarchy.topology.CacheHierarchy` rejects a
+  cache at two nodes), so a read-only run without prefetching runs one
+  tight per-policy loop per cache over its own substream, level by
+  level; the misses of a level, merged per parent in global order, are
+  the next level's input.  Every statistic follows from flow
+  conservation (lookups = the substream, ``fills = misses`` under
+  inclusive fill, ``evictions = fills - final occupancy``, a first-ever
+  access misses every level), and each client's I/O time is an
+  in-order ``np.cumsum`` of its per-access costs.  Prefetching and write-back run the general loop, which walks
+  every access down its path and counts every statistic in place;
 * **constant-folded disk model** — with per-access latency constants
   precomputed per disk, a miss costs two lookups instead of the
   reference's ``ParallelFileSystem → StripingLayout → DiskModel`` call
@@ -131,34 +130,23 @@ def _build_static(hierarchy: CacheHierarchy) -> dict:
         for cache in group
     )
     kind = [_VECTORIZED_TYPES.get(type(cache.policy)) for cache in caches]
-    # The level-by-level pass needs a tree: every L1 private to one
-    # client, every cache on some client path at one level only, and
-    # every cache draining its misses into exactly one parent.
-    on_paths = set(cache_of)
-    tree = len({pidx[0] for pidx in path_idx}) == k and all(
-        id(cache) in on_paths for group in level_caches for cache in group
-    )
-    level_of: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    for pidx in path_idx:
-        for l, i in enumerate(pidx):
-            tree = tree and level_of.setdefault(i, l) == l
-        for child, par in zip(pidx, pidx[1:]):
-            tree = tree and parent.setdefault(child, par) == par
+    # The hierarchy is a tree of caches: every L1 is private to its
+    # client and every cache drains its misses into exactly one parent.
+    parent = {
+        child: par for pidx in path_idx for child, par in zip(pidx, pidx[1:])
+    }
     # levels[l]: the caches at level l (L1s in client order, then in
     # order of first appearance); up[l][x]: the index in levels[l + 1]
     # of the parent of levels[l][x], and up_key[l] the same as a sort-key
     # prefix.
-    levels: list[list[int]] = []
+    levels = [[pidx[0] for pidx in path_idx]]
     up: list[list[int]] = []
     up_key: list[np.ndarray] = []
-    if tree:
-        levels.append([pidx[0] for pidx in path_idx])
-        for l in range(1, len(path_idx[0])):
-            levels.append(list(dict.fromkeys(pidx[l] for pidx in path_idx)))
-            index = {i: x for x, i in enumerate(levels[l])}
-            up.append([index[parent[i]] for i in levels[l - 1]])
-            up_key.append(np.array(up[-1], dtype=np.int64) << _SHIFT)
+    for l in range(1, len(path_idx[0])):
+        levels.append(list(dict.fromkeys(pidx[l] for pidx in path_idx)))
+        index = {i: x for x, i in enumerate(levels[l])}
+        up.append([index[parent[i]] for i in levels[l - 1]])
+        up_key.append(np.array(up[-1], dtype=np.int64) << _SHIFT)
     return {
         "paths": paths,
         "caches": caches,
@@ -168,7 +156,6 @@ def _build_static(hierarchy: CacheHierarchy) -> dict:
         "path_idx": path_idx,
         "level_caches": level_caches,
         "vectorizable": vectorizable,
-        "tree": tree,
         "levels": levels,
         "up": up,
         "up_key": up_key,
@@ -217,8 +204,8 @@ def simulate(
 
     Same parameters, validation and semantics as
     :func:`repro.simulator.engine.simulate`.  Read-only runs without
-    prefetching on a tree take :func:`_tree_pass`, level by level; every
-    other vectorizable run takes :func:`_general_loop`.  Both run LRU,
+    prefetching take :func:`_tree_pass`, level by level; every other
+    vectorizable run takes :func:`_general_loop`.  Both run LRU,
     FIFO, ARC and RRIP caches inline.  Only recorder runs and look-alike
     policy subclasses fall back, whole, to the reference path.
     """
@@ -345,7 +332,7 @@ def simulate(
         # the global interleaved order.
         gather = offsets[client_arr] + pos_arr
         chunk_arr = concat[gather]
-        if write_masks is None and not prefetch_degree and static["tree"]:
+        if write_masks is None and not prefetch_degree:
             io = _tree_pass(
                 static, concat, lengths, client_arr, gather, chunk_arr,
                 res, caps, kind, arcs, arc_p, arc_last, rrip,
@@ -446,7 +433,7 @@ def _tree_pass(
     hit_cost, miss_base, stride, dlast, dseq, dbusy, dreads,
     dlat_full, dlat_seq,
 ) -> list[float]:
-    """Read-only runs without prefetching on a tree, level by level.
+    """Read-only runs without prefetching, level by level.
 
     Fills are inclusive and nothing is invalidated from below, so a
     cache's state depends only on the accesses that reach it: the misses
@@ -727,9 +714,9 @@ def _general_loop(
 ):
     """The hot loop for every run the tree pass does not take.
 
-    Shared L1s and other non-tree paths, sequential prefetch at the
-    bottom level, and write-back; every statistic is counted in place.  Mirrors the
-    reference engine's dirty-chunk bookkeeping: a write dirties the
+    Sequential prefetch at the bottom level and write-back; every
+    statistic is counted in place.  Mirrors the reference engine's
+    dirty-chunk bookkeeping: a write dirties the
     chunk in the private cache; evicting a dirty chunk is absorbed by
     the first lower level holding the victim, else charged as a disk
     write to the client whose fill triggered the eviction.  With

@@ -355,19 +355,13 @@ def run_experiment(
     workload: Workload,
     config: "SystemConfig",
     version: str,
-    sync_counts: dict[int, int] | None = None,
-    recorder: "TraceRecorder | None" = None,
-    engine: str | None = None,
 ) -> ExperimentResult:
     """Map and simulate one workload under one version.
 
     All eight suite workloads are mapped as fully parallel iteration
-    sets (paper §3 — parallelization is orthogonal); the §5.4
-    dependence experiments pass explicit ``sync_counts``.  An optional
-    ``recorder`` receives the simulation's event trace
-    (:mod:`repro.trace`).  ``engine`` selects the simulation engine
-    (``reference``/``fast``); ``None`` uses the process default.
+    sets (paper §3 — parallelization is orthogonal) and simulated on
+    the process-default engine; :func:`run_cells` takes per-cell
+    options (sync counts, a recorder, an engine).
     """
-    options = {"sync_counts": sync_counts, "recorder": recorder, "engine": engine}
-    (result,) = run_cells(workload, [(version, config, options)])
+    (result,) = run_cells(workload, [(version, config, {})])
     return result

@@ -23,35 +23,10 @@ from repro.hierarchy.stats import CacheStats
 from repro.simulator.metrics import ExperimentResult, SimulationResult
 
 __all__ = [
-    "save_streams",
-    "load_streams",
     "result_to_dict",
     "result_from_dict",
     "save_results_json",
-    "load_results_json",
 ]
-
-_CLIENT_PREFIX = "client_"
-
-
-def save_streams(path: str | pathlib.Path, streams: dict[int, np.ndarray]) -> None:
-    """Save per-client request streams to a compressed ``.npz`` file."""
-    arrays = {
-        f"{_CLIENT_PREFIX}{c}": np.asarray(s, dtype=np.int64)
-        for c, s in streams.items()
-    }
-    np.savez_compressed(path, **arrays)
-
-
-def load_streams(path: str | pathlib.Path) -> dict[int, np.ndarray]:
-    """Load streams saved by :func:`save_streams`."""
-    with np.load(path) as data:
-        out: dict[int, np.ndarray] = {}
-        for key in data.files:
-            if not key.startswith(_CLIENT_PREFIX):
-                raise ValueError(f"unexpected array {key!r} in stream file")
-            out[int(key[len(_CLIENT_PREFIX) :])] = data[key]
-    return out
 
 
 def _sim_to_dict(sim: SimulationResult) -> dict[str, Any]:
@@ -123,8 +98,3 @@ def save_results_json(
         for workload, per_version in results.items()
     }
     pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_results_json(path: str | pathlib.Path) -> dict[str, Any]:
-    """Load a result tree saved by :func:`save_results_json` (plain dicts)."""
-    return json.loads(pathlib.Path(path).read_text())

@@ -55,14 +55,11 @@ def build_client_streams(
     nest: LoopNest | CombinedNest,
     data_space: DataSpace,
     chunk_matrix: np.ndarray | None = None,
-    coalesce: bool = True,
 ) -> dict[int, np.ndarray]:
     """Materialise every client's block-request stream.
 
-    With ``coalesce=True`` (default, the paper's accounting) streams
-    contain storage-cache *requests*: per reference, one request per
-    block transition.  ``coalesce=False`` yields the raw per-element
-    chunk-touch stream instead.
+    Streams contain storage-cache *requests* (the paper's accounting):
+    per reference, one request per block transition.
 
     ``chunk_matrix`` may be passed to reuse the matrix computed during
     chunk formation (single-nest case only).
@@ -70,7 +67,7 @@ def build_client_streams(
     if isinstance(nest, CombinedNest):
         if chunk_matrix is not None:
             raise ValueError("chunk_matrix is only meaningful for a single nest")
-        return _multi_nest_streams(mapping, nest, data_space, coalesce)
+        return _multi_nest_streams(mapping, nest, data_space)
     if chunk_matrix is None:
         chunk_matrix = chunk_matrix_for(nest, data_space)
     if chunk_matrix.shape[0] != nest.num_iterations:
@@ -78,7 +75,7 @@ def build_client_streams(
     out: dict[int, np.ndarray] = {}
     for c, ranks in mapping.client_order.items():
         rows = chunk_matrix[ranks]
-        out[c] = coalesce_requests(rows) if coalesce else rows.reshape(-1)
+        out[c] = coalesce_requests(rows)
     return out
 
 
@@ -86,7 +83,6 @@ def _multi_nest_streams(
     mapping: Mapping,
     combined: CombinedNest,
     data_space: DataSpace,
-    coalesce: bool,
 ) -> dict[int, np.ndarray]:
     matrices = [chunk_matrix_for(nest, data_space) for nest in combined.nests]
 
@@ -104,9 +100,7 @@ def _multi_nest_streams(
             np.split(local, breaks), np.split(nest_ids, breaks)
         ):
             rows = matrices[int(seg_nest[0])][seg_local]
-            segments.append(
-                coalesce_requests(rows) if coalesce else rows.reshape(-1)
-            )
+            segments.append(coalesce_requests(rows))
         out[client] = np.concatenate(segments)
     return out
 

@@ -46,7 +46,6 @@ from repro.telemetry.registry import (
     NullRegistry,
     get_registry,
     label_snapshot,
-    set_registry,
     thread_registry,
     use_registry,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Histogram",
     "get_registry",
     "label_snapshot",
-    "set_registry",
     "use_registry",
     "thread_registry",
     "phase",

@@ -19,7 +19,7 @@ Disabled state: :data:`NULL_REGISTRY` hands out shared no-op
 instruments whose methods do nothing, so instrumented code costs one
 dict lookup and a no-op call per site when telemetry is off.  The
 *active* registry is module-global (:func:`get_registry` /
-:func:`set_registry` / :func:`use_registry`) and defaults to the null
+:func:`use_registry`) and defaults to the null
 registry; everything here is single-threaded by design, like the rest
 of the simulator.
 """
@@ -42,7 +42,6 @@ __all__ = [
     "NULL_REGISTRY",
     "get_registry",
     "label_snapshot",
-    "set_registry",
     "use_registry",
     "thread_registry",
 ]
@@ -461,19 +460,6 @@ def get_registry() -> MetricsRegistry | NullRegistry:
     """The active registry instrumentation sites record into."""
     override = getattr(_LOCAL, "registry", None)
     return _active if override is None else override
-
-
-def set_registry(
-    registry: MetricsRegistry | NullRegistry | None,
-) -> MetricsRegistry | NullRegistry:
-    """Install the active registry (``None`` restores the null registry).
-
-    Returns the previously active registry so callers can restore it.
-    """
-    global _active
-    previous = _active
-    _active = registry if registry is not None else NULL_REGISTRY
-    return previous
 
 
 @contextmanager

@@ -42,8 +42,6 @@ from repro.trace.recorder import MemoryRecorder, NullRecorder, TraceRecorder
 from repro.trace.replay import (
     TRACE_ARTIFACT_VERSION,
     TraceArtifact,
-    config_fingerprint,
-    config_from_fingerprint,
     load_artifact,
     record,
     replay,
@@ -73,8 +71,6 @@ __all__ = [
     "write_chrome_trace",
     "TRACE_ARTIFACT_VERSION",
     "TraceArtifact",
-    "config_fingerprint",
-    "config_from_fingerprint",
     "record",
     "save_artifact",
     "load_artifact",

@@ -16,7 +16,7 @@ behalf of disabled or counting recorders.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.trace.events import (
     Access,
@@ -97,15 +97,14 @@ class NullRecorder:
 
 
 class MemoryRecorder:
-    """Collect every event in order, plus free-form run metadata."""
+    """Collect every event in order."""
 
     enabled = True
 
-    __slots__ = ("events", "meta")
+    __slots__ = ("events",)
 
-    def __init__(self, meta: dict[str, Any] | None = None):
+    def __init__(self):
         self.events: list[TraceEvent] = []
-        self.meta: dict[str, Any] = dict(meta or {})
 
     # -- TraceRecorder protocol ---------------------------------------------------
 

@@ -36,8 +36,6 @@ from repro.workloads.suite import get_workload
 __all__ = [
     "TRACE_ARTIFACT_VERSION",
     "TraceArtifact",
-    "config_fingerprint",
-    "config_from_fingerprint",
     "record",
     "save_artifact",
     "load_artifact",
@@ -76,7 +74,7 @@ class TraceArtifact:
 
     def fingerprint(self) -> dict:
         """The recorded configuration as a JSON-safe dict."""
-        return _config_to_dict(self.config)
+        return config_fingerprint(self.config)
 
     def __repr__(self) -> str:
         return (
@@ -110,12 +108,6 @@ def record(
 
 
 # -- (de)serialisation --------------------------------------------------------------
-
-
-# The canonical (de)serialisation lives in repro.util.fingerprint; these
-# re-exports keep the trace module's historical import surface working.
-_config_to_dict = config_fingerprint
-_config_from_dict = config_from_fingerprint
 
 
 def save_artifact(path: str | pathlib.Path, artifact: TraceArtifact) -> None:
@@ -178,7 +170,7 @@ def load_artifact(path: str | pathlib.Path) -> TraceArtifact:
         },
         num_data_chunks=meta["num_data_chunks"],
         prefetch_degree=meta["prefetch_degree"],
-        config=_config_from_dict(meta["config"]),
+        config=config_from_fingerprint(meta["config"]),
         workload=meta["workload"],
         mapper_version=meta["mapper_version"],
         sync_counts={int(c): n for c, n in sync.items()} if sync else None,

@@ -18,12 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Tag", "popcount"]
-
-
-def popcount(mask: int) -> int:
-    """Number of set bits in an arbitrary-precision Python integer."""
-    return int(mask).bit_count()
+__all__ = ["Tag"]
 
 
 class Tag:
@@ -98,10 +93,6 @@ class Tag:
         )
         return sum(1 for c in small if c in large)
 
-    def popcount(self) -> int:
-        """Number of distinct data chunks this tag touches."""
-        return len(self.chunks)
-
     # -- dunder ------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -127,4 +118,3 @@ class Tag:
         if self.nbits <= 32:
             return f"Tag({self.to_bitstring()!r})"
         return f"Tag(nbits={self.nbits}, chunks={sorted(self.chunks)!r})"
-

@@ -9,17 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "format_percent", "format_ratio"]
-
-
-def format_percent(value: float, digits: int = 1) -> str:
-    """Render a fraction as a percentage string, e.g. ``0.263 -> '26.3%'``."""
-    return f"{100.0 * value:.{digits}f}%"
-
-
-def format_ratio(value: float, digits: int = 3) -> str:
-    """Render a normalized ratio, e.g. ``0.737``."""
-    return f"{value:.{digits}f}"
+__all__ = ["format_table"]
 
 
 def format_table(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["check_positive", "check_nonnegative", "check_in_range", "check_power_of_two"]
+__all__ = ["check_positive", "check_in_range"]
 
 
 def check_positive(name: str, value: Any) -> int:
@@ -19,28 +19,12 @@ def check_positive(name: str, value: Any) -> int:
     return ivalue
 
 
-def check_nonnegative(name: str, value: Any) -> int:
-    """Validate that ``value`` is a non-negative integer and return it as int."""
-    ivalue = _as_int(name, value)
-    if ivalue < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return ivalue
-
-
 def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     """Validate ``lo <= value <= hi`` and return ``value`` as float."""
     fvalue = float(value)
     if not lo <= fvalue <= hi:
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return fvalue
-
-
-def check_power_of_two(name: str, value: Any) -> int:
-    """Validate that ``value`` is a positive power of two."""
-    ivalue = check_positive(name, value)
-    if ivalue & (ivalue - 1):
-        raise ValueError(f"{name} must be a power of two, got {value!r}")
-    return ivalue
 
 
 def _as_int(name: str, value: Any) -> int:

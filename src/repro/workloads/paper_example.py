@@ -52,8 +52,6 @@ def figure6_workload(d: int = 16) -> tuple[LoopNest, DataSpace]:
     return LoopNest("figure6", space, refs), ds
 
 
-def figure7_hierarchy(
-    capacities: tuple[int, int, int] = (4, 8, 16), policy: str = "lru"
-) -> CacheHierarchy:
+def figure7_hierarchy(capacities: tuple[int, int, int] = (4, 8, 16)) -> CacheHierarchy:
     """Fig. 7: four clients, two I/O nodes, one storage node."""
-    return three_level_hierarchy(4, 2, 1, capacities, policy)
+    return three_level_hierarchy(4, 2, 1, capacities)

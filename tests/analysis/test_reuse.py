@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.reuse import hit_rate_for_capacity, reuse_distance_profile
+from repro.analysis.reuse import reuse_distance_profile
 from repro.hierarchy.policies import LRUPolicy
 
 
@@ -40,9 +40,9 @@ class TestReuseDistanceProfile:
 
     def test_hit_rate_semantics(self):
         # a b a b : both reuses at distance 1 -> capacity 2 hits both.
-        trace = np.array([0, 1, 0, 1])
-        assert hit_rate_for_capacity(trace, 2) == pytest.approx(0.5)
-        assert hit_rate_for_capacity(trace, 1) == pytest.approx(0.0)
+        p = reuse_distance_profile(np.array([0, 1, 0, 1]))
+        assert p.hit_rate(2) == pytest.approx(0.5)
+        assert p.hit_rate(1) == pytest.approx(0.0)
 
     def test_percentile(self):
         p = reuse_distance_profile(np.array([0, 1, 2, 0, 1, 2]))

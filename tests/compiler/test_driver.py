@@ -70,14 +70,6 @@ class TestSyncInsertion:
         # Directives appear inside the listings too.
         assert "wait_for(" in program.listing()
 
-    def test_emit_sync_off(self):
-        config = scaled_config(16)
-        nest, ds = dependent_nest(config)
-        program = compile_nest(
-            nest, ds, config.build_hierarchy(), emit_sync=False
-        )
-        assert program.total_sync_directives() == 0
-
     def test_code_enumerates_all_iterations(self):
         """Parsing the generated bands back recovers every iteration."""
         nest, ds = figure6_workload(d=16)

@@ -91,7 +91,7 @@ def intra_order(nest, data_space, num_clients, tile_candidates):
             else:
                 if tile >= max(nest.space.shape):
                     continue
-                candidate = tile_iterations(permuted, [tile] * nest.depth, nest.space)
+                candidate = tile_iterations(permuted, [tile] * nest.depth)
             c = cost(candidate)
             if best_cost is None or c < best_cost:
                 best_cost, best_order = c, candidate
@@ -134,7 +134,7 @@ def schedule_group(client_chunks, pool, alpha, beta):
         return min(remaining[i], key=lambda m: (-score(m), m))
 
     def fewest(i):
-        return min(remaining[i], key=lambda m: (tag(m).popcount(), m))
+        return min(remaining[i], key=lambda m: (len(tag(m).chunks), m))
 
     while any(remaining):
         progressed = False

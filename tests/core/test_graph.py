@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.chunking import form_iteration_chunks
-from repro.core.graph import AffinityGraph, build_affinity_graph
+from repro.core import mapper as core_mapper
+from repro.core.graph import build_affinity_graph
 from repro.polyhedral.affine import AffineExpr
 from repro.polyhedral.arrays import DataSpace, DiskArray
 from repro.polyhedral.iterspace import IterationSpace
@@ -50,7 +51,7 @@ class TestBuildAffinityGraph:
 
     def test_components_by_parity(self, chunk_set):
         g = build_affinity_graph(chunk_set)
-        comps = g.components(min_weight=1)
+        comps = g.components()
         # Stride 2 means odd/even block components.
         assert len(comps) == 2
 
@@ -61,6 +62,17 @@ class TestForceTogether:
         g.force_together(0, 1)
         assert math.isinf(g.weights[0, 1])
         assert (0, 1) in g.forced_pairs
+
+    def test_forcing_before_or_after_the_first_read_agree(self, chunk_set):
+        before = build_affinity_graph(chunk_set)
+        before.force_together(3, 1)
+        after = build_affinity_graph(chunk_set)
+        plain = after.weights.copy()
+        after.force_together(1, 3)
+        assert np.array_equal(before.weights, after.weights)
+        assert math.isinf(before.weights[1, 3]) and math.isinf(before.weights[3, 1])
+        plain[1, 3] = plain[3, 1] = math.inf
+        assert np.array_equal(after.weights, plain)
 
     def test_self_pair_rejected(self, chunk_set):
         g = build_affinity_graph(chunk_set)
@@ -73,13 +85,18 @@ class TestForceTogether:
             g.force_together(0, 999)
 
 
-class TestValidation:
-    def test_asymmetric_rejected(self, chunk_set):
-        w = np.zeros((chunk_set.num_chunks, chunk_set.num_chunks))
-        w[0, 1] = 5
-        with pytest.raises(ValueError):
-            AffinityGraph(chunk_set, w)
+class TestMapperPath:
+    def test_distribution_never_builds_the_weight_matrix(self, monkeypatch):
+        from repro.core.mapper import InterProcessorMapper
+        from repro.workloads.paper_example import figure6_workload, figure7_hierarchy
 
-    def test_wrong_shape_rejected(self, chunk_set):
-        with pytest.raises(ValueError):
-            AffinityGraph(chunk_set, np.zeros((2, 2)))
+        graphs = []
+
+        def spy(cs):
+            graphs.append(build_affinity_graph(cs))
+            return graphs[-1]
+
+        monkeypatch.setattr(core_mapper, "build_affinity_graph", spy)
+        nest, ds = figure6_workload()
+        InterProcessorMapper().distribute(nest, ds, figure7_hierarchy())
+        assert len(graphs) == 1 and graphs[0]._weights is None

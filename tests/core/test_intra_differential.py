@@ -46,7 +46,7 @@ def test_permuted_ranks_match_permute_iterations(space, data):
 def test_tiled_ranks_match_tile_iterations(space, tile):
     # Tiles that do not divide the extents and tiles >= an extent included.
     expected = space.linearize(
-        tile_iterations(space.enumerate(), [tile] * space.depth, space)
+        tile_iterations(space.enumerate(), [tile] * space.depth)
     )
     got = tiled_ranks(space.shape, tile)
     assert got.dtype == np.int64
@@ -61,7 +61,7 @@ def test_tile_iterations_ignores_input_order(space, tile, rnd):
     shuffled = its[rnd.sample(range(len(its)), len(its))]
     sizes = [tile] * space.depth
     assert np.array_equal(
-        tile_iterations(shuffled, sizes, space), tile_iterations(its, sizes, space)
+        tile_iterations(shuffled, sizes), tile_iterations(its, sizes)
     )
 
 

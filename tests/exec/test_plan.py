@@ -18,7 +18,7 @@ from repro.experiments.harness import run_suite
 from repro.experiments.report import ExperimentReport
 from repro.simulator.serialization import result_to_dict
 from repro.telemetry import MetricsRegistry, use_registry
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE, get_workload
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +40,13 @@ class TestSweepPlan:
         assert len(plan) == 1
         assert plan.duplicates == 1
 
-    def test_add_suite(self, config, workloads):
+    def test_add_suite(self, config):
         plan = SweepPlan()
-        plan.add_suite(config, ("original", "inter"), workloads)
-        assert len(plan) == 4
-        plan.add_suite(config, ("original",), workloads)  # all duplicates
-        assert len(plan) == 4
-        assert plan.duplicates == 2
+        plan.add_suite(config, ("original", "inter"))
+        assert len(plan) == 2 * len(SUITE)
+        plan.add_suite(config, ("original",))  # all duplicates
+        assert len(plan) == 2 * len(SUITE)
+        assert plan.duplicates == len(SUITE)
 
     def test_plan_all_dedupes_shared_points(self, config):
         """Figure 10/11 share triples; the sweeps share the default point."""
@@ -60,7 +60,8 @@ class TestSweepPlan:
 class TestExecutePlan:
     def test_store_first(self, config, workloads):
         plan = SweepPlan()
-        plan.add_suite(config, ("original",), workloads)
+        for w in workloads:
+            plan.add(w, config, "original")
         store = MemoryStore()
         first = execute_plan(plan, store=store)
         registry = MetricsRegistry()
@@ -141,8 +142,8 @@ class TestCachedReport:
             calls.append(cfg)
             return ExperimentReport("t", "t", ["c"], [["v"]], summary={"b": 2.0, "a": 1.0})
 
-        cached_report("t", config, build, store=None)
-        cached_report("t", config, build, store=None)
+        cached_report("t", config, build)
+        cached_report("t", config, build)
         assert len(calls) == 2
 
     def test_store_round_trip_and_canonical_order(self, config):
@@ -152,9 +153,9 @@ class TestCachedReport:
             calls.append(cfg)
             return ExperimentReport("t", "t", ["c"], [["v"]], summary={"b": 2.0, "a": 1.0})
 
-        store = MemoryStore()
-        fresh = cached_report("t", config, build, store=store)
-        warm = cached_report("t", config, build, store=store)
+        with use_execution(store=MemoryStore()):
+            fresh = cached_report("t", config, build)
+            warm = cached_report("t", config, build)
         assert len(calls) == 1
         # Cache temperature must not change the rendered report — the
         # fresh copy is round-tripped (summary canonically sorted) too.

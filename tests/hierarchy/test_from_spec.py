@@ -1,56 +1,47 @@
-"""Tests for the declarative hierarchy builder."""
+"""Hierarchies built node by node: uneven trees, dummy roots, validation."""
 
 import pytest
 
-from repro.hierarchy.topology import hierarchy_from_spec
+from repro.hierarchy.cache import ChunkCache
+from repro.hierarchy.topology import CacheHierarchy, CacheNode
 
 
-def leaf(cap=8):
-    return {"capacity": cap}
+def node(capacity, *children, level=None):
+    """One cache node; a node without children is a client leaf."""
+    name = level or f"L{capacity}"
+    return CacheNode(name, name, ChunkCache(capacity, name=name), children)
+
+
+def leaf(capacity=8):
+    return node(capacity, level="L1")
+
+
+def tree(*tops):
+    """Number the leaves left to right; several tops get a dummy root."""
+    root = tops[0] if len(tops) == 1 else CacheNode("root", "root", None, tops)
+    for cid, n in enumerate(n for n in root.walk() if n.is_leaf):
+        n.client_id = cid
+    return CacheHierarchy(root)
 
 
 class TestHierarchyFromSpec:
     def test_single_root(self):
-        h = hierarchy_from_spec(
-            {"capacity": 64, "children": [leaf(), leaf(), leaf()]}
-        )
+        h = tree(node(64, leaf(), leaf(), leaf()))
         assert h.num_clients == 3
         assert h.num_levels == 2
         assert not h.root.is_dummy
 
     def test_multiple_roots_get_dummy(self):
-        h = hierarchy_from_spec(
-            {
-                "roots": [
-                    {"capacity": 64, "children": [leaf(), leaf()]},
-                    {"capacity": 64, "children": [leaf(), leaf()]},
-                ]
-            }
-        )
+        h = tree(node(64, leaf(), leaf()), node(64, leaf(), leaf()))
         assert h.root.is_dummy
         assert h.num_clients == 4
         assert not h.have_affinity(0, 2)
 
     def test_heterogeneous_fanouts(self):
         """Different subtree shapes, same leaf depth — allowed."""
-        h = hierarchy_from_spec(
-            {
-                "roots": [
-                    {
-                        "capacity": 64,
-                        "children": [
-                            {"capacity": 32, "children": [leaf(), leaf()]}
-                        ],
-                    },
-                    {
-                        "capacity": 64,
-                        "children": [
-                            {"capacity": 32, "children": [leaf()]},
-                            {"capacity": 32, "children": [leaf()]},
-                        ],
-                    },
-                ]
-            }
+        h = tree(
+            node(64, node(32, leaf(), leaf())),
+            node(64, node(32, leaf()), node(32, leaf())),
         )
         assert h.num_clients == 4
         # Clients 0,1 share an L2; clients 2,3 only share their L3.
@@ -58,74 +49,39 @@ class TestHierarchyFromSpec:
         assert h.affinity_depth(2, 3) == 2
 
     def test_custom_level_names(self):
-        h = hierarchy_from_spec(
-            {
-                "capacity": 64,
-                "level": "server",
-                "children": [{"capacity": 8, "level": "client"}],
-            }
-        )
+        h = tree(node(64, node(8, level="client"), level="server"))
         assert h.level_names() == ["client", "server"]
 
     def test_capacities_applied(self):
-        h = hierarchy_from_spec({"capacity": 10, "children": [leaf(3)]})
+        h = tree(node(10, leaf(3)))
         assert h.path(0)[0].capacity == 3
         assert h.path(0)[1].capacity == 10
 
     def test_unequal_depths_rejected(self):
         with pytest.raises(ValueError, match="depth"):
-            hierarchy_from_spec(
-                {
-                    "capacity": 64,
-                    "children": [
-                        leaf(),
-                        {"capacity": 32, "children": [leaf()]},
-                    ],
-                }
-            )
+            tree(node(64, leaf(), node(32, leaf())))
 
     def test_unequal_root_depths_rejected(self):
         with pytest.raises(ValueError, match="depth"):
-            hierarchy_from_spec(
-                {
-                    "roots": [
-                        leaf(),
-                        {"capacity": 32, "children": [leaf()]},
-                    ]
-                }
-            )
+            tree(leaf(), node(32, leaf()))
 
     def test_missing_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
-            hierarchy_from_spec({"children": [leaf()]})
+            tree(node(0, leaf()))
 
     def test_empty_roots_rejected(self):
-        with pytest.raises(ValueError):
-            hierarchy_from_spec({"roots": []})
+        """A dummy root over no storage nodes is a leaf without a cache."""
+        with pytest.raises(ValueError, match="cache"):
+            tree(CacheNode("root", "root", None))
 
     def test_mapping_on_heterogeneous_tree(self):
         """The clustering recursion handles per-node degrees."""
         from repro.core.mapper import InterProcessorMapper
         from repro.workloads.paper_example import figure6_workload
 
-        h = hierarchy_from_spec(
-            {
-                "roots": [
-                    {
-                        "capacity": 16,
-                        "children": [
-                            {"capacity": 8, "children": [leaf(4), leaf(4)]},
-                        ],
-                    },
-                    {
-                        "capacity": 16,
-                        "children": [
-                            {"capacity": 8, "children": [leaf(4)]},
-                            {"capacity": 8, "children": [leaf(4)]},
-                        ],
-                    },
-                ]
-            }
+        h = tree(
+            node(16, node(8, leaf(4), leaf(4))),
+            node(16, node(8, leaf(4)), node(8, leaf(4))),
         )
         nest, ds = figure6_workload(d=16)
         mapping = InterProcessorMapper().map(nest, ds, h)

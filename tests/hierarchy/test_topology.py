@@ -121,6 +121,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="depth"):
             CacheHierarchy(root)
 
+    def test_cache_at_two_nodes_rejected(self):
+        """Every cache sits at one node, so the hierarchy is a tree of caches."""
+        shared = ChunkCache(1)
+        leaves = [CacheNode(f"cn{c}", "L1", shared, client_id=c) for c in range(2)]
+        root = CacheNode("sn", "L2", ChunkCache(4), leaves)
+        with pytest.raises(ValueError, match="two nodes"):
+            CacheHierarchy(root)
+
 
 class TestUniformHierarchy:
     def test_two_level(self):

@@ -1,20 +1,29 @@
-"""Every definition in ``src/repro`` has a caller outside the tests.
+"""Every definition and every optional parameter in ``src/repro`` has a
+caller outside the tests.
 
-An AST scan: each ``def``/``class`` in ``src/repro`` must be used as an
-identifier somewhere in ``src/``, ``benchmarks/``, ``perfbench/`` or
-``examples/``, outside its own definition.  A use is a name, an
-attribute, an import outside a package ``__init__``, or a string equal
-to the name (the ``ENDPOINTS`` handler tables dispatch by name, and a
-module's own ``__all__`` declares its public functions).  A package
-``__init__`` re-export — its imports and its ``__all__`` — does not
-count, and neither do the tests.
+Two AST scans over ``src/``, ``benchmarks/``, ``perfbench/`` and
+``examples/`` (the tests never count):
 
-The scan matches by bare name, so a method shares its uses with every
-other definition of that name; it finds dead code, it does not prove
-liveness.  Dunder methods are called by the language and are skipped.
+* Each ``def``/``class`` in ``src/repro`` must be used as an identifier
+  outside its own definition.  A use is a name, an attribute, an import
+  outside a package ``__init__``, or a string equal to the name (the
+  ``ENDPOINTS`` handler tables dispatch by name).  A module's
+  ``__all__`` declares a name, it does not use it, and a package
+  ``__init__``'s imports only re-export; neither counts.
+* Each defaulted parameter of a function or method in ``src/repro``
+  must be passed by some call of that name (the class name for
+  ``__init__``; ``super().__init__`` calls the bases): by keyword, by
+  ``**``, or by passing that many positional arguments.
 
-``KEEP`` lists the definitions that only tests call on purpose: each
-serves other tests as an oracle, a checker or the paper's notation.
+Both scans match by bare name, so a method shares its uses with every
+other definition of that name; they find dead code, they do not prove
+liveness.  Dunder methods other than ``__init__`` are called by the
+language and are skipped.
+
+``KEEP`` lists the definitions and ``KEEP_PARAMS`` the parameters that
+only tests use on purpose, each with its reason: an oracle, a checker,
+the paper's notation, or a seam through which tests inject a fake or a
+fault.
 """
 
 import ast
@@ -61,32 +70,78 @@ KEEP = {
         "checker for the cache-statistics tests",
     "polyhedral/nest.py:LoopNest.arrays_referenced":
         "checker for the workload tests",
+    "polyhedral/codegen.py:enumerate_bands":
+        "oracle: parsing the emitted loop bands back must recover every iteration",
+    "trace/export.py:read_events_jsonl":
+        "oracle: reads the `--events` file the CLI trace tests check",
+    "scenario/traces.py:export_trace_csv":
+        "writes the CSV traces the trace-loader and trace-scenario tests read",
+    "scenario/traces.py:export_trace_jsonl":
+        "writes the JSONL traces the trace-loader and trace-scenario tests read",
+}
+
+#: Optional parameters only tests pass on purpose, each with its reason.
+KEEP_PARAMS = {
+    "core/baselines.py:IntraProcessorMapper.__init__(tile_candidates)":
+        "the Intra differential draws tile sets against the scalar reference",
+    "core/clustering.py:flat_distribution(balance_threshold)":
+        "benchmarks/bench_ablation.py passes it positionally through a function argument",
+    "exec/executor.py:ExperimentExecutor.__init__(task_timeout_s)":
+        "safety code: the timeout tests arm a tiny timeout to reach the timeout path",
+    "exec/executor.py:ExperimentExecutor.__init__(retries)":
+        "fault tests bound the retries a crashing task gets",
+    "exec/executor.py:ExperimentExecutor.__init__(backoff_s)":
+        "safety code: fault tests retry without sleeping",
+    "exec/executor.py:ExperimentExecutor.__init__(mp_context)":
+        "fault tests inject an unusable start method and pin `fork` for worker kills",
+    "exec/progress.py:ProgressReporter.__init__(stream)":
+        "tests substitute a fake stream for stderr",
+    "exec/progress.py:ProgressReporter.__init__(min_interval_s)":
+        "tests substitute a zero interval for the throttle",
+    "util/log.py:configure_logging(stream)":
+        "tests substitute a fake stream for stderr",
+    "hierarchy/topology.py:uniform_hierarchy(policy)":
+        "the policy differential draws one replacement policy per level",
+    "polyhedral/references.py:ArrayRef.from_matrix(is_write)":
+        "the paper's access-matrix form; the dependence tests build writes with it",
+    "polyhedral/references.py:ArrayRef.identity(offsets)":
+        "the uniform reference A[i0+o0, ...]; the reference tests build shifted ones",
+    "shard/ring.py:HashRing.__init__(vnodes)":
+        "the ring tests show more virtual nodes tighten the load spread",
+    "trace/replay.py:record(sync_counts)":
+        "the artifact format carries sync counts; the round-trip test records a synchronised run",
+    "trace/replay.py:replay(hierarchy)":
+        "the engine-equivalence differential replays one artifact on drawn hierarchies",
+    "trace/replay.py:replay(filesystem)":
+        "the engine-equivalence differential replays one artifact on drawn filesystems",
+    "trace/replay.py:replay(engine)":
+        "the engine-equivalence differential replays one artifact on both engines",
 }
 
 
-def _definitions(path, tree):
-    """``(qualname, name, first line, last line)`` of every def/class."""
+def _definitions(tree):
+    """``(qualname, node, enclosing class)`` of every def/class."""
     found = []
 
-    def visit(node, prefix):
+    def visit(node, prefix, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                found.append(
-                    (prefix + child.name, child.name, child.lineno, child.end_lineno)
-                )
-                visit(child, prefix + child.name + ".")
+                found.append((prefix + child.name, child, cls))
+                inner = child if isinstance(child, ast.ClassDef) else None
+                visit(child, prefix + child.name + ".", inner)
             else:
-                visit(child, prefix)
+                visit(child, prefix, cls)
 
-    visit(tree, "")
+    visit(tree, "", None)
     return found
 
 
-def _reexports(tree):
-    """Node ids of a package ``__init__``'s imports and ``__all__`` list."""
+def _declarations(tree, package_init):
+    """Node ids of a module's ``__all__`` list, plus a package
+    ``__init__``'s imports: they declare and re-export, they do not use."""
     skip = set()
     for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if package_init and isinstance(node, (ast.Import, ast.ImportFrom)):
             skip.add(id(node))
             skip.update(id(alias) for alias in node.names)
         elif isinstance(node, ast.Assign) and any(
@@ -104,8 +159,21 @@ _NAME_OF = {
 }
 
 
+def _is_super_init(node):
+    """``super().__init__(...)``: a call of the enclosing class's bases."""
+    func = getattr(node, "func", None)
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "__init__"
+        and isinstance(func.value, ast.Call)
+        and isinstance(func.value.func, ast.Name)
+        and func.value.func.id == "super"
+    )
+
+
 def _scan():
-    """Definitions in ``src/repro`` and every use of their names."""
+    """Definitions in ``src/repro``, every use of their names, and every
+    call by callee name."""
     src = REPO / "src" / "repro"
     trees = [
         (path, ast.parse(path.read_text(encoding="utf-8"), str(path)))
@@ -113,39 +181,85 @@ def _scan():
         for path in sorted((REPO / tree_name).rglob("*.py"))
     ]
     definitions = [
-        (path.relative_to(src).as_posix(), *d)
+        (path.relative_to(src).as_posix(), path, *d)
         for path, tree in trees
         if src in path.parents
-        for d in _definitions(path, tree)
+        for d in _definitions(tree)
     ]
-    names = {d[2] for d in definitions}
-    uses = {}
+    names = {d[3].name for d in definitions}
+    uses, calls = {}, {}
     for path, tree in trees:
-        skip = _reexports(tree) if path.name == "__init__.py" else ()
+        skip = _declarations(tree, path.name == "__init__.py")
         for node in ast.walk(tree):
             name_of = _NAME_OF.get(type(node))
-            if name_of is None or id(node) in skip:
-                continue
-            name = name_of(node)
-            if name in names:
-                uses.setdefault(name, []).append((path, getattr(node, "lineno", 0)))
-    return definitions, uses
+            if name_of is not None and id(node) not in skip:
+                name = name_of(node)
+                if name in names:
+                    uses.setdefault(name, []).append((path, getattr(node, "lineno", 0)))
+            if isinstance(node, ast.Call) and type(node.func) in _NAME_OF:
+                calls.setdefault(_NAME_OF[type(node.func)](node.func), []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                for call in filter(_is_super_init, ast.walk(node)):
+                    for base in node.bases:
+                        if type(base) in _NAME_OF:
+                            calls.setdefault(_NAME_OF[type(base)](base), []).append(call)
+    return definitions, uses, calls
 
 
-DEFINITIONS, USES = _scan()
+DEFINITIONS, USES, CALLS = _scan()
 
 
 def _uncalled():
     out = []
-    for rel, qualname, name, first, last in DEFINITIONS:
+    for rel, path, qualname, node, _ in DEFINITIONS:
+        name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
-        own = REPO / "src" / "repro" / rel
         if not any(
-            not (path == own and first <= line <= last)
-            for path, line in USES.get(name, ())
+            not (where == path and node.lineno <= line <= node.end_lineno)
+            for where, line in USES.get(name, ())
         ):
             out.append(f"{rel}:{qualname}")
+    return out
+
+
+def _defaulted(node, cls):
+    """``(name, positional slot or None)`` of a function's defaulted
+    parameters; the slot counts call arguments, so a bound method's
+    ``self``/``cls`` takes none."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    bound = cls is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+    )
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passed(call, name, slot):
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if slot is None:
+        return False
+    return len(call.args) > slot or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unpassed():
+    out = []
+    for rel, _, qualname, node, cls in DEFINITIONS:
+        if isinstance(node, ast.ClassDef):
+            continue
+        if node.name == "__init__":
+            callee = cls.name if cls is not None else None
+        elif node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        else:
+            callee = node.name
+        for name, slot in _defaulted(node, cls):
+            if not any(_passed(c, name, slot) for c in CALLS.get(callee, ())):
+                out.append(f"{rel}:{qualname}({name})")
     return out
 
 
@@ -157,6 +271,25 @@ def test_every_definition_has_a_caller_outside_the_tests():
     )
 
 
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    unpassed = [key for key in _unpassed() if key not in KEEP_PARAMS]
+    assert not unpassed, (
+        "no caller outside the tests passes these; fold each into its "
+        f"default or add it to KEEP_PARAMS with a reason: {unpassed}"
+    )
+
+
 @pytest.mark.parametrize("key", sorted(KEEP))
 def test_kept_definition_still_exists(key):
-    assert key in {f"{rel}:{qualname}" for rel, qualname, *_ in DEFINITIONS}, key
+    assert key in {f"{rel}:{qualname}" for rel, _, qualname, *_ in DEFINITIONS}, key
+
+
+@pytest.mark.parametrize("key", sorted(KEEP_PARAMS))
+def test_kept_parameter_still_exists(key):
+    params = {
+        f"{rel}:{qualname}({name})"
+        for rel, _, qualname, node, cls in DEFINITIONS
+        if not isinstance(node, ast.ClassDef)
+        for name, _ in _defaulted(node, cls)
+    }
+    assert key in params, key

@@ -14,7 +14,7 @@ from repro.cli import main
 from repro.experiments.config import SystemConfig, scaled_config
 from repro.hierarchy.policies import check_policy_name, make_policy, policy_names
 from repro.serve.client import ServeError
-from repro.trace.replay import config_fingerprint
+from repro.util.fingerprint import config_fingerprint
 
 from tests.serve.test_server import ServerHarness
 

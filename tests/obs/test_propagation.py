@@ -29,11 +29,9 @@ from tests.serve.test_coalesce import GatedExecutor, _settle
 def _run_plan(executor):
     """Execute a 4-task plan under a live tracer; return its spans."""
     plan = SweepPlan()
-    plan.add_suite(
-        scaled_config(16),
-        ("original", "inter"),
-        [get_workload("hf"), get_workload("sar")],
-    )
+    for name in ("hf", "sar"):
+        for version in ("original", "inter"):
+            plan.add(get_workload(name), scaled_config(16), version)
     tracer = Tracer(capacity=8192)
     with use_tracer(tracer):
         with span("test.request"):

@@ -17,7 +17,6 @@ from repro.obs.tracer import (
     Tracer,
     build_trees,
     get_tracer,
-    set_tracer,
     span,
     thread_tracer,
     use_tracer,
@@ -64,14 +63,12 @@ class TestActivation:
         assert get_tracer() is NULL_TRACER
         assert [s.name for s in tracer.spans()] == ["op"]
 
-    def test_set_tracer_returns_previous(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert previous is NULL_TRACER
-            assert get_tracer() is tracer
-        finally:
-            set_tracer(None)
+    def test_nested_use_tracer_restores_the_outer(self):
+        outer, inner = Tracer(), Tracer()
+        with use_tracer(outer):
+            with use_tracer(inner):
+                assert get_tracer() is inner
+            assert get_tracer() is outer
         assert get_tracer() is NULL_TRACER
 
     def test_thread_tracer_overrides_current_thread_only(self):

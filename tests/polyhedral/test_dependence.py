@@ -113,8 +113,7 @@ class TestFindDependences:
         nest = nest_1d(
             [ArrayRef("A", [AffineExpr([1])]), ArrayRef("A", [AffineExpr([1], 2)])]
         )
-        deps = find_dependences(nest, include_input_deps=True)
-        assert len(deps) == 1
+        assert find_dependences(nest) == []
 
     def test_loop_independent_skipped(self):
         nest = nest_1d(

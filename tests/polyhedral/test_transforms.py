@@ -56,7 +56,7 @@ class TestPermuteIterations:
 class TestTileIterations:
     def test_tiling_reorders_into_blocks(self):
         sp = IterationSpace([(0, 3), (0, 3)])
-        out = tile_iterations(sp.enumerate(), [2, 2], sp)
+        out = tile_iterations(sp.enumerate(), [2, 2])
         # First tile is the 2x2 block at origin.
         assert sorted(map(tuple, out[:4])) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         # Second tile: columns 2..3 of rows 0..1.
@@ -65,28 +65,23 @@ class TestTileIterations:
     def test_zero_tile_means_untiled(self):
         sp = IterationSpace([(0, 3), (0, 3)])
         its = sp.enumerate()
-        assert np.array_equal(tile_iterations(its, [0, 0], sp), its)
+        assert np.array_equal(tile_iterations(its, [0, 0]), its)
 
     def test_same_multiset(self):
         sp = IterationSpace([(0, 4), (0, 4)])
         its = sp.enumerate()
-        out = tile_iterations(its, [3, 2], sp)
+        out = tile_iterations(its, [3, 2])
         assert sorted(map(tuple, out)) == sorted(map(tuple, its))
 
     def test_respects_nonzero_lowers(self):
         sp = IterationSpace([(2, 5)])
-        out = tile_iterations(sp.enumerate(), [2], sp)
+        out = tile_iterations(sp.enumerate(), [2])
         assert out[:2, 0].tolist() == [2, 3]
 
     def test_tile_size_count_checked(self):
         sp = IterationSpace([(0, 3), (0, 3)])
         with pytest.raises(ValueError):
-            tile_iterations(sp.enumerate(), [2], sp)
-
-    def test_space_depth_checked(self):
-        sp = IterationSpace([(0, 3)])
-        with pytest.raises(ValueError):
-            tile_iterations(sp.enumerate(), [2], IterationSpace([(0, 1), (0, 1)]))
+            tile_iterations(sp.enumerate(), [2])
 
 
 class TestPermutationLegality:

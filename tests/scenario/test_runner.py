@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.exec.context import use_execution
 from repro.exec.executor import ExperimentExecutor
 from repro.exec.keys import experiment_key
 from repro.exec.plan import SweepPlan, execute_plan
@@ -94,14 +95,13 @@ class TestExecution:
         assert result.extra["kind"] == "onoff"
 
     def test_warm_cache_rerun_simulates_nothing(self, config):
-        store = MemoryStore()
         spec = small_zipf()
-        reg_cold = MetricsRegistry()
-        with use_registry(reg_cold):
-            cold = run_scenario(spec, config, store=store)
-        reg_warm = MetricsRegistry()
-        with use_registry(reg_warm):
-            warm = run_scenario(spec, config, store=store)
+        reg_cold, reg_warm = MetricsRegistry(), MetricsRegistry()
+        with use_execution(store=MemoryStore()):
+            with use_registry(reg_cold):
+                cold = run_scenario(spec, config)
+            with use_registry(reg_warm):
+                warm = run_scenario(spec, config)
         assert reg_warm.counter("exec.tasks_run").value == 0
         a, b = result_to_dict(cold), result_to_dict(warm)
         a.pop("mapping_time_s")
@@ -178,12 +178,9 @@ class TestDeterminism:
         for spec in specs:
             serial[spec.name] = run_scenario(spec, config)
         pooled = {}
-        executor = ExperimentExecutor(workers=4)
-        store = MemoryStore()
-        for spec in specs:
-            pooled[spec.name] = run_scenario(
-                spec, config, executor=executor, store=store
-            )
+        with use_execution(ExperimentExecutor(workers=4), MemoryStore()):
+            for spec in specs:
+                pooled[spec.name] = run_scenario(spec, config)
         for name in serial:
             a = result_to_dict(serial[name])
             b = result_to_dict(pooled[name])

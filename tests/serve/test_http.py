@@ -11,7 +11,7 @@ class RecordingServer(AsyncHttpServer):
     """Bare server that records every call of the loop's exception handler."""
 
     def __init__(self):
-        super().__init__(port=0, drain_grace_s=5.0)
+        super().__init__(port=0)
         self.loop_errors = []
 
     async def _startup(self) -> None:

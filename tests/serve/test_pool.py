@@ -19,7 +19,7 @@ from repro.exec import executor as executor_module
 from repro.exec.executor import ExperimentExecutor, task_payload
 from repro.experiments.config import scaled_config
 from repro.serve.server import MappingServer
-from repro.trace.replay import config_fingerprint
+from repro.util.fingerprint import config_fingerprint
 
 from tests.exec.test_executor import _exit_in_worker, _strip_wallclock
 from tests.serve.test_server import ServerHarness

@@ -19,7 +19,7 @@ from repro.serve.protocol import (
     request_doc,
     response_doc,
 )
-from repro.trace.replay import config_fingerprint
+from repro.util.fingerprint import config_fingerprint
 
 
 def _body(**overrides) -> bytes:

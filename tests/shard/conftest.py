@@ -10,11 +10,10 @@ test instead.
 
 import pytest
 
-from repro.telemetry.registry import get_registry, set_registry
+from repro.telemetry.registry import get_registry, use_registry
 
 
 @pytest.fixture(autouse=True)
 def _restore_ambient_registry():
-    previous = get_registry()
-    yield
-    set_registry(previous)
+    with use_registry(get_registry()):
+        yield

@@ -137,7 +137,7 @@ class TestParallelExecution:
     def test_workers_reproduce_reference_serial_run(self):
         from repro.exec.executor import ExperimentExecutor, task_payload
         from repro.experiments.config import scaled_config
-        from repro.simulator.runner import run_experiment
+        from repro.simulator.runner import run_cells
         from repro.simulator.serialization import result_to_dict
         from repro.workloads.suite import get_workload
 
@@ -151,10 +151,10 @@ class TestParallelExecution:
         serial = [
             stable(
                 result_to_dict(
-                    run_experiment(
-                        get_workload(w), config, "inter+sched",
-                        engine="reference",
-                    )
+                    run_cells(
+                        get_workload(w),
+                        [("inter+sched", config, {"engine": "reference"})],
+                    )[0]
                 )
             )
             for w in workloads

@@ -208,7 +208,8 @@ class TestFallback:
 
 
 class TestTopologies:
-    """Non-three-level trees take the general vectorized loop."""
+    """Two- and four-level trees match the reference: without prefetch on
+    the level-by-level pass, with prefetch on the general loop."""
 
     @pytest.mark.parametrize("prefetch_degree", [0, 2])
     @pytest.mark.parametrize(

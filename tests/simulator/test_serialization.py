@@ -1,39 +1,13 @@
-"""Tests for stream and result serialization."""
+"""Tests for result serialization."""
 
-import numpy as np
+import json
+
 import pytest
 
 from repro.experiments.config import scaled_config
 from repro.experiments.harness import run_suite
-from repro.simulator.serialization import (
-    load_results_json,
-    load_streams,
-    result_to_dict,
-    save_results_json,
-    save_streams,
-)
+from repro.simulator.serialization import result_to_dict, save_results_json
 from repro.workloads.suite import get_workload
-
-
-class TestStreamRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        streams = {
-            0: np.array([1, 2, 3], dtype=np.int64),
-            1: np.array([], dtype=np.int64),
-            7: np.array([9], dtype=np.int64),
-        }
-        path = tmp_path / "streams.npz"
-        save_streams(path, streams)
-        loaded = load_streams(path)
-        assert sorted(loaded) == [0, 1, 7]
-        for c in streams:
-            assert np.array_equal(loaded[c], streams[c])
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, something=np.arange(3))
-        with pytest.raises(ValueError):
-            load_streams(path)
 
 
 class TestResultsJson:
@@ -55,7 +29,7 @@ class TestResultsJson:
     def test_json_roundtrip(self, results, tmp_path):
         path = tmp_path / "results.json"
         save_results_json(path, results)
-        loaded = load_results_json(path)
+        loaded = json.loads(path.read_text())
         assert set(loaded) == {"hf"}
         assert set(loaded["hf"]) == {"original", "inter"}
         orig = loaded["hf"]["original"]["sim"]
@@ -66,7 +40,7 @@ class TestResultsJson:
     def test_values_survive_json(self, results, tmp_path):
         path = tmp_path / "r.json"
         save_results_json(path, results)
-        loaded = load_results_json(path)
+        loaded = json.loads(path.read_text())
         assert loaded["hf"]["inter"]["sim"]["io_latency_ms"] == pytest.approx(
             results["hf"]["inter"].io_latency_ms
         )

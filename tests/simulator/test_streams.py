@@ -75,12 +75,6 @@ class TestBuildClientStreams:
         assert streams[0].tolist() == [0, 0, 1]
         assert streams[1].tolist() == [2, 0, 3]
 
-    def test_uncoalesced_streams(self, nest_and_ds):
-        nest, ds = nest_and_ds
-        mapping = Mapping("m", {0: np.arange(32)})
-        raw = build_client_streams(mapping, nest, ds, coalesce=False)
-        assert len(raw[0]) == 32 * 2
-
     def test_empty_client(self, nest_and_ds):
         nest, ds = nest_and_ds
         mapping = Mapping("m", {0: np.arange(32), 1: np.array([], dtype=np.int64)})

@@ -7,7 +7,6 @@ from repro.telemetry import (
     MetricsRegistry,
     NullRegistry,
     get_registry,
-    set_registry,
     thread_registry,
     use_registry,
 )
@@ -203,13 +202,12 @@ class TestActivation:
                 raise RuntimeError("boom")
         assert get_registry() is NULL_REGISTRY
 
-    def test_set_registry_returns_previous(self):
-        reg = MetricsRegistry()
-        prev = set_registry(reg)
-        try:
-            assert get_registry() is reg
-        finally:
-            set_registry(prev)
+    def test_nested_use_registry_restores_the_outer(self):
+        outer, inner = MetricsRegistry(), MetricsRegistry()
+        with use_registry(outer):
+            with use_registry(inner):
+                assert get_registry() is inner
+            assert get_registry() is outer
         assert get_registry() is NULL_REGISTRY
 
     def test_thread_registry_overrides_current_thread_only(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import scaled_config
-from repro.simulator.runner import run_experiment
+from repro.simulator.runner import run_cells, run_experiment
 from repro.trace.replay import (
     TRACE_ARTIFACT_VERSION,
     load_artifact,
@@ -56,8 +56,8 @@ class TestRoundTrip:
     def test_round_trip_with_prefetch_and_sync(self, tmp_path):
         config = scaled_config(16, prefetch_degree=2)
         sync = {0: 2, 3: 1}
-        direct = run_experiment(
-            get_workload("contour"), config, "inter+sched", sync_counts=sync
+        (direct,) = run_cells(
+            get_workload("contour"), [("inter+sched", config, {"sync_counts": sync})]
         )
         artifact = record("contour", config, "inter+sched", sync_counts=sync)
         path = tmp_path / "contour.trace.npz"

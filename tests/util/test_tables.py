@@ -1,17 +1,6 @@
 """Tests for plain-text table rendering."""
 
-from repro.util.tables import format_percent, format_ratio, format_table
-
-
-class TestFormatters:
-    def test_percent(self):
-        assert format_percent(0.263) == "26.3%"
-        assert format_percent(0.0) == "0.0%"
-        assert format_percent(1.0, digits=0) == "100%"
-
-    def test_ratio(self):
-        assert format_ratio(0.7371) == "0.737"
-        assert format_ratio(1.0, digits=1) == "1.0"
+from repro.util.tables import format_table
 
 
 class TestFormatTable:

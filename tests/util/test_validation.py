@@ -4,9 +4,7 @@ import pytest
 
 from repro.util.validation import (
     check_in_range,
-    check_nonnegative,
     check_positive,
-    check_power_of_two,
 )
 
 
@@ -38,15 +36,6 @@ class TestCheckPositive:
             check_positive("x", "three")
 
 
-class TestCheckNonnegative:
-    def test_accepts_zero(self):
-        assert check_nonnegative("x", 0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -1)
-
-
 class TestCheckInRange:
     def test_accepts_bounds(self):
         assert check_in_range("x", 0.0, 0.0, 1.0) == 0.0
@@ -57,18 +46,3 @@ class TestCheckInRange:
             check_in_range("x", 1.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             check_in_range("x", -0.1, 0.0, 1.0)
-
-
-class TestCheckPowerOfTwo:
-    def test_accepts_powers(self):
-        for k in range(10):
-            assert check_power_of_two("x", 1 << k) == 1 << k
-
-    def test_rejects_non_powers(self):
-        for v in (3, 6, 12, 100):
-            with pytest.raises(ValueError):
-                check_power_of_two("x", v)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            check_power_of_two("x", 0)

@@ -75,7 +75,7 @@ class TestFigure8Tags:
     def test_graph_is_complete_via_chunk0(self, example):
         _, _, cs = example
         g = build_affinity_graph(cs)
-        assert g.is_complete(min_weight=1)
+        assert g.is_complete()
 
 
 class TestFigure9Clustering:
@@ -126,9 +126,9 @@ class TestFigure17Schedule:
         for first_client in (0, 2):  # first client of each I/O group
             first = sched[first_client][0]
             pops = [
-                dist.pool[m].tag.popcount() for m in dist.assignment[first_client]
+                len(dist.pool[m].tag.chunks) for m in dist.assignment[first_client]
             ]
-            assert dist.pool[first].tag.popcount() == min(pops)
+            assert len(dist.pool[first].tag.chunks) == min(pops)
 
 
 class TestEndToEndMapping:
