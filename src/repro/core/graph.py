@@ -9,7 +9,7 @@ computed with one BLAS call on the first read of ``weights``.  The graph
 is what Fig. 8 draws for the running example; the clustering stage
 recomputes the same dot products from cluster signatures and reads only
 the graph's forced pairs, so a mapping never builds the matrix.  This
-module is the *inspectable* form (edges, neighbours, components) plus
+module is the *inspectable* form (edges, neighbours) plus
 the dependence-fusion hook (infinite-weight edges, §5.4).
 """
 
@@ -98,27 +98,6 @@ class AffinityGraph:
             return True
         off = self.weights[~np.eye(n, dtype=bool)]
         return bool((off >= 1).all())
-
-    def components(self) -> list[list[int]]:
-        """Connected components of the graph's edges."""
-        n = self.num_nodes
-        seen = np.zeros(n, dtype=bool)
-        comps: list[list[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in self.neighbours(u):
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
 
     def __repr__(self) -> str:
         return f"AffinityGraph(nodes={self.num_nodes}, forced={len(self._forced)})"

@@ -21,7 +21,6 @@ import re
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 __all__ = [
     "REQUEST_ID_HEADER",
@@ -50,10 +49,6 @@ class SpanContext:
 
     def as_dict(self) -> dict[str, str]:
         return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @staticmethod
-    def from_dict(doc: Mapping[str, Any]) -> "SpanContext":
-        return SpanContext(str(doc["trace_id"]), str(doc["span_id"]))
 
 
 def new_request_id() -> str:

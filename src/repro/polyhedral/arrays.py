@@ -53,10 +53,6 @@ class DiskArray:
             n *= d
         return n
 
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.element_size
-
 
 class DataSpace:
     """All disk-resident arrays of a program, chunked for tagging.

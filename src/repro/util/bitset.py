@@ -61,14 +61,6 @@ class Tag:
             raise ValueError(f"not a bitstring: {bits!r}")
         return cls((k for k, ch in enumerate(bits) if ch == "1"), len(bits))
 
-    @property
-    def mask(self) -> int:
-        """The tag as a Python-int bitmask (bit k == chunk k)."""
-        m = 0
-        for c in self.chunks:
-            m |= 1 << c
-        return m
-
     def to_bitstring(self) -> str:
         """Render in the paper's ``λ0 λ1 …`` left-to-right notation."""
         return "".join("1" if k in self.chunks else "0" for k in range(self.nbits))

@@ -49,12 +49,6 @@ class TestBuildAffinityGraph:
         for i, j, w in g.edges(min_weight=1):
             assert i < j and w >= 1
 
-    def test_components_by_parity(self, chunk_set):
-        g = build_affinity_graph(chunk_set)
-        comps = g.components()
-        # Stride 2 means odd/even block components.
-        assert len(comps) == 2
-
 
 class TestForceTogether:
     def test_infinite_weight(self, chunk_set):

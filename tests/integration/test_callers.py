@@ -15,10 +15,16 @@ Two AST scans over ``src/``, ``benchmarks/``, ``perfbench/`` and
   ``__init__``; ``super().__init__`` calls the bases): by keyword, by
   ``**``, or by passing that many positional arguments.
 
-Both scans match by bare name, so a method shares its uses with every
-other definition of that name; they find dead code, they do not prove
-liveness.  Dunder methods other than ``__init__`` are called by the
-language and are skipped.
+The definition scan resolves a member by class where the receiver's
+class is known: ``self``/``cls`` in a method, a class name, a
+parameter annotated with a class, or a name assigned a constructor
+call.  ``x.m`` then counts for the ``m`` that ``x``'s class or its
+nearest base defines, and a method is only ever reached through an
+attribute or a string, never by a bare name.  Any other attribute falls
+back to the bare name, and the parameter scan matches by bare name
+only, so both find dead code, they do not prove liveness.  Dunder
+methods other than ``__init__`` are called by the language and are
+skipped.
 
 ``KEEP`` lists the definitions and ``KEEP_PARAMS`` the parameters that
 only tests use on purpose, each with its reason: an oracle, a checker,
@@ -66,6 +72,8 @@ KEEP = {
         "checker for the report tests",
     "core/graph.py:AffinityGraph.is_complete":
         "checker for the paper-example affinity graph",
+    "core/graph.py:AffinityGraph.neighbours":
+        "checker for the affinity-graph tests: the nodes that share a chunk",
     "hierarchy/stats.py:CacheStats.capacity_misses":
         "checker for the cache-statistics tests",
     "polyhedral/nest.py:LoopNest.arrays_referenced":
@@ -78,6 +86,14 @@ KEEP = {
         "writes the CSV traces the trace-loader and trace-scenario tests read",
     "scenario/traces.py:export_trace_jsonl":
         "writes the JSONL traces the trace-loader and trace-scenario tests read",
+    "polyhedral/references.py:ArrayRef.identity":
+        "the uniform reference A[i0+o0, ...]; the array and reference tests build references with it",
+    "exec/keys.py:ExperimentKey.from_dict":
+        "inverse of as_dict: the key round-trip test checks the dict form carries every field",
+    "serve/client.py:ServeClient.batch":
+        "the client of the server's batch endpoint; the pool and router tests drive that endpoint with it",
+    "trace/diff.py:TraceDiff.is_empty":
+        "checker for the trace-diff tests",
 }
 
 #: Optional parameters only tests pass on purpose, each with its reason.
@@ -171,9 +187,77 @@ def _is_super_init(node):
     )
 
 
+def _class_index(definitions):
+    """Class name -> (names its body defines, its base names)."""
+    index = {}
+    for *_, node, _ in definitions:
+        if isinstance(node, ast.ClassDef):
+            members, bases = index.setdefault(node.name, (set(), []))
+            members.update(
+                c.name
+                for c in node.body
+                if isinstance(c, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            )
+            bases += [_NAME_OF[type(b)](b) for b in node.bases if type(b) in _NAME_OF]
+    return index
+
+
+def _owner(index, cls, attr):
+    """The class that defines ``attr`` for an instance of ``cls``: ``cls``
+    or its nearest base, or None when no known class does."""
+    todo, seen = [cls], set()
+    while todo:
+        c = todo.pop(0)
+        if c in index and c not in seen:
+            seen.add(c)
+            members, bases = index[c]
+            if attr in members:
+                return c
+            todo += bases
+    return None
+
+
+def _class_of(annotation, index):
+    """The class an annotation names: ``C``, ``mod.C``, ``"C"``,
+    ``C | None``, ``Optional[C]``."""
+    node = annotation
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(node, ast.BinOp):
+        return _class_of(node.left, index) or _class_of(node.right, index)
+    if isinstance(node, ast.Subscript):
+        return _class_of(node.slice, index)
+    name = _NAME_OF[type(node)](node) if type(node) in (ast.Name, ast.Attribute) else None
+    return name if name in index else None
+
+
+def _receivers(func, cls, index):
+    """Local names of ``func`` whose class is known: ``self``/``cls`` of
+    a method, parameters annotated with a class, and names assigned a
+    constructor call."""
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    env = {a.arg: c for a in params if (c := _class_of(a.annotation, index))}
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+    )
+    if cls is not None and params and not static:
+        env[params[0].arg] = cls.name
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            c = _class_of(node.value.func, index)
+            for target in node.targets:
+                if c and isinstance(target, ast.Name):
+                    env[target.id] = c
+    return env
+
+
 def _scan():
-    """Definitions in ``src/repro``, every use of their names, and every
-    call by callee name."""
+    """Definitions in ``src/repro``, every use of their names (bare, or
+    ``(class, member)`` where resolved), and every call by callee name."""
     src = REPO / "src" / "repro"
     trees = [
         (path, ast.parse(path.read_text(encoding="utf-8"), str(path)))
@@ -187,15 +271,35 @@ def _scan():
         for d in _definitions(tree)
     ]
     names = {d[3].name for d in definitions}
+    index = _class_index(definitions)
     uses, calls = {}, {}
+
+    def visit(node, path, skip, env, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, skip, env, child)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, skip, {**env, **_receivers(child, cls, index)}, None)
+                continue
+            name_of = _NAME_OF.get(type(child))
+            if name_of is not None and id(child) not in skip:
+                name = name_of(child)
+                if name in names:
+                    site = (path, getattr(child, "lineno", 0))
+                    value = getattr(child, "value", None)
+                    receiver = None
+                    if isinstance(child, ast.Attribute) and isinstance(value, ast.Name):
+                        receiver = env.get(value.id, value.id if value.id in index else None)
+                    owner = receiver and _owner(index, receiver, name)
+                    key = (owner, name) if owner else name
+                    uses.setdefault(key, []).append((*site, type(child)))
+            visit(child, path, skip, env, cls)
+
     for path, tree in trees:
         skip = _declarations(tree, path.name == "__init__.py")
+        visit(tree, path, skip, {}, None)
         for node in ast.walk(tree):
-            name_of = _NAME_OF.get(type(node))
-            if name_of is not None and id(node) not in skip:
-                name = name_of(node)
-                if name in names:
-                    uses.setdefault(name, []).append((path, getattr(node, "lineno", 0)))
             if isinstance(node, ast.Call) and type(node.func) in _NAME_OF:
                 calls.setdefault(_NAME_OF[type(node.func)](node.func), []).append(node)
             elif isinstance(node, ast.ClassDef):
@@ -203,21 +307,39 @@ def _scan():
                     for base in node.bases:
                         if type(base) in _NAME_OF:
                             calls.setdefault(_NAME_OF[type(base)](base), []).append(call)
-    return definitions, uses, calls
+    return definitions, index, uses, calls
 
 
-DEFINITIONS, USES, CALLS = _scan()
+DEFINITIONS, INDEX, USES, CALLS = _scan()
+
+
+def _ancestors(cls):
+    """``cls`` and every base class it reaches in ``src/repro``."""
+    todo, seen = [cls], []
+    while todo:
+        c = todo.pop(0)
+        if c in INDEX and c not in seen:
+            seen.append(c)
+            todo += INDEX[c][1]
+    return seen
 
 
 def _uncalled():
     out = []
-    for rel, path, qualname, node, _ in DEFINITIONS:
+    for rel, path, qualname, node, cls in DEFINITIONS:
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
+        sites = USES.get(name, [])
+        if cls is not None and not isinstance(node, ast.ClassDef):
+            # A method is reached through an attribute: a resolved one on
+            # its class or a base it overrides, or an unresolved one.
+            sites = [s for s in sites if s[2] is not ast.Name] + [
+                s for c in _ancestors(cls.name) for s in USES.get((c, name), ())
+            ]
         if not any(
             not (where == path and node.lineno <= line <= node.end_lineno)
-            for where, line in USES.get(name, ())
+            for where, line, _ in sites
         ):
             out.append(f"{rel}:{qualname}")
     return out

@@ -208,8 +208,8 @@ class TestFallback:
 
 
 class TestTopologies:
-    """Two- and four-level trees match the reference: without prefetch on
-    the level-by-level pass, with prefetch on the general loop."""
+    """Two- and four-level trees match the reference through the one
+    level-by-level pass, with and without read-ahead."""
 
     @pytest.mark.parametrize("prefetch_degree", [0, 2])
     @pytest.mark.parametrize(

@@ -117,7 +117,3 @@ class TestTagAlgebra:
     @given(tags())
     def test_self_dot_is_popcount(self, t):
         assert t.dot(t) == len(t.chunks)
-
-    @given(tags())
-    def test_mask_roundtrip(self, t):
-        assert Tag([k for k in range(t.nbits) if t.mask >> k & 1], t.nbits) == t
