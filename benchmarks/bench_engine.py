@@ -40,10 +40,10 @@ from repro.simulator.runner import prepare_experiment
 from repro.util.fingerprint import canonical_json
 from repro.workloads.suite import get_workload
 
-#: (workload, version, prefetch_degree, write_back) cells. Chosen to
-#: cover the engine's two hot paths: the level-by-level tree pass (the
-#: pf0/wt rows) and the general loop (the pf4/wt prefetch rows and the
-#: pf2/wb write-back row).
+#: (workload, version, prefetch_degree, write_back) cells. All run the
+#: engine's one hot path, the level-by-level pass: read-only (the pf0/wt
+#: rows), with read-ahead candidates at the bottom cache (the pf4/wt
+#: rows), and with write marks and dirty probes as well (the pf2/wb row).
 CASES: tuple[tuple[str, str, int, bool], ...] = (
     ("hf", "inter+sched", 0, False),
     ("hf", "original", 0, False),
@@ -59,7 +59,7 @@ SCALE = 4
 
 #: (scenario, per-level policies) cells at ``SCENARIO_SCALE``: generated
 #: traces with ARC at L2 or RRIP at L2 and L3 (the ``cold-policy``
-#: serving mix), where the tree pass runs a different policy per level.
+#: serving mix), where the level pass runs a different policy per level.
 SCENARIO_CASES: tuple[tuple[str, tuple[str, str, str]], ...] = (
     ("zipf-hot", ("lru", "arc", "lru")),
     ("zipf-hot", ("lru", "rrip", "rrip")),
@@ -70,9 +70,10 @@ SCENARIO_CASES: tuple[tuple[str, tuple[str, str, str]], ...] = (
 SCENARIO_SCALE = 8
 
 #: Perf-gate bounds: the geomean speedup must reach 5x and every cell 2x
-#: (the general-loop cells count every statistic in place, and ARC and
-#: RRIP misses do more dict work per access, so those cells sit below
-#: the geomean by design, hence the lower per-cell bar).
+#: (the read-ahead and write-back cells call the pass's event handler per
+#: candidate, write and probe, and ARC and RRIP misses do more dict work
+#: per access, so those cells sit below the geomean by design, hence the
+#: lower per-cell bar).
 GATE = {"min_speedup": 5, "min_row_speedup": 2}
 
 
