@@ -120,18 +120,17 @@ def test_simulation_engine_fast(benchmark, setup):
     """The vectorized engine on the same inputs as
     ``test_simulation_engine`` — the two medians are the speedup the
     engine gate (``bench_engine.py`` / ``gate.py``) pins."""
-    from repro.simulator.fast import simulate as fast_simulate
-
     cfg = setup["config"]
 
     def run():
         fs = cfg.build_filesystem()
-        return fast_simulate(
+        return simulate(
             setup["streams"],
             setup["hierarchy"],
             fs,
             latency=cfg.latency,
             iterations_per_client=setup["mapping"].iteration_counts(),
+            engine="fast",
         )
 
     res = benchmark(run)

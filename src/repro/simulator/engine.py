@@ -14,6 +14,10 @@ forwarding model of §5.1).  Per-client I/O time accumulates the latency
 of every level touched plus disk time; compute time adds a fixed cost
 per iteration; cross-client dependences charge a synchronisation stall
 each (§5.4).
+
+:func:`simulate` is the one entry point of both engines; only the access
+core differs: :func:`_access_loop` here, or the level-by-level passes of
+:mod:`repro.simulator.fast`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hierarchy.topology import CacheHierarchy
+from repro.simulator import fast
+from repro.simulator.engines import _check_name
 from repro.simulator.metrics import SimulationResult
 from repro.storage.filesystem import ParallelFileSystem
 from repro.telemetry import get_registry
@@ -76,6 +82,22 @@ def interleave_order(lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return clients[order], rounds[order]
 
 
+#: Memoized interleave orders keyed by the per-client length tuple —
+#: benchmark loops and parameter sweeps replay identical shapes.
+_interleave_memo: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _interleave(lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Memoized :func:`interleave_order`."""
+    key = tuple(lengths)
+    got = _interleave_memo.get(key)
+    if got is None:
+        if len(_interleave_memo) >= 64:
+            _interleave_memo.clear()
+        got = _interleave_memo[key] = interleave_order(lengths)
+    return got
+
+
 def simulate(
     streams: dict[int, np.ndarray],
     hierarchy: CacheHierarchy,
@@ -87,22 +109,26 @@ def simulate(
     prefetch_degree: int = 0,
     num_data_chunks: int | None = None,
     recorder=None,
+    engine: str = "reference",
 ) -> SimulationResult:
     """Run the interleaved simulation; caches/disks are reset first.
 
     Parameters
     ----------
     streams:
-        Per-client chunk-access streams (client ids must be 0..k-1).
+        Per-client chunk-access streams (client ids must be 0..k-1,
+        chunk ids non-negative).
     sync_counts:
         Optional per-client inter-processor synchronisation counts; each
         charges :attr:`LatencyModel.sync_stall_ms` of stall.
     iterations_per_client:
-        Iteration counts for compute time; defaults to stream length
-        divided by the (assumed uniform) per-iteration access count.
+        Optional per-client iteration counts; each iteration charges
+        :attr:`LatencyModel.compute_ms_per_iteration`.  A client without
+        an entry (and every client when it is omitted) has compute time 0.
     write_masks:
-        Optional per-client boolean vectors (aligned with ``streams``)
-        marking write requests.  Enables write-back accounting: a write
+        Optional per-client boolean vectors (aligned with ``streams``,
+        one for every client, empty ones included) marking write
+        requests.  Enables write-back accounting: a write
         dirties the chunk in the private cache; evicting a dirty chunk
         propagates the dirt down the path and, past the last level,
         pays a disk write (charged to the client whose fill triggered
@@ -123,9 +149,19 @@ def simulate(
         ``None`` (default) and recorders whose ``enabled`` attribute is
         false are detected once up front, so tracing adds no work to the
         hot loop when disabled.
+    engine:
+        The access core: ``reference`` (:func:`_access_loop`, the ground
+        truth) or ``fast`` (:func:`repro.simulator.fast._level_pass`,
+        bit-identical and several times faster); all else is shared.
+
+    Whole-run fallback: a ``fast`` run with an enabled recorder, or with
+    a level whose policy type subclasses (is not exactly) one of the four
+    vectorized classes and so may keep different internals, takes the
+    reference loop, whole: same inputs, same objects, same result.
     """
     latency = latency or LatencyModel()
     k = hierarchy.num_clients
+    _check_name(engine)
     ids = sorted(streams)
     if ids != list(range(k)):
         raise ValueError(f"streams must cover clients 0..{k - 1}, got {ids}")
@@ -138,18 +174,27 @@ def simulate(
         raise ValueError("prefetch_degree must be non-negative")
     if write_masks is not None:
         for c in range(k):
-            if len(write_masks.get(c, ())) != len(streams[c]):
-                raise ValueError(f"write mask of client {c} misaligned")
+            if c not in write_masks or len(write_masks[c]) != len(streams[c]):
+                raise ValueError(f"write mask of client {c} missing or misaligned")
+    lengths = [len(streams[c]) for c in range(k)]
+    concat = None
+    if any(lengths):
+        concat = np.concatenate(
+            [np.asarray(streams[c], dtype=np.int64) for c in range(k)]
+        )
+        if int(concat.min()) < 0:
+            raise ValueError("chunk ids must be non-negative")
     # A disabled recorder (None or enabled=False) is normalised to None
     # here, outside the hot loop.
     rec = recorder if recorder is not None and getattr(recorder, "enabled", True) else None
-    hierarchy.reset()
+    # The memoized topology: every cache sits on some client's path, so
+    # resetting its caches is ``hierarchy.reset()`` without the walk.
+    static = fast._static(hierarchy)
+    for cache in static["caches"]:
+        cache.reset()
     filesystem.reset()
 
-    paths = [hierarchy.path(c) for c in range(k)]
     hit_cost = [latency.hit_cost(l) for l in range(num_levels)]
-    miss_base = hit_cost[-1]  # all levels probed before going to disk
-    stride = filesystem.num_storage_nodes  # next block on the same disk
     # The prefetch bound comes from the declared data-space size when the
     # caller provides it (every production caller does); the fallback
     # scan over the streams runs only when prefetching will actually
@@ -162,8 +207,78 @@ def simulate(
         )
     else:
         max_chunk = 0  # never consulted without prefetching
+    client_arr, pos_arr = _interleave(lengths)
 
-    client_list, pos_list = interleave_order([len(streams[c]) for c in range(k)])
+    if engine == "fast" and rec is None and static["vectorizable"]:
+        io = [0.0] * k if concat is None else fast._level_pass(
+            static, filesystem, hit_cost, concat, lengths, client_arr, pos_arr,
+            write_masks, prefetch_degree, max_chunk,
+        )
+        io_ms = np.asarray(io, dtype=np.float64)
+    else:
+        io_ms = _access_loop(
+            streams, hierarchy, filesystem, hit_cost, client_arr, pos_arr,
+            write_masks, prefetch_degree, max_chunk, rec,
+        )
+
+    # Compute time: per-iteration cost.
+    compute_ms = np.zeros(k, dtype=np.float64)
+    if iterations_per_client:
+        for c, n in iterations_per_client.items():
+            compute_ms[c] = n * latency.compute_ms_per_iteration
+
+    sync_ms = np.zeros(k, dtype=np.float64)
+    if sync_counts:
+        for c, n in sync_counts.items():
+            sync_ms[c] = n * latency.sync_stall_ms
+            if rec is not None and n:
+                rec.sync(c, n, float(sync_ms[c]))
+
+    level_stats = {}
+    for name, group in zip(hierarchy.level_names(), static["level_caches"]):
+        agg = None
+        for cache in group:
+            agg = cache.stats if agg is None else agg.merge(cache.stats)
+        level_stats[name] = agg
+
+    # Telemetry bridging happens once, here, never in the hot loop: the
+    # per-level aggregates and disk totals mirror into the registry only
+    # when one is active.
+    reg = get_registry()
+    if reg.enabled:
+        reg.counter("simulator.simulations").inc()
+        for name, agg in level_stats.items():
+            if agg is not None:
+                agg.publish(reg, level=name)
+        reg.counter("disk.reads").inc(filesystem.total_disk_reads())
+        reg.counter("disk.writes").inc(filesystem.total_disk_writes())
+        reg.gauge("disk.busy_ms").set(filesystem.total_busy_ms())
+        io_hist = reg.histogram("sim.client_io_ms")
+        for x in io_ms:
+            io_hist.observe(float(x))
+
+    return SimulationResult(
+        per_client_io_ms=io_ms,
+        per_client_compute_ms=compute_ms,
+        per_client_sync_ms=sync_ms,
+        level_stats=level_stats,
+        disk_reads=filesystem.total_disk_reads(),
+        disk_busy_ms=filesystem.total_busy_ms(),
+        disk_writes=filesystem.total_disk_writes(),
+    )
+
+
+def _access_loop(
+    streams, hierarchy, filesystem, hit_cost, client_arr, pos_arr, write_masks,
+    prefetch_degree, max_chunk, rec,
+) -> np.ndarray:
+    """The reference access core: each access walks its client's path.
+    Returns the per-client I/O times; the statistics stay on the caches."""
+    k = hierarchy.num_clients
+    paths = [hierarchy.path(c) for c in range(k)]
+    num_levels = len(hit_cost)
+    miss_base = hit_cost[-1]  # all levels probed before going to disk
+    stride = filesystem.num_storage_nodes  # next block on the same disk
     # Python-level hot loop: pre-extract to lists for speed.
     stream_lists = [streams[c].tolist() for c in range(k)]
     mask_lists = (
@@ -204,7 +319,7 @@ def simulate(
 
     fs_read = filesystem.read_chunk
     seen: set = set()
-    for c, p in zip(client_list.tolist(), pos_list.tolist()):
+    for c, p in zip(client_arr.tolist(), pos_arr.tolist()):
         chunk = stream_lists[c][p]
         cold = chunk not in seen
         if cold:
@@ -260,49 +375,4 @@ def simulate(
         if mask_lists is not None and mask_lists[c][p]:
             dirty[id(path[0])].add(chunk)
         step += 1
-
-    # Compute time: per-iteration cost.
-    compute_ms = np.zeros(k, dtype=np.float64)
-    if iterations_per_client:
-        for c, n in iterations_per_client.items():
-            compute_ms[c] = n * latency.compute_ms_per_iteration
-
-    sync_ms = np.zeros(k, dtype=np.float64)
-    if sync_counts:
-        for c, n in sync_counts.items():
-            sync_ms[c] = n * latency.sync_stall_ms
-            if rec is not None and n:
-                rec.sync(c, n, float(sync_ms[c]))
-
-    level_stats = {}
-    for name in hierarchy.level_names():
-        agg = None
-        for cache in hierarchy.caches_at_level(name):
-            agg = cache.stats if agg is None else agg.merge(cache.stats)
-        level_stats[name] = agg
-
-    # Telemetry bridging happens once, here, never in the hot loop: the
-    # per-level aggregates and disk totals mirror into the registry only
-    # when one is active.
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter("simulator.simulations").inc()
-        for name, agg in level_stats.items():
-            if agg is not None:
-                agg.publish(reg, level=name)
-        reg.counter("disk.reads").inc(filesystem.total_disk_reads())
-        reg.counter("disk.writes").inc(filesystem.total_disk_writes())
-        reg.gauge("disk.busy_ms").set(filesystem.total_busy_ms())
-        io_hist = reg.histogram("sim.client_io_ms")
-        for x in io_ms:
-            io_hist.observe(float(x))
-
-    return SimulationResult(
-        per_client_io_ms=io_ms,
-        per_client_compute_ms=compute_ms,
-        per_client_sync_ms=sync_ms,
-        level_stats=level_stats,
-        disk_reads=filesystem.total_disk_reads(),
-        disk_busy_ms=filesystem.total_busy_ms(),
-        disk_writes=filesystem.total_disk_writes(),
-    )
+    return io_ms

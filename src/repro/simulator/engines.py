@@ -1,16 +1,18 @@
 """Simulation-engine selection: ``reference`` vs ``fast``.
 
-Two engines implement the exact :func:`repro.simulator.engine.simulate`
-contract:
+Both engines are one function, :func:`repro.simulator.engine.simulate`,
+which validates the inputs, resets the machine and builds the
+:class:`SimulationResult` once, and differs only in its access core:
 
 * ``reference`` — the per-access Python loop of
   :mod:`repro.simulator.engine`; the semantic ground truth and the only
-  path that feeds trace recorders.
-* ``fast`` — the vectorized engine of :mod:`repro.simulator.fast`;
+  core that feeds trace recorders.
+* ``fast`` — the level-by-level passes of :mod:`repro.simulator.fast`;
   bit-identical results (proven by the differential-equivalence suite)
   at several times less wall time.  Every registered policy runs on
-  it; only recorder runs and hierarchies holding a look-alike policy
-  subclass fall back, whole, to the reference path.
+  it; ``simulate`` takes the reference loop instead, for the whole run,
+  only when a recorder is enabled or a level holds a look-alike policy
+  subclass.
 
 The selector threads through every :class:`SimulationResult` producer:
 :func:`repro.simulator.runner.run_experiment`,
@@ -18,18 +20,18 @@ The selector threads through every :class:`SimulationResult` producer:
 (:func:`repro.exec.executor.task_payload` pins the resolved name so
 pool workers honour the parent's choice) and the CLI's ``--engine``
 flag.  The process-wide default is ``fast``; ``set_default_engine``
-changes it (the CLI does this once, before dispatch).  Callers take an
-engine's ``simulate`` from :func:`resolve_engine` or go through
-:func:`repro.simulator.runner.simulate_streams`; there is no
-dispatching ``simulate`` here.
+changes it (the CLI does this once, before dispatch).  Callers take
+``simulate`` bound to an engine name from :func:`resolve_engine` or go
+through :func:`repro.simulator.runner.simulate_streams`.
 
-This module is deliberately dependency-free — the engine modules are
-imported lazily on first resolution — so identity/fingerprint code can
-ask for the default engine name without dragging the simulator in.
+This module is deliberately dependency-free — the simulator is imported
+lazily on first resolution — so identity/fingerprint code can ask for
+the default engine name without dragging the simulator in.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 __all__ = [
@@ -71,10 +73,7 @@ def set_default_engine(name: str) -> None:
 
 
 def resolve_engine(name: str | None = None) -> Callable:
-    """Map an engine name (or None = default) to its ``simulate`` callable."""
-    name = _check_name(name) if name else _default_engine
-    if name == "reference":
-        from repro.simulator.engine import simulate as fn
-    else:
-        from repro.simulator.fast import simulate as fn
-    return fn
+    """``simulate`` bound to an engine name (or None = the default)."""
+    from repro.simulator.engine import simulate
+
+    return partial(simulate, engine=_check_name(name) if name else _default_engine)

@@ -1,8 +1,12 @@
-"""The vectorized simulation engine (bit-identical to the reference).
+"""The fast access core (bit-identical to the reference loop).
 
-Same contract as :func:`repro.simulator.engine.simulate`, an order of
-magnitude less wall time.  The speed comes from four changes, none of
-which may alter a single observable bit:
+:func:`repro.simulator.engine.simulate` is the one entry point: it
+validates, resets the machine, and builds the result for both cores,
+and runs :func:`_level_pass` instead of its per-access loop when asked
+for ``engine="fast"`` on a hierarchy where :func:`is_vectorizable`
+holds, with no recorder.  The pass takes several times less wall time.
+The speed comes from four changes, none of which may alter a single
+observable bit:
 
 * **batched access preparation** — the interleaved ``(client, position)``
   order, the per-access chunk ids, write bits and event keys are whole
@@ -34,19 +38,13 @@ which may alter a single observable bit:
   call chain (float accumulation order is preserved, so ``busy_ms`` and
   ``per_client_io_ms`` stay bit-identical).
 
-Whole-run fallback: recorder runs and look-alike subclasses only.  A
-run with an enabled recorder, or a hierarchy holding a policy object
-whose type is a subclass of (not exactly) one of the four registered
-classes, which may keep different internals, routes the entire run to
-the reference engine unchanged: same inputs, same objects, same result.
-After a fast run the hierarchy's caches and the filesystem's disks are
-left in the same externally observable state the reference engine
+The pass leaves the caches and disks in the state the reference loop
 leaves them in (stats, residency order, ARC ghost lists and ``p``,
 RRPVs, disk counters, last-block positions), so callers that inspect
-the machine afterwards cannot tell the engines apart either.
+the machine afterwards cannot tell the cores apart either.
 
 The differential-equivalence suite
-(``tests/simulator/test_engine_equivalence.py``) holds the two engines
+(``tests/simulator/test_engine_equivalence.py``) holds the two cores
 bit-identical across the whole suite, random Hypothesis cases and
 process-pool runs; ``tests/simulator/test_policy_differential.py``
 also compares every policy's internal state after mixed-policy runs on
@@ -59,16 +57,8 @@ import numpy as np
 
 from repro.hierarchy.policies import ARCPolicy, FIFOPolicy, LRUPolicy, RRIPPolicy
 from repro.hierarchy.topology import CacheHierarchy
-from repro.simulator.engine import (
-    LatencyModel,
-    interleave_order,
-    simulate as _reference_simulate,
-)
-from repro.simulator.metrics import SimulationResult
-from repro.storage.filesystem import ParallelFileSystem
-from repro.telemetry import get_registry
 
-__all__ = ["VECTORIZED_POLICIES", "is_vectorizable", "simulate"]
+__all__ = ["VECTORIZED_POLICIES", "is_vectorizable"]
 
 #: Policy kinds of the passes; LRU and FIFO share one pass (``<= _FIFO``).
 _LRU, _FIFO, _ARC, _RRIP = 0, 1, 2, 3
@@ -88,10 +78,6 @@ VECTORIZED_POLICIES = frozenset(cls.name for cls in _VECTORIZED_TYPES)
 #: of global access position.
 _SHIFT = 40
 _LOW = (1 << _SHIFT) - 1
-
-#: Memoized interleave orders keyed by the per-client length tuple —
-#: benchmark loops and parameter sweeps replay identical shapes.
-_interleave_memo: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def is_vectorizable(hierarchy: CacheHierarchy) -> bool:
@@ -173,160 +159,14 @@ def _static(hierarchy: CacheHierarchy) -> dict:
     return memo
 
 
-def _interleave(lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    key = tuple(lengths)
-    got = _interleave_memo.get(key)
-    if got is None:
-        if len(_interleave_memo) >= 64:
-            _interleave_memo.clear()
-        got = _interleave_memo[key] = interleave_order(lengths)
-    return got
-
-
-def simulate(
-    streams: dict[int, np.ndarray],
-    hierarchy: CacheHierarchy,
-    filesystem: ParallelFileSystem,
-    latency: LatencyModel | None = None,
-    sync_counts: dict[int, int] | None = None,
-    iterations_per_client: dict[int, int] | None = None,
-    write_masks: dict[int, np.ndarray] | None = None,
-    prefetch_degree: int = 0,
-    num_data_chunks: int | None = None,
-    recorder=None,
-) -> SimulationResult:
-    """Run the interleaved simulation on the vectorized engine.
-
-    Same parameters, validation and semantics as
-    :func:`repro.simulator.engine.simulate`.  Every run on LRU, FIFO,
-    ARC and RRIP caches takes :func:`_level_pass`, with or without
-    write-back and read-ahead.  Only recorder runs and look-alike policy
-    subclasses fall back, whole, to the reference path.
-    """
-    latency = latency or LatencyModel()
-    k = hierarchy.num_clients
-    ids = sorted(streams)
-    if ids != list(range(k)):
-        raise ValueError(f"streams must cover clients 0..{k - 1}, got {ids}")
-    num_levels = hierarchy.num_levels
-    if len(latency.level_ms) != num_levels:
-        raise ValueError(
-            f"latency model has {len(latency.level_ms)} levels, hierarchy has {num_levels}"
-        )
-    if prefetch_degree < 0:
-        raise ValueError("prefetch_degree must be non-negative")
-    if write_masks is not None:
-        for c in range(k):
-            if len(write_masks.get(c, ())) != len(streams[c]):
-                raise ValueError(f"write mask of client {c} misaligned")
-    rec = recorder if recorder is not None and getattr(recorder, "enabled", True) else None
-    static = _static(hierarchy)
-    if rec is not None or not static["vectorizable"]:
-        # Whole-run fallback: the reference path is the only one that
-        # feeds recorders or calls a policy's own methods.
-        return _reference_simulate(
-            streams,
-            hierarchy,
-            filesystem,
-            latency=latency,
-            sync_counts=sync_counts,
-            iterations_per_client=iterations_per_client,
-            write_masks=write_masks,
-            prefetch_degree=prefetch_degree,
-            num_data_chunks=num_data_chunks,
-            recorder=recorder,
-        )
-
-    # The static caches are every cache of the tree (each sits on some
-    # client's path), so this is ``hierarchy.reset()`` without the walk.
-    for cache in static["caches"]:
-        cache.reset()
-    filesystem.reset()
-
-    if num_data_chunks is not None:
-        max_chunk = num_data_chunks - 1
-    elif prefetch_degree:
-        max_chunk = max(
-            (int(s.max()) for s in streams.values() if len(s)), default=0
-        )
-    else:
-        max_chunk = 0  # never consulted without prefetching
-
-    io = [0.0] * k
-    lengths = [len(streams[c]) for c in range(k)]
-    client_arr, pos_arr = _interleave(lengths)
-    if len(client_arr):
-        concat = np.concatenate(
-            [np.asarray(streams[c], dtype=np.int64) for c in range(k)]
-        )
-        if int(concat.min()) < 0:
-            raise ValueError("chunk ids must be non-negative")
-        offsets = np.cumsum(
-            np.asarray([0] + lengths[:-1], dtype=np.int64), dtype=np.int64
-        )
-        # gather[g]: the client-major position of the g-th access in
-        # the global interleaved order.
-        gather = offsets[client_arr] + pos_arr
-        wmask = None
-        if write_masks is not None:
-            wmask = np.concatenate(
-                [np.asarray(write_masks[c], dtype=bool) for c in range(k)]
-            )
-        io = _level_pass(
-            static, filesystem, latency, concat, lengths, client_arr, gather,
-            wmask, prefetch_degree, max_chunk,
-        )
-
-    io_ms = np.asarray(io, dtype=np.float64)
-
-    compute_ms = np.zeros(k, dtype=np.float64)
-    if iterations_per_client:
-        for c, nit in iterations_per_client.items():
-            compute_ms[c] = nit * latency.compute_ms_per_iteration
-
-    sync_ms = np.zeros(k, dtype=np.float64)
-    if sync_counts:
-        for c, nsync in sync_counts.items():
-            sync_ms[c] = nsync * latency.sync_stall_ms
-
-    level_stats = {}
-    for name, group in zip(hierarchy.level_names(), static["level_caches"]):
-        agg = None
-        for cache in group:
-            agg = cache.stats if agg is None else agg.merge(cache.stats)
-        level_stats[name] = agg
-
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter("simulator.simulations").inc()
-        for name, agg in level_stats.items():
-            if agg is not None:
-                agg.publish(reg, level=name)
-        reg.counter("disk.reads").inc(filesystem.total_disk_reads())
-        reg.counter("disk.writes").inc(filesystem.total_disk_writes())
-        reg.gauge("disk.busy_ms").set(filesystem.total_busy_ms())
-        io_hist = reg.histogram("sim.client_io_ms")
-        for x in io_ms:
-            io_hist.observe(float(x))
-
-    return SimulationResult(
-        per_client_io_ms=io_ms,
-        per_client_compute_ms=compute_ms,
-        per_client_sync_ms=sync_ms,
-        level_stats=level_stats,
-        disk_reads=filesystem.total_disk_reads(),
-        disk_busy_ms=filesystem.total_busy_ms(),
-        disk_writes=filesystem.total_disk_writes(),
-    )
-
-
-
-
 def _level_pass(
-    static, filesystem, latency, concat, lengths, client_arr, gather, wmask, pf,
-    max_chunk,
+    static, filesystem, hit_cost, concat, lengths, client_arr, pos_arr,
+    write_masks, pf, max_chunk,
 ) -> list[float]:
-    """Every vectorizable run, one cache at a time, level by level.
+    """The fast access core: the run, one cache at a time, level by level.
+
+    ``concat`` holds the client streams one after another and
+    ``client_arr``/``pos_arr`` the interleave order.
 
     Fills are inclusive and nothing is invalidated from below, so a
     cache's state depends only on the events that reach it, in global
@@ -359,12 +199,18 @@ def _level_pass(
     first-ever access misses every cache above the bottom.  Returns the
     per-client I/O times.
     """
-    n = len(gather)
     k = len(lengths)
+    # gather[g]: the client-major position of the g-th access in the
+    # global interleaved order.
+    offsets = np.cumsum(np.asarray([0] + lengths[:-1], dtype=np.int64), dtype=np.int64)
+    gather = offsets[client_arr] + pos_arr
+    n = len(gather)
+    wmask = None
+    if write_masks is not None:
+        wmask = np.concatenate([np.asarray(write_masks[c], dtype=bool) for c in range(k)])
     levels, up, up_key = static["levels"], static["up"], static["up_key"]
     caches, kind = static["caches"], static["kind"]
     nl = len(levels)
-    hit_cost = [latency.hit_cost(l) for l in range(nl)]
     stride = filesystem.num_storage_nodes
     # Event keys are ``step << PB | phase``.  A pass reads a lookup as
     # its chunk id and any other event as ``~(v << B | tag)``: tag 0..nl

@@ -174,10 +174,10 @@ def test_interleave_per_client_share_is_exact(lengths):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 20), max_size=8))
 def test_fast_engine_interleave_memo_matches_reference(lengths):
-    """The fast engine's memoized schedule is the reference schedule —
-    same arrays on first build, the identical cached objects after."""
-    from repro.simulator.engine import interleave_order
-    from repro.simulator.fast import _interleave
+    """The schedule ``simulate`` memoizes for both cores is
+    ``interleave_order`` — same arrays on first build, the identical
+    cached objects after."""
+    from repro.simulator.engine import _interleave, interleave_order
 
     ref_c, ref_p = interleave_order(lengths)
     memo_c, memo_p = _interleave(tuple(lengths))

@@ -1,14 +1,19 @@
-"""Unit tests for the vectorized engine's dispatch, memos and guards."""
+"""Unit tests for the engine choice, the fast core's memos and the
+shared validation."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.hierarchy.topology import three_level_hierarchy, uniform_hierarchy
-from repro.simulator import engines
+from repro.simulator import engines, fast
 from repro.simulator.engine import simulate as reference_simulate
-from repro.simulator.fast import is_vectorizable, simulate as fast_simulate
+from repro.simulator.fast import is_vectorizable
 from repro.simulator.serialization import _sim_to_dict
 from repro.storage.filesystem import ParallelFileSystem
+
+fast_simulate = partial(reference_simulate, engine="fast")
 
 
 def make_system(l1=2, l2=4, l3=8, policy="lru"):
@@ -38,17 +43,23 @@ class TestEngineRegistry:
     def test_default_is_fast(self):
         assert engines.DEFAULT_ENGINE == "fast"
 
-    def test_resolve_returns_the_named_module_function(self):
-        assert engines.resolve_engine("reference") is reference_simulate
-        assert engines.resolve_engine("fast") is fast_simulate
+    def test_resolve_runs_the_named_core(self, level_pass_calls):
+        h, fs = make_system()
+        engines.resolve_engine("reference")(streams_for([[0, 1]]), h, fs)
+        assert level_pass_calls == []
+        engines.resolve_engine("fast")(streams_for([[0, 1]]), h, fs)
+        assert len(level_pass_calls) == 1
 
-    def test_resolve_none_follows_the_process_default(self):
+    def test_resolve_none_follows_the_process_default(self, level_pass_calls):
+        h, fs = make_system()
         prior = engines.get_default_engine()
         try:
             engines.set_default_engine("reference")
-            assert engines.resolve_engine(None) is reference_simulate
+            engines.resolve_engine(None)(streams_for([[0, 1]]), h, fs)
+            assert level_pass_calls == []
             engines.set_default_engine("fast")
-            assert engines.resolve_engine(None) is fast_simulate
+            engines.resolve_engine(None)(streams_for([[0, 1]]), h, fs)
+            assert len(level_pass_calls) == 1
         finally:
             engines.set_default_engine(prior)
 
@@ -57,6 +68,55 @@ class TestEngineRegistry:
             engines.resolve_engine("warp")
         with pytest.raises(ValueError):
             engines.set_default_engine("warp")
+        h, fs = make_system()
+        with pytest.raises(ValueError, match="unknown engine"):
+            reference_simulate(streams_for([]), h, fs, engine="warp")
+
+
+@pytest.fixture
+def level_pass_calls(monkeypatch):
+    """Spy on the fast core: the list grows by one per run it serves."""
+    calls = []
+    real = fast._level_pass
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fast, "_level_pass", spy)
+    return calls
+
+
+class TestCoreChoice:
+    """The differentials compare two different cores only if ``fast``
+    reaches the level pass and every other run never does."""
+
+    def test_fast_reaches_the_level_pass(self, level_pass_calls):
+        for policy in ("lru", "fifo", "arc", "rrip"):
+            h, fs = make_system(policy=policy)
+            fast_simulate(streams_for([[0, 1, 0]]), h, fs)
+        assert len(level_pass_calls) == 4
+
+    def test_reference_never_reaches_it(self, level_pass_calls):
+        h, fs = make_system()
+        reference_simulate(streams_for([[0, 1, 0]]), h, fs)
+        reference_simulate(streams_for([[0, 1, 0]]), h, fs, engine="reference")
+        assert level_pass_calls == []
+
+    def test_recorder_run_never_reaches_it(self, level_pass_calls):
+        from repro.trace.recorder import MemoryRecorder
+
+        h, fs = make_system()
+        fast_simulate(streams_for([[0, 1, 0]]), h, fs, recorder=MemoryRecorder())
+        assert level_pass_calls == []
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "arc", "rrip"])
+    def test_lookalike_policy_run_never_reaches_it(self, level_pass_calls, policy):
+        h, fs = make_system(policy=policy)
+        cache = h.path(0)[1]
+        cache.policy = _lookalike(cache.policy)
+        fast_simulate(streams_for([[0, 1, 0]]), h, fs)
+        assert level_pass_calls == []
 
 
 class TestVectorizability:
@@ -135,8 +195,8 @@ class TestStaticMemo:
 
 
 class TestValidation:
-    """The fast engine validates exactly like the reference (same
-    checks, same order), including on the fallback path."""
+    """One validation in ``simulate`` serves both cores and the
+    fallback path."""
 
     def test_missing_client_rejected(self):
         h, fs = make_system()
@@ -169,6 +229,17 @@ class TestValidation:
         h, fs = make_system()
         with pytest.raises(ValueError, match="non-negative"):
             fast_simulate(streams_for([[0, -3]]), h, fs)
+        with pytest.raises(ValueError, match="non-negative"):
+            reference_simulate(streams_for([[0, -3]]), h, fs)
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_mask_missing_for_an_empty_client_rejected(self, engine):
+        # Client 0 has no accesses, and no mask entry at all.
+        h, fs = make_system()
+        streams = streams_for([[], [1, 2], [3], [4]])
+        masks = {c: np.zeros(len(streams[c]), dtype=bool) for c in (1, 2, 3)}
+        with pytest.raises(ValueError, match="write mask of client 0"):
+            reference_simulate(streams, h, fs, write_masks=masks, engine=engine)
 
 
 class TestFallback:
