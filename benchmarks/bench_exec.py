@@ -30,8 +30,8 @@ from repro.telemetry import MetricsRegistry, use_registry
 
 def _figure12_plan(config) -> SweepPlan:
     plan = SweepPlan()
-    for cfg in figure12.sweep_configs(config):
-        plan.add_suite(cfg, figure12.VERSIONS_USED)
+    for cfg, versions in figure12.sweep(config):
+        plan.add_suite(cfg, versions)
     return plan
 
 

@@ -3,13 +3,10 @@
 A :class:`Collector` sees every ``(cell, result)`` pair the campaign
 executes — cached or freshly simulated, in whatever order chunks
 complete — and folds it into an aggregate.  The contract that makes
-collectors safe under chunked, resumable execution:
-
-* :meth:`Collector.add` must be **order-insensitive** over cells, and
-* :meth:`Collector.merge` must be **associative** (folding two partial
-  collectors equals folding their cells into one),
-
-so a campaign split across restarts, chunk sizes or worker counts
+collectors safe under chunked, resumable execution is that
+:meth:`Collector.add` is **order-insensitive** over cells: a resumed
+campaign re-adds every cell from the store into fresh collectors, so a
+campaign split across restarts, chunk sizes or worker counts
 aggregates identically — the property
 ``tests/campaign/test_collectors.py`` checks with Hypothesis.
 
@@ -81,16 +78,12 @@ def cell_summary(result: "ExperimentResult") -> dict[str, Any]:
 
 
 class Collector:
-    """Base class: fold cell results into one mergeable aggregate."""
+    """Base class: fold cell results into one aggregate."""
 
     #: Registry name; subclasses must override.
     name = ""
 
     def add(self, cell: "CampaignCell", result: "ExperimentResult") -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "Collector") -> None:
-        """Fold ``other`` (same collector type) into self. Associative."""
         raise NotImplementedError
 
     def summary(self) -> dict[str, Any]:
@@ -115,15 +108,6 @@ class HitRateCollector(Collector):
             agg["hits"] += st.hits
             agg["misses"] += st.misses
             agg["writebacks"] += st.writebacks
-
-    def merge(self, other: "HitRateCollector") -> None:
-        self.cells += other.cells
-        for level, theirs in other.levels.items():
-            agg = self.levels.setdefault(
-                level, {"accesses": 0, "hits": 0, "misses": 0, "writebacks": 0}
-            )
-            for field, value in theirs.items():
-                agg[field] += value
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -150,13 +134,6 @@ class LatencyCollector(Collector):
     def add(self, cell, result) -> None:
         self.io_ms.observe(result.sim.io_latency_ms)
         self.exec_ms.observe(result.sim.execution_time_ms)
-
-    def merge(self, other: "LatencyCollector") -> None:
-        for mine, theirs in ((self.io_ms, other.io_ms), (self.exec_ms, other.exec_ms)):
-            d = theirs.as_dict()
-            mine.merge_summary(
-                d["count"], d["sum"], d["min"], d["max"], d.get("buckets")
-            )
 
     @staticmethod
     def _slo(hist: Histogram) -> dict[str, float]:
@@ -193,12 +170,6 @@ class FootprintCollector(Collector):
         self.disk_busy_ms += sim.disk_busy_ms
         self.writebacks += sum(st.writebacks for st in sim.level_stats.values())
 
-    def merge(self, other: "FootprintCollector") -> None:
-        self.disk_reads += other.disk_reads
-        self.disk_writes += other.disk_writes
-        self.disk_busy_ms += other.disk_busy_ms
-        self.writebacks += other.writebacks
-
     def summary(self) -> dict[str, Any]:
         return {
             "disk_reads": self.disk_reads,
@@ -216,9 +187,6 @@ class RawDumpCollector(Collector):
 
     def add(self, cell, result) -> None:
         self.rows.append({"cell": cell.label, **cell_summary(result)})
-
-    def merge(self, other: "RawDumpCollector") -> None:
-        self.rows.extend(other.rows)
 
     def summary(self) -> dict[str, Any]:
         # Sorted at summary time so arrival order (chunking, restarts)

@@ -396,19 +396,6 @@ def campaign_fingerprint(spec: CampaignSpec) -> str:
 
 def load_campaign_file(path: str | pathlib.Path) -> CampaignSpec:
     """Load one campaign from a ``.json``, ``.yaml`` or ``.yml`` file."""
-    p = pathlib.Path(path)
-    text = p.read_text(encoding="utf-8")
-    if p.suffix.lower() in (".yaml", ".yml"):
-        import yaml
+    from repro.scenario.spec import load_document_file
 
-        doc = yaml.safe_load(text)
-    elif p.suffix.lower() == ".json":
-        doc = json.loads(text)
-    else:
-        raise ValueError(
-            f"cannot tell the campaign format of {p.name!r}; use .json/.yaml/.yml"
-        )
-    try:
-        return campaign_from_dict(doc)
-    except ValueError as exc:
-        raise ValueError(f"{p}: {exc}") from None
+    return load_document_file(path, "campaign", campaign_from_dict)

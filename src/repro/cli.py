@@ -40,18 +40,9 @@ import time
 from typing import Callable
 
 from repro.experiments import config as config_mod
-from repro.experiments import (
-    discussion,
-    explain,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure18,
-    table2,
-)
+from repro.experiments import discussion, explain
 from repro.experiments.harness import run_suite
+from repro.experiments.registry import PAPER_EXPERIMENTS
 from repro.simulator.runner import VERSIONS
 from repro.util.log import configure_logging, get_logger
 from repro.util.tables import format_table
@@ -60,16 +51,9 @@ __all__ = ["main", "EXPERIMENTS"]
 
 _LOG = get_logger("cli")
 
-#: Figure/table experiments in paper order (the ``all`` command's order).
-EXPERIMENTS = {
-    "table2": table2.run,
-    "figure10": figure10.run,
-    "figure11": figure11.run,
-    "figure12": figure12.run,
-    "figure13": figure13.run,
-    "figure14": figure14.run,
-    "figure18": figure18.run,
-}
+#: Figure/table experiments in paper order (the ``all`` command's order):
+#: each registered experiment's ``run``.
+EXPERIMENTS = {name: module.run for name, module in PAPER_EXPERIMENTS.items()}
 
 
 def _fail(message: str) -> int:

@@ -19,16 +19,15 @@ their worker builds the nest once, computes ``inter`` and
 spans and store writes land as soon as its payload does, while the
 pool still runs later groups; results return in task order.
 
-:func:`plan_all` pre-plans everything ``repro all`` will need by
-asking each figure module for its own sweep (the modules export
-``VERSIONS_USED``/``sweep_configs`` precisely so the planner can never
-drift from what ``run()`` actually does).
+:func:`plan_all` pre-plans everything ``repro all`` will need: the
+union of the registered experiments' ``sweep(config)`` points, the
+same points each figure's ``run()`` executes as one plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.exec.context import get_execution
 from repro.exec.executor import ExperimentExecutor, group_payload, task_payload
@@ -140,14 +139,17 @@ class SweepPlan:
     def add_suite(
         self,
         config: "SystemConfig",
-        versions: Iterable[str],
-    ) -> None:
-        """Add every (suite workload, version) pair of one ``run_suite`` call."""
+        versions: Sequence[str],
+        workloads: "Sequence[Workload] | None" = None,
+    ) -> dict[str, dict[str, ExperimentKey]]:
+        """Add every (workload, version) pair of one sweep point, the
+        workloads defaulting to the suite: ``{workload: {version: key}}``."""
         from repro.workloads.suite import SUITE
 
-        for w in SUITE:
-            for v in versions:
-                self.add(w, config, v)
+        return {
+            w.name: {v: self.add(w, config, v) for v in versions}
+            for w in (SUITE if workloads is None else workloads)
+        }
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -330,41 +332,16 @@ def execute_plan(
 
 
 def plan_all(config: "SystemConfig | None" = None) -> SweepPlan:
-    """One deduplicated plan covering every ``repro all`` suite sweep.
+    """The union of the registered experiments' ``sweep(config)`` points
+    (:data:`~repro.experiments.registry.PAPER_EXPERIMENTS`) as one
+    deduplicated plan: executing it warms the store so that ``repro
+    all``'s figures simulate nothing."""
+    from repro.experiments.registry import PAPER_EXPERIMENTS
 
-    Mirrors exactly what the figure/table ``run()`` functions will ask
-    for (each module exports its sweep), so pre-executing this plan
-    warms the store such that the figures themselves simulate nothing.
-    """
-    from repro.experiments import (
-        figure10,
-        figure11,
-        figure12,
-        figure13,
-        figure14,
-        figure18,
-        table2,
-    )
-    from repro.experiments.config import DEFAULT_CONFIG, scaled_config
-
-    default = config or DEFAULT_CONFIG
-    sweep_base = config or scaled_config(4)
     plan = SweepPlan()
-    plan.add_suite(default, table2.VERSIONS_USED)
-    plan.add_suite(default, figure10.VERSIONS_USED)
-    plan.add_suite(default, figure11.VERSIONS_USED)
-    for cfg in figure12.sweep_configs(sweep_base):
-        plan.add_suite(cfg, figure12.VERSIONS_USED)
-    for cfg in figure13.sweep_configs(sweep_base):
-        plan.add_suite(cfg, figure13.VERSIONS_USED)
-    for cfg in figure14.sweep_configs(sweep_base):
-        plan.add_suite(cfg, figure14.VERSIONS_USED)
-    plan.add_suite(default, figure18.VERSIONS_USED)
-    _LOG.info(
-        "planned %d unique tasks (%d duplicates deduped)",
-        len(plan),
-        plan.duplicates,
-    )
+    for experiment in PAPER_EXPERIMENTS.values():
+        for point_config, versions in experiment.sweep(config):
+            plan.add_suite(point_config, versions)
     return plan
 
 

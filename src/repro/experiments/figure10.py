@@ -16,15 +16,17 @@ normalizations coincide.
 from __future__ import annotations
 
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig
-from repro.experiments.harness import run_suite
+from repro.experiments.harness import (
+    SweepPoint,
+    miss_ratio,
+    rows_with_average,
+    run_sweep,
+)
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["run", "LEVELS", "VERSIONS_USED"]
+__all__ = ["run", "sweep", "LEVELS"]
 
 LEVELS = ("L1", "L2", "L3")
-
-#: The versions this figure sweeps (consumed by ``repro.exec.plan_all``).
-VERSIONS_USED = ("original", "intra", "inter")
 
 #: Paper's average reductions, for the report footer (percent).
 PAPER_AVG = {
@@ -33,33 +35,22 @@ PAPER_AVG = {
 }
 
 
+def sweep(config: SystemConfig | None) -> list[SweepPoint]:
+    """The one point :func:`run` simulates."""
+    return [(config or DEFAULT_CONFIG, ("original", "intra", "inter"))]
+
+
 def run(config: SystemConfig | None = None) -> ExperimentReport:
-    config = config or DEFAULT_CONFIG
-    results = run_suite(config, versions=VERSIONS_USED)
-    headers = ["application"] + [
-        f"{v} {l}" for v in ("intra", "inter") for l in LEVELS
-    ]
-    rows = []
-    sums = {v: {l: 0.0 for l in LEVELS} for v in ("intra", "inter")}
-    for wname, per_version in results.items():
-        base = per_version["original"].sim.level_stats
-        row = [wname]
-        for v in ("intra", "inter"):
-            st = per_version[v].sim.level_stats
-            for l in LEVELS:
-                ratio = st[l].misses / base[l].misses if base[l].misses else 1.0
-                sums[v][l] += ratio
-                row.append(f"{ratio:.3f}")
-        rows.append(row)
-    n = len(results)
-    avg_row = ["AVERAGE"]
-    summary = {}
-    for v in ("intra", "inter"):
-        for l in LEVELS:
-            avg = sums[v][l] / n
-            avg_row.append(f"{avg:.3f}")
-            summary[f"{v}_{l}"] = avg
-    rows.append(avg_row)
+    (results,) = run_sweep(sweep(config))
+    columns = [(v, l) for v in ("intra", "inter") for l in LEVELS]
+    headers = ["application"] + [f"{v} {l}" for v, l in columns]
+    rows, means = rows_with_average(
+        {
+            wname: [miss_ratio(per_version, v, l) for v, l in columns]
+            for wname, per_version in results.items()
+        }
+    )
+    summary = {f"{v}_{l}": mean for (v, l), mean in zip(columns, means)}
     notes = [
         "values are misses normalized to the Original version (1.0 = no change)",
         "paper average reductions: "
@@ -76,11 +67,3 @@ def run(config: SystemConfig | None = None) -> ExperimentReport:
         notes=notes,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

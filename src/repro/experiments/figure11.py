@@ -8,58 +8,40 @@ execution time by 3.5 % on average; Inter-processor improves them by
 from __future__ import annotations
 
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig
-from repro.experiments.harness import average_improvement, normalized_suite, run_suite
+from repro.experiments.harness import (
+    SweepPoint,
+    average_improvement,
+    normalized_suite,
+    run_sweep,
+)
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["run", "VERSIONS_USED"]
+__all__ = ["run", "sweep"]
 
-#: The versions this figure sweeps (consumed by ``repro.exec.plan_all``).
-VERSIONS_USED = ("original", "intra", "inter")
 
-#: The paper's average improvements (fractions).
-PAPER_AVG = {
-    "intra": {"io_latency": 0.068, "execution_time": 0.035},
-    "inter": {"io_latency": 0.263, "execution_time": 0.189},
-}
+def sweep(config: SystemConfig | None) -> list[SweepPoint]:
+    """The one point :func:`run` simulates."""
+    return [(config or DEFAULT_CONFIG, ("original", "intra", "inter"))]
 
 
 def run(config: SystemConfig | None = None) -> ExperimentReport:
-    config = config or DEFAULT_CONFIG
-    results = run_suite(config, versions=VERSIONS_USED)
+    (results,) = run_sweep(sweep(config))
     normalized = normalized_suite(results)
-    headers = [
-        "application",
-        "intra io",
-        "inter io",
-        "intra exec",
-        "inter exec",
+    headers = ["application", "intra io", "inter io", "intra exec", "inter exec"]
+    columns = [
+        (version, metric)
+        for metric in ("io_latency", "execution_time")
+        for version in ("intra", "inter")
     ]
-    rows = []
-    for wname, per_version in normalized.items():
-        rows.append(
-            [
-                wname,
-                f"{per_version['intra']['io_latency']:.3f}",
-                f"{per_version['inter']['io_latency']:.3f}",
-                f"{per_version['intra']['execution_time']:.3f}",
-                f"{per_version['inter']['execution_time']:.3f}",
-            ]
-        )
-    summary = {}
-    avg_row = ["AVERAGE"]
-    for metric in ("io_latency", "execution_time"):
-        for version in ("intra", "inter"):
-            imp = average_improvement(normalized, version, metric)
-            summary[f"{version}_{metric}_improvement"] = imp
-    avg_row.extend(
-        [
-            f"{1 - summary['intra_io_latency_improvement']:.3f}",
-            f"{1 - summary['inter_io_latency_improvement']:.3f}",
-            f"{1 - summary['intra_execution_time_improvement']:.3f}",
-            f"{1 - summary['inter_execution_time_improvement']:.3f}",
-        ]
-    )
-    rows.append(avg_row)
+    rows = [
+        [wname] + [f"{per_version[v][m]:.3f}" for v, m in columns]
+        for wname, per_version in normalized.items()
+    ]
+    summary = {
+        f"{v}_{m}_improvement": average_improvement(normalized, v, m)
+        for v, m in columns
+    }
+    rows.append(["AVERAGE"] + [f"{1 - imp:.3f}" for imp in summary.values()])
     notes = [
         "values normalized to the Original version (lower is better)",
         "paper averages: intra io -6.8%, exec -3.5%; inter io -26.3%, exec -18.9%",
@@ -72,11 +54,3 @@ def run(config: SystemConfig | None = None) -> ExperimentReport:
         notes=notes,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,26 +15,31 @@ the scaled analogues of the paper's (64,32,16) → (128,32,16) family.
 from __future__ import annotations
 
 from repro.experiments.config import SystemConfig, scaled_config
-from repro.experiments.harness import normalized_suite, run_suite
+from repro.experiments.harness import (
+    SweepPoint,
+    normalized_suite,
+    run_sweep,
+    suite_mean,
+)
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["run", "TOPOLOGIES", "VERSIONS_USED", "sweep_configs"]
+__all__ = ["run", "sweep", "TOPOLOGIES"]
 
 #: Scaled (w, x, y) sweep: default, deeper client fan-in, the paper's
 #: "more clients, same I/O" headline case, and deeper I/O fan-in.
 TOPOLOGIES = ((16, 8, 4), (16, 4, 4), (32, 8, 4), (16, 8, 2))
 
-#: The versions this figure sweeps (consumed by ``repro.exec.plan_all``).
-VERSIONS_USED = ("original", "inter", "inter+sched")
+
+def sweep(config: SystemConfig | None) -> list[SweepPoint]:
+    """The points :func:`run` simulates, one per topology, in order."""
+    base = config or scaled_config(4)
+    return [
+        (base.with_topology(w, x, y), ("original", "inter", "inter+sched"))
+        for w, x, y in TOPOLOGIES
+    ]
 
 
-def sweep_configs(base: SystemConfig) -> list[SystemConfig]:
-    """The exact configs ``run`` sweeps, in order (planner contract)."""
-    return [base.with_topology(w, x, y) for w, x, y in TOPOLOGIES]
-
-
-def run(base_config: SystemConfig | None = None) -> ExperimentReport:
-    base = base_config or scaled_config(4)
+def run(config: SystemConfig | None = None) -> ExperimentReport:
     headers = [
         "topology (w,x,y)",
         "w/x",
@@ -46,17 +51,12 @@ def run(base_config: SystemConfig | None = None) -> ExperimentReport:
     ]
     rows = []
     summary = {}
-    for (w, x, y), config in zip(TOPOLOGIES, sweep_configs(base)):
-        results = run_suite(config, versions=VERSIONS_USED)
+    for (w, x, y), results in zip(TOPOLOGIES, run_sweep(sweep(config))):
         normalized = normalized_suite(results)
         row = [f"({w},{x},{y})", w // x, x // y]
         for version in ("inter", "inter+sched"):
-            io = sum(
-                n[version]["io_latency"] for n in normalized.values()
-            ) / len(normalized)
-            ex = sum(
-                n[version]["execution_time"] for n in normalized.values()
-            ) / len(normalized)
+            io = suite_mean(normalized, version, "io_latency")
+            ex = suite_mean(normalized, version, "execution_time")
             row.extend([f"{io:.3f}", f"{ex:.3f}"])
             summary[f"{version}_io_{w}_{x}_{y}"] = io
         rows.append(row)
@@ -74,11 +74,3 @@ def run(base_config: SystemConfig | None = None) -> ExperimentReport:
         notes=notes,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

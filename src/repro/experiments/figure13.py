@@ -5,15 +5,26 @@ Original version benefits more from extra capacity, especially at the
 shared I/O/storage levels), while halving the capacities boosts them —
 "the increases in data set sizes … outmatch the increases in storage
 cache capacities", so the approach gets *more* relevant over time.
+
+The trend is asserted on the scheduled scheme: its intra-client
+ordering is capacity-independent, so it cleanly shows the paper's
+monotone relationship at our scale.  The unscheduled scheme's
+formation-order reuse interacts with the shrunken windows below 1x (a
+downscale artifact) and is reported alongside.
 """
 
 from __future__ import annotations
 
 from repro.experiments.config import SystemConfig, scaled_config
-from repro.experiments.harness import normalized_suite, run_suite
+from repro.experiments.harness import (
+    SweepPoint,
+    normalized_suite,
+    run_sweep,
+    suite_mean,
+)
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["run", "CAPACITY_MULTIPLIERS", "VERSIONS_USED", "sweep_configs"]
+__all__ = ["run", "sweep", "CAPACITY_MULTIPLIERS"]
 
 #: Per-level multipliers of the default capacities, mirroring the paper's
 #: (1,1,1) / (2,2,2) / (4,4,4) GB style sweep plus an asymmetric point.
@@ -25,30 +36,23 @@ CAPACITY_MULTIPLIERS = (
     (4.0, 4.0, 4.0),
 )
 
-#: The version whose trend is asserted.  The scheduled scheme's
-#: intra-client ordering is capacity-independent, so it cleanly shows
-#: the paper's monotone relationship at our scale; the unscheduled
-#: scheme's formation-order reuse interacts with the shrunken windows
-#: below 1x (a downscale artifact) and is reported alongside.
-TREND_VERSION = "inter+sched"
 
-#: The versions this figure sweeps (consumed by ``repro.exec.plan_all``).
-VERSIONS_USED = ("original", "inter", "inter+sched")
-
-
-def sweep_configs(base: SystemConfig) -> list[SystemConfig]:
-    """The exact configs ``run`` sweeps, in order (planner contract)."""
+def sweep(config: SystemConfig | None) -> list[SweepPoint]:
+    """The points :func:`run` simulates, one per capacity point, in order."""
+    base = config or scaled_config(4)
     l1, l2, l3 = base.cache_elems
     return [
-        base.with_cache_capacities(
-            max(64, int(l1 * m1)), max(64, int(l2 * m2)), max(64, int(l3 * m3))
+        (
+            base.with_cache_capacities(
+                max(64, int(l1 * m1)), max(64, int(l2 * m2)), max(64, int(l3 * m3))
+            ),
+            ("original", "inter", "inter+sched"),
         )
         for m1, m2, m3 in CAPACITY_MULTIPLIERS
     ]
 
 
-def run(base_config: SystemConfig | None = None) -> ExperimentReport:
-    base = base_config or scaled_config(4)
+def run(config: SystemConfig | None = None) -> ExperimentReport:
     headers = [
         "capacities (L1,L2,L3)",
         "inter io",
@@ -58,18 +62,12 @@ def run(base_config: SystemConfig | None = None) -> ExperimentReport:
     ]
     rows = []
     summary = {}
-    for (m1, m2, m3), config in zip(CAPACITY_MULTIPLIERS, sweep_configs(base)):
-        results = run_suite(config, versions=VERSIONS_USED)
+    for (m1, m2, m3), results in zip(CAPACITY_MULTIPLIERS, run_sweep(sweep(config))):
         normalized = normalized_suite(results)
-        label = f"({m1:g}x,{m2:g}x,{m3:g}x)"
-        row = [label]
+        row = [f"({m1:g}x,{m2:g}x,{m3:g}x)"]
         for version in ("inter", "inter+sched"):
-            io = sum(
-                n[version]["io_latency"] for n in normalized.values()
-            ) / len(normalized)
-            ex = sum(
-                n[version]["execution_time"] for n in normalized.values()
-            ) / len(normalized)
+            io = suite_mean(normalized, version, "io_latency")
+            ex = suite_mean(normalized, version, "execution_time")
             row.extend([f"{io:.3f}", f"{ex:.3f}"])
             summary[f"{version}_io_{m1:g}_{m2:g}_{m3:g}"] = io
         rows.append(row)
@@ -87,11 +85,3 @@ def run(base_config: SystemConfig | None = None) -> ExperimentReport:
         notes=notes,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,44 +10,38 @@ width r) grows as the chunk shrinks.
 from __future__ import annotations
 
 from repro.experiments.config import SystemConfig, scaled_config
-from repro.experiments.harness import normalized_suite, run_suite
+from repro.experiments.harness import (
+    SweepPoint,
+    normalized_suite,
+    run_sweep,
+    suite_mean,
+)
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["run", "CHUNK_SIZES", "VERSIONS_USED", "sweep_configs"]
+__all__ = ["run", "sweep", "CHUNK_SIZES"]
 
 #: Chunk sizes in elements (1 element == 1 KB: the paper's 16/32/64/128 KB).
 CHUNK_SIZES = (16, 32, 64, 128)
 
-#: The versions this figure sweeps (consumed by ``repro.exec.plan_all``).
-VERSIONS_USED = ("original", "inter")
+
+def sweep(config: SystemConfig | None) -> list[SweepPoint]:
+    """The points :func:`run` simulates, one per chunk size, in order."""
+    base = config or scaled_config(4)
+    return [
+        (base.with_chunk_elems(chunk), ("original", "inter")) for chunk in CHUNK_SIZES
+    ]
 
 
-def sweep_configs(base: SystemConfig) -> list[SystemConfig]:
-    """The exact configs ``run`` sweeps, in order (planner contract)."""
-    return [base.with_chunk_elems(chunk) for chunk in CHUNK_SIZES]
-
-
-def run(base_config: SystemConfig | None = None) -> ExperimentReport:
-    base = base_config or scaled_config(4)
+def run(config: SystemConfig | None = None) -> ExperimentReport:
     headers = ["chunk size", "inter io", "inter exec", "mapping time (s)"]
     rows = []
     summary = {}
-    for chunk, config in zip(CHUNK_SIZES, sweep_configs(base)):
-        results = run_suite(config, versions=VERSIONS_USED)
+    for chunk, results in zip(CHUNK_SIZES, run_sweep(sweep(config))):
         normalized = normalized_suite(results)
-        io = sum(n["inter"]["io_latency"] for n in normalized.values()) / len(
-            normalized
-        )
-        ex = sum(
-            n["inter"]["execution_time"] for n in normalized.values()
-        ) / len(normalized)
-        map_t = sum(
-            per_version["inter"].mapping_time_s
-            for per_version in results.values()
-        )
-        rows.append(
-            [f"{chunk}KB", f"{io:.3f}", f"{ex:.3f}", f"{map_t:.2f}"]
-        )
+        io = suite_mean(normalized, "inter", "io_latency")
+        ex = suite_mean(normalized, "inter", "execution_time")
+        map_t = sum(pv["inter"].mapping_time_s for pv in results.values())
+        rows.append([f"{chunk}KB", f"{io:.3f}", f"{ex:.3f}", f"{map_t:.2f}"])
         summary[f"io_{chunk}"] = io
         summary[f"mapping_s_{chunk}"] = map_t
     notes = [
@@ -62,11 +56,3 @@ def run(base_config: SystemConfig | None = None) -> ExperimentReport:
         notes=notes,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,21 +10,24 @@ improvements are limited (under 3 % each).
 from __future__ import annotations
 
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig
-from repro.experiments.harness import normalized_suite, run_suite
+from repro.experiments.harness import (
+    SweepPoint,
+    miss_ratio,
+    normalized_suite,
+    rows_with_average,
+    run_sweep,
+)
 from repro.experiments.report import ExperimentReport
 
-__all__ = ["run", "VERSIONS_USED"]
+__all__ = ["run", "sweep"]
 
-#: The versions this figure sweeps (consumed by ``repro.exec.plan_all``).
-VERSIONS_USED = ("original", "inter", "inter+sched")
-
-#: Paper averages for the footer.
-PAPER_AVG = {"L1_misses": 0.722, "io_latency": 0.693, "execution_time": 0.781}
+def sweep(config: SystemConfig | None) -> list[SweepPoint]:
+    """The one point :func:`run` simulates."""
+    return [(config or DEFAULT_CONFIG, ("original", "inter", "inter+sched"))]
 
 
 def run(config: SystemConfig | None = None) -> ExperimentReport:
-    config = config or DEFAULT_CONFIG
-    results = run_suite(config, versions=VERSIONS_USED)
+    (results,) = run_sweep(sweep(config))
     normalized = normalized_suite(results)
     headers = [
         "application",
@@ -33,36 +36,19 @@ def run(config: SystemConfig | None = None) -> ExperimentReport:
         "sched exec",
         "inter io (unscheduled)",
     ]
-    rows = []
-    sums = {"L1": 0.0, "io": 0.0, "exec": 0.0, "unsched_io": 0.0}
-    for wname, per_version in results.items():
-        base = per_version["original"].sim.level_stats
-        sched = per_version["inter+sched"].sim.level_stats
-        l1 = sched["L1"].misses / base["L1"].misses if base["L1"].misses else 1.0
-        io = normalized[wname]["inter+sched"]["io_latency"]
-        ex = normalized[wname]["inter+sched"]["execution_time"]
-        uio = normalized[wname]["inter"]["io_latency"]
-        sums["L1"] += l1
-        sums["io"] += io
-        sums["exec"] += ex
-        sums["unsched_io"] += uio
-        rows.append([wname, f"{l1:.3f}", f"{io:.3f}", f"{ex:.3f}", f"{uio:.3f}"])
-    n = len(results)
-    rows.append(
-        [
-            "AVERAGE",
-            f"{sums['L1'] / n:.3f}",
-            f"{sums['io'] / n:.3f}",
-            f"{sums['exec'] / n:.3f}",
-            f"{sums['unsched_io'] / n:.3f}",
-        ]
+    rows, means = rows_with_average(
+        {
+            wname: (
+                miss_ratio(per_version, "inter+sched", "L1"),
+                normalized[wname]["inter+sched"]["io_latency"],
+                normalized[wname]["inter+sched"]["execution_time"],
+                normalized[wname]["inter"]["io_latency"],
+            )
+            for wname, per_version in results.items()
+        }
     )
-    summary = {
-        "sched_L1_misses": sums["L1"] / n,
-        "sched_io": sums["io"] / n,
-        "sched_exec": sums["exec"] / n,
-        "unsched_io": sums["unsched_io"] / n,
-    }
+    keys = ("sched_L1_misses", "sched_io", "sched_exec", "unsched_io")
+    summary = dict(zip(keys, means))
     notes = [
         "values normalized to the Original version; alpha = beta = 0.5",
         "paper averages: L1 misses 0.722, io 0.693, exec 0.781",
@@ -75,11 +61,3 @@ def run(config: SystemConfig | None = None) -> ExperimentReport:
         notes=notes,
         summary=summary,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,53 +1,71 @@
 """Shared sweep driver for the figure/table experiments.
 
-Runs versions over the suite and computes the paper's normalized
-values and average improvements.  Every sweep is a deduplicated
-:class:`~repro.exec.plan.SweepPlan` run by
-:func:`~repro.exec.plan.execute_plan`: tasks consult the active
-content-addressed store first (when there is one) and the misses run on
-the active executor — serially in-process by default, or fanned out
-over the process pool — so each unique (workload, config, version) key,
-the store's cache key, simulates at most once per sweep *and* across
-sweeps sharing a store.  Every result passes through the same
-serialisation round-trip, so output is identical on every path.
+Each experiment module declares its sweep once, as ``sweep(config)``:
+the ``(SystemConfig, versions)`` points it runs over the suite.
+:func:`run_sweep` runs them as one deduplicated
+:class:`~repro.exec.plan.SweepPlan` through
+:func:`~repro.exec.plan.execute_plan`: store first, then the active
+executor (serial in-process by default), so each unique (workload,
+config, version) key simulates at most once per sweep and across sweeps
+sharing a store, and points sharing a
+:class:`~repro.exec.keys.MappingKey` (a capacity sweep's) map each
+workload once.  Every result passes through the same serialisation
+round-trip, so output is identical on every path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.simulator.metrics import ExperimentResult
 from repro.simulator.runner import VERSIONS
 from repro.workloads.base import Workload
-from repro.workloads.suite import SUITE
 
-__all__ = ["run_suite", "normalized_suite", "average_improvement"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.config import SystemConfig
+
+__all__ = [
+    "run_sweep",
+    "run_suite",
+    "normalized_suite",
+    "suite_mean",
+    "average_improvement",
+    "miss_ratio",
+    "rows_with_average",
+]
+
+#: One sweep point: a config and the versions run at it over the suite.
+SweepPoint = tuple["SystemConfig", Sequence[str]]
 
 
-def run_suite(
-    config,
-    versions: Sequence[str] = VERSIONS,
-    workloads: Iterable[Workload] | None = None,
-) -> dict[str, dict[str, ExperimentResult]]:
-    """Run every (workload, version) pair: ``{workload: {version: result}}``.
+def run_sweep(
+    points: Sequence[SweepPoint], workloads: Iterable[Workload] | None = None
+) -> list[dict[str, dict[str, ExperimentResult]]]:
+    """``{workload: {version: result}}`` per point, all run as one plan.
 
-    The active execution context (:func:`repro.exec.use_execution`)
-    supplies the executor that parallelizes the independent runs and
-    the store that caches per-(workload, config, version) results;
-    with neither, runs execute serially in-process.
+    ``workloads`` defaults to the suite; the executor and store come
+    from the active context (:func:`repro.exec.use_execution`).
     """
     from repro.exec.plan import SweepPlan, execute_plan
 
-    workloads = list(workloads) if workloads is not None else list(SUITE)
     plan = SweepPlan()
-    keys = {
-        (w.name, v): plan.add(w, config, v) for w in workloads for v in versions
-    }
+    workloads = list(workloads) if workloads is not None else None
+    keys = [plan.add_suite(config, versions, workloads) for config, versions in points]
     results = execute_plan(plan)
-    return {
-        w.name: {v: results[keys[(w.name, v)].digest] for v in versions}
-        for w in workloads
-    }
+    return [
+        {w: {v: results[k.digest] for v, k in per.items()} for w, per in point.items()}
+        for point in keys
+    ]
+
+
+def run_suite(
+    config: "SystemConfig",
+    versions: Sequence[str] = VERSIONS,
+    workloads: Iterable[Workload] | None = None,
+) -> dict[str, dict[str, ExperimentResult]]:
+    """:func:`run_sweep` of one point: ``{workload: {version: result}}``."""
+    (results,) = run_sweep([(config, versions)], workloads)
+    return results
 
 
 def normalized_suite(
@@ -70,6 +88,18 @@ def normalized_suite(
     return out
 
 
+def suite_mean(
+    normalized: dict[str, dict[str, dict[str, float]]],
+    version: str,
+    metric: str,
+) -> float:
+    """Suite-average normalized ``metric`` of ``version`` (1.0 = baseline)."""
+    values = [per_version[version][metric] for per_version in normalized.values()]
+    if not values:
+        raise ValueError("no workloads in the normalized results")
+    return sum(values) / len(values)
+
+
 def average_improvement(
     normalized: dict[str, dict[str, dict[str, float]]],
     version: str,
@@ -80,7 +110,23 @@ def average_improvement(
     E.g. 0.263 means a 26.3 % average reduction versus the baseline —
     the units the paper's prose reports.
     """
-    values = [per_version[version][metric] for per_version in normalized.values()]
-    if not values:
-        raise ValueError("no workloads in the normalized results")
-    return 1.0 - sum(values) / len(values)
+    return 1.0 - suite_mean(normalized, version, metric)
+
+
+def miss_ratio(
+    per_version: dict[str, ExperimentResult], version: str, level: str
+) -> float:
+    """``version``'s misses at ``level`` over the Original's (1.0 if it has none)."""
+    base = per_version["original"].sim.level_stats[level].misses
+    return per_version[version].sim.level_stats[level].misses / base if base else 1.0
+
+
+def rows_with_average(
+    values: dict[str, Sequence[float]],
+) -> tuple[list[list], list[float]]:
+    """One ``.3f`` row per workload plus an ``AVERAGE`` row; returns the
+    rows and the column means."""
+    means = [sum(column) / len(column) for column in zip(*values.values())]
+    rows = [[name] + [f"{x:.3f}" for x in row] for name, row in values.items()]
+    rows.append(["AVERAGE"] + [f"{x:.3f}" for x in means])
+    return rows, means

@@ -10,18 +10,19 @@ is the property to check; absolute values differ (synthetic workloads).
 from __future__ import annotations
 
 from repro.experiments.config import DEFAULT_CONFIG, SystemConfig
-from repro.experiments.harness import run_suite
+from repro.experiments.harness import SweepPoint, run_sweep
 from repro.experiments.report import ExperimentReport
 from repro.workloads.suite import SUITE
 
-__all__ = ["run", "VERSIONS_USED"]
+__all__ = ["run", "sweep"]
 
-#: The versions this table sweeps (consumed by ``repro.exec.plan_all``).
-VERSIONS_USED = ("original",)
+
+def sweep(config: SystemConfig | None) -> list[SweepPoint]:
+    """The one point :func:`run` simulates: the Original version."""
+    return [(config or DEFAULT_CONFIG, ("original",))]
 
 
 def run(config: SystemConfig | None = None) -> ExperimentReport:
-    config = config or DEFAULT_CONFIG
     headers = [
         "application",
         "L1 (%)",
@@ -33,7 +34,7 @@ def run(config: SystemConfig | None = None) -> ExperimentReport:
     ]
     rows = []
     deeper_is_worse = 0
-    results = run_suite(config, versions=VERSIONS_USED)
+    (results,) = run_sweep(sweep(config))
     for w in SUITE:
         res = results[w.name]["original"]
         l1 = 100.0 * res.miss_rate("L1")
@@ -56,11 +57,3 @@ def run(config: SystemConfig | None = None) -> ExperimentReport:
         ],
         summary={"apps_with_deeper_degradation": float(deeper_is_worse)},
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 __all__ = [
     "SCENARIO_SPEC_VERSION",
@@ -55,6 +55,8 @@ __all__ = [
 SCENARIO_SPEC_VERSION = 1
 
 SCENARIO_KINDS = ("workload", "zipf", "onoff", "trace")
+
+_T = TypeVar("_T")
 
 #: Per-kind parameter schema: name -> (default, validator description).
 _TRACE_FORMATS = ("csv", "jsonl")
@@ -224,8 +226,14 @@ def spec_fingerprint(spec: ScenarioSpec) -> dict[str, Any]:
     }
 
 
-def load_spec_file(path: str | pathlib.Path) -> ScenarioSpec:
-    """Load one spec from a ``.json``, ``.yaml`` or ``.yml`` file."""
+def load_document_file(
+    path: str | pathlib.Path, kind: str, parse: Callable[[Any], _T]
+) -> _T:
+    """Parse a ``.json``, ``.yaml`` or ``.yml`` file with ``parse``.
+
+    ``kind`` names the document in the unknown-suffix error; a
+    ``ValueError`` from ``parse`` is re-raised prefixed with the path.
+    """
     p = pathlib.Path(path)
     text = p.read_text(encoding="utf-8")
     if p.suffix.lower() in (".yaml", ".yml"):
@@ -236,9 +244,14 @@ def load_spec_file(path: str | pathlib.Path) -> ScenarioSpec:
         doc = json.loads(text)
     else:
         raise ValueError(
-            f"cannot tell the spec format of {p.name!r}; use .json/.yaml/.yml"
+            f"cannot tell the {kind} format of {p.name!r}; use .json/.yaml/.yml"
         )
     try:
-        return spec_from_dict(doc)
+        return parse(doc)
     except ValueError as exc:
         raise ValueError(f"{p}: {exc}") from None
+
+
+def load_spec_file(path: str | pathlib.Path) -> ScenarioSpec:
+    """Load one spec from a ``.json``, ``.yaml`` or ``.yml`` file."""
+    return load_document_file(path, "spec", spec_from_dict)

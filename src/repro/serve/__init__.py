@@ -11,8 +11,9 @@ Parallel Computations* argues for.
   documents sharing the exec config serialisation; byte-deterministic
   response bodies (per-request facts ride HTTP headers);
 * :mod:`~repro.serve.coalesce` — in-flight deduplication keyed on
-  :class:`~repro.exec.keys.ExperimentKey` plus micro-batching of what
-  is queued (max-batch; max-wait opt-in) through the batch path's miss path
+  :class:`~repro.exec.keys.ExperimentKey` plus micro-batching of
+  whatever is queued when the batcher comes round (up to ``max_batch``
+  tasks, no wait window) through the batch path's miss path
   (:func:`~repro.exec.plan.run_misses`), store-first so warm keys never
   simulate;
 * :mod:`~repro.serve.server` — bounded admission with explicit 429 +

@@ -212,6 +212,26 @@ def _parse_scenario(ref: Any):
     raise _bad("scenario must be a registered name or a spec object")
 
 
+def _check_engine(engine: Any) -> None:
+    """Accept only the options the exec layer reads, before keying:
+    another key would re-simulate an identical result, and a bad value
+    would fail only in the backend."""
+    from repro.simulator.engines import ENGINE_NAMES
+
+    if not isinstance(engine, dict):
+        raise _bad("engine must be an object")
+    if set(engine) - {"engine", "sync_counts"}:
+        raise _bad("engine options must be only engine and sync_counts")
+    if engine.get("engine", ENGINE_NAMES[0]) not in ENGINE_NAMES:
+        raise _bad(f"engine.engine must be one of {list(ENGINE_NAMES)}")
+    counts = engine.get("sync_counts", {})
+    if not isinstance(counts, dict) or not all(
+        c.isascii() and c.isdigit() and type(n) is int and n >= 0
+        for c, n in counts.items()
+    ):
+        raise _bad("engine.sync_counts must map client ids to non-negative ints")
+
+
 def _decode_body(body: bytes) -> dict[str, Any]:
     try:
         doc = json.loads(body.decode("utf-8"))
@@ -316,8 +336,7 @@ def _parse_request_doc(doc: dict[str, Any]) -> MappingRequest:
         except (KeyError, TypeError, ValueError) as exc:
             raise _bad(f"config is not a valid fingerprint ({exc})") from None
     engine = doc.get("engine") or {}
-    if not isinstance(engine, dict):
-        raise _bad("engine must be an object")
+    _check_engine(engine)
     return MappingRequest(
         workload=workload or "",
         version=mapper or "",

@@ -120,7 +120,8 @@ def simulate(
         chunk ids non-negative).
     sync_counts:
         Optional per-client inter-processor synchronisation counts; each
-        charges :attr:`LatencyModel.sync_stall_ms` of stall.
+        charges :attr:`LatencyModel.sync_stall_ms` of stall.  Keys must
+        be client ids in 0..k-1, as for ``iterations_per_client``.
     iterations_per_client:
         Optional per-client iteration counts; each iteration charges
         :attr:`LatencyModel.compute_ms_per_iteration`.  A client without
@@ -172,6 +173,13 @@ def simulate(
         )
     if prefetch_degree < 0:
         raise ValueError("prefetch_degree must be non-negative")
+    for name, per_client in (
+        ("sync_counts", sync_counts),
+        ("iterations_per_client", iterations_per_client),
+    ):
+        bad = sorted(c for c in per_client or () if not 0 <= c < k)
+        if bad:
+            raise ValueError(f"{name} names clients {bad} outside 0..{k - 1}")
     if write_masks is not None:
         for c in range(k):
             if c not in write_masks or len(write_masks[c]) != len(streams[c]):

@@ -1,4 +1,4 @@
-"""Collector contracts: order-insensitive add, associative merge."""
+"""Collector contract: order-insensitive add."""
 
 import json
 
@@ -115,38 +115,3 @@ def test_add_order_insensitive(name, data, samples):
     direct = fold(name, samples)
     shuffled = fold(name, [samples[i] for i in order])
     assert canon(direct) == canon(shuffled)
-
-
-@pytest.mark.parametrize("name", ALL)
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_merge_matches_direct_fold(name, data, samples):
-    # Any partition of the cells into sequential chunks, merged in
-    # order, must equal one direct fold — the property chunked and
-    # resumed campaigns rely on.
-    cuts = data.draw(
-        st.lists(
-            st.integers(min_value=0, max_value=len(samples)),
-            max_size=3,
-        )
-    )
-    bounds = sorted({0, len(samples), *cuts})
-    merged = make_collector(name)
-    for lo, hi in zip(bounds, bounds[1:]):
-        merged.merge(fold(name, samples[lo:hi]))
-    assert canon(merged) == canon(fold(name, samples))
-
-
-@pytest.mark.parametrize("name", ALL)
-def test_merge_associative(name, samples):
-    a, b, c = samples[:2], samples[2:4], samples[4:]
-    left = make_collector(name)
-    left.merge(fold(name, a))
-    left.merge(fold(name, b))
-    left.merge(fold(name, c))
-    bc = fold(name, b)
-    bc.merge(fold(name, c))
-    right = make_collector(name)
-    right.merge(fold(name, a))
-    right.merge(bc)
-    assert canon(left) == canon(right)

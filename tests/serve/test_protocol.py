@@ -102,6 +102,45 @@ class TestParseRequest:
         assert e.value.code == "bad_request"
 
 
+class TestEngineOptions:
+    """The ``engine`` object is checked before the request is keyed."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {"engine": "bogus"},
+            {"engine": None},
+            {"colour": "red"},
+            {"sync_counts": [1]},
+            {"sync_counts": None},
+            {"sync_counts": {"a": 1}},
+            {"sync_counts": {"-1": 5}},
+            {"sync_counts": {"0": -1}},
+            {"sync_counts": {"0": 1.5}},
+            {"sync_counts": {"0": True}},
+        ],
+    )
+    def test_rejected(self, engine):
+        with pytest.raises(ProtocolError) as e:
+            parse_request(_body(engine=engine))
+        assert e.value.code == "bad_request"
+
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            {},
+            {"engine": "fast"},
+            {"engine": "reference", "sync_counts": {"0": 2, "3": 0}},
+        ],
+    )
+    def test_valid_options_key_as_before(self, engine):
+        req = parse_request(_body(engine=engine))
+        assert req.engine == engine
+        assert req.to_key() == experiment_key(
+            "hf", scaled_config(16), "inter", engine
+        )
+
+
 class TestResolution:
     def test_default_config_without_scale(self):
         assert MappingRequest("hf", "inter").resolve_config() == DEFAULT_CONFIG

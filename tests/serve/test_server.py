@@ -174,6 +174,19 @@ class TestOpsEndpoints:
             assert status == 400
             assert json.loads(body)["error"]["code"] == "bad_json"
 
+    @pytest.mark.parametrize("front_end", ["MappingServer", "ShardRouter"])
+    @pytest.mark.parametrize(
+        "engine", [{"engine": "bogus"}, {"colour": "red"}, {"sync_counts": [1]}]
+    )
+    def test_engine_options_rejected_before_queueing(
+        self, front_ends, front_end, engine
+    ):
+        with ServeClient(front_ends[front_end], timeout=60.0) as c:
+            with pytest.raises(ServeError) as e:
+                c.experiment("hf", "inter", scale=16, engine=engine)
+        assert e.value.code == "bad_request"
+        assert e.value.http_status == 400
+
     def test_typed_validation_errors(self):
         with ServerHarness() as h, h.client() as c:
             with pytest.raises(ServeError) as e:

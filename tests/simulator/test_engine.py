@@ -159,6 +159,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate({0: np.array([1])}, h, fs)
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("option", ["sync_counts", "iterations_per_client"])
+    @pytest.mark.parametrize("client", [-1, 4])
+    def test_per_client_options_name_real_clients(self, engine, option, client):
+        # -1 used to charge client k-1 silently, and k to raise IndexError.
+        h, fs = make_system()
+        streams = {c: np.empty(0, dtype=np.int64) for c in range(4)}
+        with pytest.raises(ValueError, match=f"{option} names clients"):
+            simulate(streams, h, fs, engine=engine, **{option: {client: 5}})
+
     def test_latency_level_count_enforced(self):
         h, fs = make_system()
         streams = {c: np.empty(0, dtype=np.int64) for c in range(4)}
